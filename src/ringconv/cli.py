@@ -1,8 +1,8 @@
-"""Command line front end: figure data exports plus every identity check.
+"""Command line front end: figure data exports plus a runner for every identity check.
 
 Commands either write an artifact (``profile``, ``surface``, and optionally
-``mc-check``) or print one ``PASS``/``FAIL`` line per check with the measured
-error against its tolerance.  Exit status is 0 when everything passed, 1 when
+``mc-check``) or print one ``PASS``/``FAIL`` line per result of a check in
+``checks``, with the measured error against its tolerance.  Exit status is 0 when everything passed, 1 when
 any check failed, and 2 for a configuration error (the message names the
 offending flag).  Artifacts are assembled in memory and written in one shot,
 so a failing run never leaves a partial file, and identical configurations
@@ -19,23 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    Circle,
-    ConvKernel,
-    RadialProfile,
-    conv_via_roots,
-    eval_conv,
-    eval_conv_2d,
-    total_mass,
-)
-from .hankel import hankel_of_circle, hankel_of_conv, hankel_transform, neumann_product_check
-from .operators import Field2D, RingMeasure, circle_average, pair_with_test, restrict_to_circle
-from .oracle import grid_conv_check, mc_conv_histogram, mc_radiality_check
-from .special import bessel_j0, periodic_trapezoid_rule
+from . import checks
+from .checks import CheckResult
+from .core import Circle, ConvKernel, eval_conv, eval_conv_2d, total_mass
 
 __all__ = ["RunConfig", "build_parser", "parse_args", "run", "main"]
 
-_CHECK_PAIRS = [(1.0, 1.0), (2.0, 3.0), (0.5, 2.5)]
+_MAX_GRID_SIDE = 4001
 
 
 @dataclass
@@ -62,12 +52,19 @@ class RunConfig:
     explicit_radii: bool = False
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value) or value <= 0.0:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
     return value
 
@@ -104,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r2", type=_positive_float, default=None, help=r2_help + " (default 3)")
 
     def centers(p):
-        p.add_argument("--b1", type=float, nargs=2, default=(0.0, 0.0), metavar=("X", "Y"),
+        p.add_argument("--b1", type=_finite_float, nargs=2, default=(0.0, 0.0), metavar=("X", "Y"),
                        help="first circle center (default 0 0)")
-        p.add_argument("--b2", type=float, nargs=2, default=(0.0, 0.0), metavar=("X", "Y"),
+        p.add_argument("--b2", type=_finite_float, nargs=2, default=(0.0, 0.0), metavar=("X", "Y"),
                        help="second circle center (default 0 0)")
 
     p = sub.add_parser("profile", help="CSV of the radial density on [0, r1+r2+1]")
@@ -159,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circle-average", help="ring-operator identities (averages, restriction, pairing)")
     p.add_argument("--r1", type=_positive_float, default=None, help="circle radius (default 2)")
-    p.add_argument("--b1", type=float, nargs=2, default=(0.7, -0.4), metavar=("X", "Y"),
+    p.add_argument("--b1", type=_finite_float, nargs=2, default=(0.7, -0.4), metavar=("X", "Y"),
                    help="evaluation point and restriction center (default 0.7 -0.4)")
     p.add_argument("--nodes", type=_positive_int, default=256, help="quadrature nodes (default 256)")
     p.add_argument("--seed", type=_seed_int, default=20260814, help="seed for random smooth pairs")
@@ -201,15 +198,14 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _check(label: str, measured: float, tol: float, ok: bool | None = None) -> bool:
-    if ok is None:
-        ok = measured <= tol
-    print(f"{'PASS' if ok else 'FAIL'} {label}: measured {measured:.6e} vs tolerance {tol:.6e}")
-    return ok
-
-
-def _exit_from(results: list[bool]) -> int:
-    return 0 if all(results) else 1
+def _grid_side(extent: float, spacing: float) -> int | None:
+    """Points per side of the centred grid, or None after naming --spacing when over the cap."""
+    # min() keeps a ratio that overflowed to inf away from round().
+    n = int(round(min(extent / spacing, _MAX_GRID_SIDE))) + 1
+    if n > _MAX_GRID_SIDE:
+        print(f"error: --spacing: grid would exceed {_MAX_GRID_SIDE} points per side", file=sys.stderr)
+        return None
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +226,8 @@ def _run_profile(cfg: RunConfig) -> int:
 
 
 def _run_surface(cfg: RunConfig) -> int:
-    n = int(round(cfg.extent / cfg.spacing)) + 1
-    if n > 4001:
-        print("error: --spacing: grid would exceed 4001 points per side", file=sys.stderr)
+    n = _grid_side(cfg.extent, cfg.spacing)
+    if n is None:
         return 2
     coords = -cfg.extent / 2.0 + np.arange(n) * cfg.spacing
     values = eval_conv_2d(coords[None, :], coords[:, None], cfg.r1, cfg.r2)
@@ -256,219 +251,75 @@ def _run_surface(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Check commands.
+# Check commands: each picks its inputs and prints what ``checks`` returns.
 # ---------------------------------------------------------------------------
 
+def _report(results: list[CheckResult]) -> int:
+    for r in results:
+        print(f"{'PASS' if r.ok else 'FAIL'} {r.label}: measured {r.measured:.6e} vs tolerance {r.tol:.6e}")
+    return 0 if all(r.ok for r in results) else 1
+
+
 def _run_mc_check(cfg: RunConfig) -> int:
-    c1 = Circle(cfg.b1, cfg.r1)
-    c2 = Circle(cfg.b2, cfg.r2)
-    hist = mc_conv_histogram(c1, c2, cfg.samples, cfg.bins, cfg.seed, margin=cfg.margin)
-    lo, hi = abs(cfg.r1 - cfg.r2), cfg.r1 + cfg.r2
-    trim = 0.05 * (hi - lo)
-    centers = hist.centers
-    keep = (centers >= lo + trim) & (centers <= hi - trim)
-    rel = np.abs(hist.density()[keep] - eval_conv(centers[keep], cfg.r1, cfg.r2)) / eval_conv(
-        centers[keep], cfg.r1, cfg.r2
-    )
-    results = [_check("interior histogram agreement", float(rel.max()), 0.02)]
-
-    width = hist.edges[1] - hist.edges[0]
-    stray = int(hist.counts[(hist.edges[1:] <= lo - width) | (hist.edges[:-1] >= hi + width)].sum())
-    results.append(_check("zero leakage outside the support", float(stray), 0.0, ok=stray == 0))
-
-    sector_counts = mc_radiality_check(c1, c2, cfg.samples, cfg.sectors, cfg.seed)
-    mean = cfg.samples / cfg.sectors
-    sigma = float(np.max(np.abs(sector_counts - mean)) / math.sqrt(mean))
-    results.append(_check("sector uniformity (sigma units)", sigma, 4.0))
-
-    concentric = mc_conv_histogram(
-        Circle((0.0, 0.0), cfg.r1), Circle((0.0, 0.0), cfg.r2),
-        cfg.samples, cfg.bins, cfg.seed, margin=cfg.margin,
-    )
-    same = bool(np.array_equal(hist.counts, concentric.counts))
-    results.append(_check("shift equivariance (bitwise)", 0.0 if same else 1.0, 0.0, ok=same))
-
+    results, hist = checks.mc_check(Circle(cfg.b1, cfg.r1), Circle(cfg.b2, cfg.r2), cfg.samples,
+                                    cfg.bins, cfg.seed, cfg.margin, cfg.sectors)
+    code = _report(results)
     if cfg.output is not None:
         lines = ["rho_center,count,density"]
         lines += [
             f"{_fmt(c)},{int(k)},{_fmt(d)}"
             for c, k, d in zip(hist.centers, hist.counts, hist.density())
         ]
-        code = _emit("\n".join(lines) + "\n", cfg.output)
-        if code:
-            return code
-    return _exit_from(results)
+        return _emit("\n".join(lines) + "\n", cfg.output) or code
+    return code
 
 
 def _run_grid_check(cfg: RunConfig) -> int:
     if cfg.epsilon < 2.0 * cfg.spacing:
         print("error: --epsilon: must be at least twice --spacing", file=sys.stderr)
         return 2
-    c1 = Circle(cfg.b1, cfg.r1)
-    c2 = Circle(cfg.b2, cfg.r2)
+    if _grid_side(cfg.extent, cfg.spacing) is None:
+        return 2
     reach = max(abs(cfg.b1[0] + cfg.b2[0]), abs(cfg.b1[1] + cfg.b2[1]))
     if reach + cfg.r1 + cfg.r2 + 5.0 * cfg.epsilon > cfg.extent / 2.0:
         print("error: --extent: grid would clip the support of the convolution", file=sys.stderr)
         return 2
-    report = grid_conv_check(c1, c2, cfg.extent, cfg.spacing, cfg.epsilon)
-    results = [
-        _check("trimmed profile vs smoothed closed form", report.max_rel_error, 0.05),
-        _check("grid mass vs analytic mass", report.mass_rel_error, 0.005),
-    ]
-    # Degenerate sanity: a ring convolved with itself, inputs swapped, must
-    # reproduce the identical grid bit for bit.
-    self_a = grid_conv_check(c1, Circle(c1.center, c1.radius), cfg.extent, cfg.spacing, cfg.epsilon)
-    self_b = grid_conv_check(Circle(c1.center, c1.radius), c1, cfg.extent, cfg.spacing, cfg.epsilon)
-    same = bool(np.array_equal(self_a.conv_values, self_b.conv_values))
-    results.append(_check("self-convolution swap (bitwise)", 0.0 if same else 1.0, 0.0, ok=same))
-    return _exit_from(results)
+    return _report(checks.grid_check(Circle(cfg.b1, cfg.r1), Circle(cfg.b2, cfg.r2), cfg.extent,
+                                     cfg.spacing, cfg.epsilon))
 
 
 def _run_hankel_check(cfg: RunConfig) -> int:
-    pairs = [(cfg.r1, cfg.r2)] if cfg.explicit_radii else _CHECK_PAIRS
-    r = np.linspace(0.0, 2.0, 41)
-    results = []
-    for r1, r2 in pairs:
-        kernel = ConvKernel(r1, r2)
-        scale = 4.0 * math.pi**2 * r1 * r2
-        product = scale * bessel_j0(2.0 * math.pi * r1 * r) * bessel_j0(2.0 * math.pi * r2 * r)
-        err = float(np.max(np.abs(hankel_of_conv(kernel, r, cfg.nodes) - product)))
-        results.append(_check(f"product identity r1={r1:g} r2={r2:g}", err, 1e-8 * scale))
-        square = hankel_of_circle(r1, r) * hankel_of_circle(r2, r)
-        err = float(np.max(np.abs(hankel_of_conv(kernel, r, cfg.nodes) - square)))
-        results.append(_check(f"consistency square r1={r1:g} r2={r2:g}", err, 1e-8 * scale))
-    results.append(_check("gaussian self-inverse round trip", _gauss_roundtrip_error(), 1e-6))
-    return _exit_from(results)
-
-
-def _gauss_roundtrip_error() -> float:
-    gauss = RadialProfile(lambda rho: np.exp(-math.pi * np.asarray(rho) ** 2), (0.0, 4.0))
-    rule = periodic_trapezoid_rule(2048)
-    once = RadialProfile(lambda r: hankel_transform(gauss, r, rule), (0.0, 4.0))
-    s = np.linspace(0.0, 3.0, 61)
-    twice = hankel_transform(once, s, rule)
-    return float(np.max(np.abs(twice - np.exp(-math.pi * s * s))))
+    pairs = [(cfg.r1, cfg.r2)] if cfg.explicit_radii else checks.CHECK_PAIRS
+    return _report(checks.transform_product_check(pairs, cfg.nodes) + checks.gauss_roundtrip_check())
 
 
 def _run_neumann_check(cfg: RunConfig) -> int:
-    pairs = [(cfg.r1, cfg.r2)] if cfg.explicit_radii else _CHECK_PAIRS + [(1.5, 0.7)]
-    results = []
-    for r1, r2 in pairs:
-        r_max = 50.0 / (2.0 * math.pi * (r1 + r2))
-        worst = 0.0
-        for r in np.linspace(0.0, r_max, 11):
-            lhs, rhs = neumann_product_check(r1, r2, float(r), cfg.nodes)
-            worst = max(worst, abs(lhs - rhs))
-        results.append(_check(f"angular average vs product r1={r1:g} r2={r2:g}", worst, 1e-10))
-    return _exit_from(results)
+    pairs = [(cfg.r1, cfg.r2)] if cfg.explicit_radii else checks.NEUMANN_PAIRS
+    return _report(checks.neumann_check(pairs, cfg.nodes))
 
 
 def _run_mass_check(cfg: RunConfig) -> int:
-    if cfg.explicit_radii:
-        kernel = ConvKernel(cfg.r1, cfg.r2)
-        measured = total_mass(kernel, cfg.nodes)
-        print(f"computed mass {measured:.10f}, expected {kernel.mass:.10f}")
-        return _exit_from([
-            _check("quadrature mass vs analytic", abs(measured - kernel.mass) / kernel.mass, 1e-10)
-        ])
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(100):
-        r1, r2 = rng.uniform(0.1, 5.0, 2)
-        n = int(rng.integers(1, 65))
-        kernel = ConvKernel(r1, r2)
-        worst = max(worst, abs(total_mass(kernel, n) - kernel.mass) / kernel.mass)
-    return _exit_from([_check("quadrature mass, 100 random pairs", worst, 1e-12)])
+    if not cfg.explicit_radii:
+        return _report(checks.mass_sweep_check(cfg.seed))
+    kernel = ConvKernel(cfg.r1, cfg.r2)
+    print(f"computed mass {total_mass(kernel, cfg.nodes):.10f}, expected {kernel.mass:.10f}")
+    return _report(checks.mass_check(cfg.r1, cfg.r2, cfg.nodes))
 
 
 def _run_roots_check(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    results = []
     if cfg.explicit_radii:
-        lo, hi = abs(cfg.r1 - cfg.r2), cfg.r1 + cfg.r2
-        rhos = lo + np.linspace(0.05, 0.95, 19) * (hi - lo)
-        worst = max(
-            abs(conv_via_roots(float(r), cfg.r1, cfg.r2) - eval_conv(float(r), cfg.r1, cfg.r2))
-            / eval_conv(float(r), cfg.r1, cfg.r2)
-            for r in rhos
-        )
-        results.append(_check("root-path vs closed form on a radial sweep", worst, 1e-9))
+        results = checks.roots_sweep_check(cfg.r1, cfg.r2)
         pairs = [(cfg.r1, cfg.r2)]
     else:
-        worst = 0.0
-        for _ in range(1000):
-            r1, r2 = rng.uniform(0.1, 5.0, 2)
-            lo, hi = abs(r1 - r2), r1 + r2
-            rho = lo + rng.uniform(0.05, 0.95) * (hi - lo)
-            worst = max(
-                worst,
-                abs(conv_via_roots(rho, r1, r2) - eval_conv(rho, r1, r2)) / eval_conv(rho, r1, r2),
-            )
-        results.append(_check("root-path vs closed form, 1000 random triples", worst, 1e-9))
+        # The minimum's pairs continue the stream the random triples came from.
+        rng = np.random.default_rng(cfg.seed)
+        results = checks.roots_random_check(rng)
         pairs = [tuple(rng.uniform(0.1, 5.0, 2)) for _ in range(100)]
-    worst_min = 0.0
-    strictly_below = True
-    for r1, r2 in pairs:
-        rho_min = math.hypot(r1, r2)
-        center = eval_conv(rho_min, r1, r2)
-        worst_min = max(worst_min, abs(center - 2.0))
-        strictly_below &= center < eval_conv(1.01 * rho_min, r1, r2)
-        strictly_below &= center < eval_conv(0.99 * rho_min, r1, r2)
-    results.append(_check("interior minimum value 2 at sqrt(r1^2+r2^2)", worst_min, 1e-12))
-    results.append(
-        _check("minimum strictly below 1% perturbations", 0.0 if strictly_below else 1.0, 0.0,
-               ok=strictly_below)
-    )
-    return _exit_from(results)
+    return _report(results + checks.interior_minimum_check(pairs))
 
 
 def _run_circle_average(cfg: RunConfig) -> int:
-    radius = cfg.r1
-    circle = Circle(cfg.b1, radius)
-    x = cfg.b1
-    circumference = 2.0 * math.pi * radius
-    results = []
-
-    const = Field2D.from_function(lambda px, py: 2.5 + 0.0 * px)
-    err = abs(circle_average(const, circle, x, cfg.nodes) - 2.5 * circumference)
-    results.append(_check("average of a constant", err, 1e-10 * circumference))
-
-    linear = Field2D.from_function(lambda px, py: px)
-    err = abs(circle_average(linear, circle, x, cfg.nodes) - circumference * x[0])
-    results.append(_check("average of a linear field", err, 1e-10 * circumference))
-
-    squared = Field2D.from_function(lambda px, py: px**2 + py**2)
-    expected = circumference * (x[0] ** 2 + x[1] ** 2 + radius**2)
-    err = abs(circle_average(squared, circle, x, cfg.nodes) - expected)
-    results.append(_check("average of the squared norm", err, 1e-10 * max(expected, 1.0)))
-
-    radial = Field2D.from_function(
-        lambda px, py: np.exp(-((px - x[0]) ** 2 + (py - x[1]) ** 2) / 3.0)
-    )
-    measure = restrict_to_circle(radial, circle)
-    density = measure.density_values(np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
-    err = float(np.max(np.abs(density - math.exp(-(radius**2) / 3.0))))
-    results.append(_check("radial restriction is constant", err, 1e-12))
-
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(20):
-        a = rng.uniform(-1.0, 1.0, 6)
-        b = rng.uniform(-1.0, 1.0, 6)
-        f = Field2D.from_function(
-            lambda px, py, a=a: a[0] + a[1] * px + a[2] * py
-            + a[3] * np.sin(px) * np.cos(py) + a[4] * np.cos(px) + a[5] * np.sin(py)
-        )
-        phi = Field2D.from_function(
-            lambda px, py, b=b: b[0] + b[1] * px + b[2] * py
-            + b[3] * np.sin(px) * np.cos(py) + b[4] * np.cos(px) + b[5] * np.sin(py)
-        )
-        f_phi = Field2D.from_function(lambda px, py, f=f, phi=phi: f(px, py) * phi(px, py))
-        lhs = pair_with_test(restrict_to_circle(f, circle), phi, 1024)
-        rhs = pair_with_test(RingMeasure.uniform(circle), f_phi, 1024)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    results.append(_check("pairing identity on 20 random smooth pairs", worst, 1e-10))
-    return _exit_from(results)
+    return _report(checks.ring_operator_check(cfg.r1, cfg.b1, cfg.nodes, cfg.seed))
 
 
 _RUNNERS = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import chebyshev_singular_rule
+from .special import chebyshev_singular_rule, squared_radius_terms
 
 __all__ = [
     "Circle",
@@ -342,7 +342,5 @@ def total_mass(kernel: ConvKernel, n: int = 256) -> float:
     algebraic shape, so agreement with ``kernel.mass`` is a real check.
     """
     lo, hi = kernel.support
-    rule = chebyshev_singular_rule(lo * lo, hi * hi, n)
-    vals = kernel(np.sqrt(rule.nodes))
-    weightless = vals * np.sqrt((rule.nodes - lo * lo) * (hi * hi - rule.nodes))
-    return float(math.pi * np.sum(rule.weights * weightless))
+    _, terms = squared_radius_terms(kernel, chebyshev_singular_rule(lo * lo, hi * hi, n))
+    return float(math.pi * np.sum(terms))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConvKernel, RadialProfile, psi
-from .special import QuadratureRule, WeightKind, bessel_j0, chebyshev_singular_rule, periodic_trapezoid
+from .special import (QuadratureRule, WeightKind, bessel_j0, chebyshev_singular_rule,
+                      periodic_trapezoid, squared_radius_terms)
 
 __all__ = [
     "HankelResult",
@@ -61,10 +62,9 @@ def _transform_values(profile: RadialProfile, r: np.ndarray, rule: QuadratureRul
                 f"rule interval {rule.interval} does not meet the profile support "
                 f"({lo * lo}, {hi * hi}) in the squared-radius variable"
             )
-        root_u = np.sqrt(rule.nodes)
-        weightless = profile(root_u) * np.sqrt((rule.nodes - ua) * (ub - rule.nodes))
+        root_u, terms = squared_radius_terms(profile, rule)
         kernel = bessel_j0(2.0 * np.pi * np.multiply.outer(r, root_u))
-        return math.pi * kernel @ (rule.weights * weightless)
+        return math.pi * kernel @ terms
     # Smooth-profile route: fold [lo, hi] onto the periodic rule through the
     # cosine map rho(phi) = lo + (hi - lo)(1 - cos phi)/2, which traverses the
     # interval twice per period; the Jacobian |sin phi| times the half factor

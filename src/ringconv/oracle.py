@@ -23,7 +23,7 @@ from scipy.signal import fftconvolve
 from scipy.special import i0e
 
 from .core import Circle, eval_conv, support_interval
-from .special import chebyshev_singular_rule
+from .special import chebyshev_singular_rule, squared_radius_terms
 
 __all__ = [
     "RadialHistogram",
@@ -219,11 +219,10 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float, n: int = 2048):
     """
     sigma2 = 2.0 * epsilon**2
     lo, hi = support_interval(r1, r2)
-    rule = chebyshev_singular_rule(lo * lo, hi * hi, n)
-    s = np.sqrt(rule.nodes)
-    weightless = eval_conv(s, r1, r2) * np.sqrt((rule.nodes - lo * lo) * (hi * hi - rule.nodes))
+    s, terms = squared_radius_terms(lambda rho: eval_conv(rho, r1, r2),
+                                    chebyshev_singular_rule(lo * lo, hi * hi, n))
     # ds = du / (2 s) cancels the kernel's s / sigma^2 prefactor down to 1 / (2 sigma^2).
-    coef = rule.weights * weightless / (2.0 * sigma2)
+    coef = terms / (2.0 * sigma2)
     rho = np.asarray(rho, dtype=float)
     scalar = rho.ndim == 0
     arr = np.atleast_1d(rho)

@@ -20,6 +20,7 @@ __all__ = [
     "chebyshev_singular_rule",
     "periodic_trapezoid",
     "periodic_trapezoid_rule",
+    "squared_radius_terms",
 ]
 
 # Series/asymptotic split for J0.  Below the split the power series loses at
@@ -167,6 +168,20 @@ def chebyshev_singular_rule(a: float, b: float, n: int) -> QuadratureRule:
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi / (2 * n))
     weights = np.full(n, np.pi / n)
     return QuadratureRule(nodes, weights, (float(a), float(b)), WeightKind.CHEBYSHEV_SINGULAR)
+
+
+def squared_radius_terms(f, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and weighted terms for integrating a radial ``f`` in ``u = rho^2``.
+
+    ``rule`` is a Chebyshev singular rule on ``[a, b] = [lo^2, hi^2]``.  Returns
+    ``rho = sqrt(u_k)`` and ``w_k * (f(rho) * sqrt((u_k - a)(b - u_k)))``:
+    multiplying ``f`` by the reciprocal of the rule's weight leaves a bounded
+    integrand for densities with inverse-square-root endpoint blow-ups, so
+    ``sum(terms)`` approximates ``int_a^b f(sqrt u) du``.
+    """
+    a, b = rule.interval
+    rho = np.sqrt(rule.nodes)
+    return rho, rule.weights * (f(rho) * np.sqrt((rule.nodes - a) * (b - rule.nodes)))
 
 
 def periodic_trapezoid_rule(n: int) -> QuadratureRule:

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringconv
 from ringconv.cli import build_parser, main, parse_args
 
 
@@ -47,6 +50,15 @@ class TestParsing:
                 parse_args(argv)
             assert exc.value.code == 2
         assert "--points" in capsys.readouterr().err
+
+    def test_non_finite_center_exits_2_and_names_the_flag(self, capsys):
+        for argv, flag in ((["grid-check", "--b1", "nan", "0"], "--b1"),
+                           (["circle-average", "--b1", "nan", "0"], "--b1"),
+                           (["mc-check", "--b2", "0", "inf"], "--b2")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -124,9 +136,12 @@ class TestSurface:
         assert a.read_bytes() == b.read_bytes()
 
     def test_oversized_grid_exits_2(self, capsys):
-        code, _, err = run_main(["surface", "--spacing", "0.001"], capsys)
-        assert code == 2
-        assert "--spacing" in err
+        # The second ratio overflows to inf.
+        for argv in (["surface", "--spacing", "0.001"],
+                     ["surface", "--extent", "1e300", "--spacing", "1e-10"]):
+            code, _, err = run_main(argv, capsys)
+            assert code == 2
+            assert "--spacing" in err
 
 
 class TestMcCheck:
@@ -167,6 +182,12 @@ class TestGridCheck:
         code, _, err = run_main(["grid-check", "--epsilon", "0.01"], capsys)
         assert code == 2
         assert "--epsilon" in err
+
+    def test_oversized_grid_exits_2(self, capsys):
+        # Rejected before allocation: 12001 points per side is over 1 GB per grid.
+        code, _, err = run_main(["grid-check", "--spacing", "0.001"], capsys)
+        assert code == 2
+        assert "--spacing" in err
 
     def test_clipped_extent_exits_2(self, capsys):
         code, _, err = run_main(["grid-check", "--extent", "8"], capsys)
@@ -220,9 +241,12 @@ class TestIdentityChecks:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
+        # The child imports the same package as this process, installed or not.
+        src = str(Path(ringconv.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "ringconv", "mass-check", "--r1", "1", "--r2", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout

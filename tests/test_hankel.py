@@ -119,14 +119,6 @@ class TestHankelTransform:
         assert isinstance(out, float)
         assert abs(out - math.exp(-math.pi * 0.25)) < 1e-8
 
-    def test_double_transform_returns_the_profile(self):
-        gauss = gaussian_profile()
-        rule = periodic_trapezoid_rule(2048)
-        once = RadialProfile(lambda s: hankel_transform(gauss, s, rule), (0.0, 4.0))
-        s = np.linspace(0.0, 3.0, 61)
-        twice = hankel_transform(once, s, rule)
-        assert np.max(np.abs(twice - gauss(s))) < 1e-6
-
 
 class TestHankelSweep:
     def test_bundles_rule_size_and_values(self):
