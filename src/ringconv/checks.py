@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, ConvKernel, RadialProfile, conv_via_roots, eval_conv, total_mass
+from .core import Circle, ConvKernel, ParameterError, RadialProfile, conv_via_roots, eval_conv, total_mass
 from .hankel import hankel_of_circle, hankel_of_conv, hankel_transform, neumann_product_check
 from .operators import Field2D, RingMeasure, circle_average, pair_with_test, restrict_to_circle
 from .oracle import RadialHistogram, grid_conv_check, mc_conv_histogram, mc_radiality_check
@@ -62,7 +62,8 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
     Three sampler passes: the histogram, the sector counts, and the histogram
     of the same radii about the origin, which must match the first bit for
     bit.  The first histogram is returned with the results so a caller can
-    export it without a fourth pass.
+    export it without a fourth pass.  Raises a ``ParameterError`` naming
+    ``margin`` when no bin centre falls in the middle 90% of the support.
     """
     results = _Verdicts()
     r1, r2 = c1.radius, c2.radius
@@ -71,6 +72,9 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
     trim = 0.05 * (hi - lo)
     centers = hist.centers
     keep = (centers >= lo + trim) & (centers <= hi - trim)
+    if not keep.any():
+        raise ParameterError("margin", f"no bin centre falls in the trimmed support"
+                                       f" [{lo + trim:g}, {hi - trim:g}]")
     rel = np.abs(hist.density()[keep] - eval_conv(centers[keep], r1, r2)) / eval_conv(
         centers[keep], r1, r2
     )

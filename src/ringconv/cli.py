@@ -2,11 +2,12 @@
 
 Commands either write an artifact (``profile``, ``surface``, and optionally
 ``mc-check``) or print one ``PASS``/``FAIL`` line per result of a check in
-``checks``, with the measured error against its tolerance.  Exit status is 0 when everything passed, 1 when
-any check failed, and 2 for a configuration error (the message names the
-offending flag).  Artifacts are assembled in memory and written in one shot,
-so a failing run never leaves a partial file, and identical configurations
-produce byte-identical output.
+``checks``, with the measured error against its tolerance.  Exit status is 0
+when everything passed, 1 when any check failed, and 2 for a configuration
+error whose message names the offending flag: argparse rejects bad flags, and
+``run`` reports a ``ParameterError`` from the library the same way.  Artifacts
+are assembled in memory and written in one shot, so a failing run never leaves
+a partial file, and identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,42 +15,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import checks
 from .checks import CheckResult
-from .core import Circle, ConvKernel, eval_conv, eval_conv_2d, total_mass
+from .core import Circle, ConvKernel, ParameterError, eval_conv, eval_conv_2d, total_mass
 
-__all__ = ["RunConfig", "build_parser", "parse_args", "run", "main"]
+__all__ = ["build_parser", "parse_args", "run", "main"]
 
 _MAX_GRID_SIDE = 4001
-
-
-@dataclass
-class RunConfig:
-    """Everything a single invocation needs, already validated by argparse."""
-
-    command: str
-    r1: float = 2.0
-    r2: float = 3.0
-    b1: tuple[float, float] = (0.0, 0.0)
-    b2: tuple[float, float] = (0.0, 0.0)
-    samples: int = 10_000_000
-    bins: int = 260
-    margin: float = 0.2
-    sectors: int = 360
-    nodes: int = 256
-    epsilon: float = 0.05
-    spacing: float = 0.01
-    extent: float = 12.0
-    seed: int = 20260814
-    points: int = 601
-    output: str | None = None
-    format: str = "csv"
-    explicit_radii: bool = False
 
 
 def _finite_float(text: str) -> float:
@@ -69,24 +45,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    return parse
 
 
-def _seed_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+_positive_int = _int_at_least(1)
+_seed_int = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,23 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed flags, with unset radii filled in and centres as tuples.
+
+    ``explicit_radii`` records whether ``--r1`` or ``--r2`` was given, which
+    switches some checks from their default sweep to that one pair.
+    """
     args = build_parser().parse_args(argv)
-    config = RunConfig(command=args.command)
-    explicit = getattr(args, "r1", None) is not None or getattr(args, "r2", None) is not None
-    config.explicit_radii = explicit
-    for name in ("r1", "r2"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
-    for name in ("samples", "bins", "margin", "sectors", "nodes", "epsilon", "spacing",
-                 "extent", "seed", "points", "output", "format"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
+    r2 = getattr(args, "r2", None)
+    args.explicit_radii = args.r1 is not None or r2 is not None
+    args.r1 = 2.0 if args.r1 is None else args.r1
+    args.r2 = 3.0 if r2 is None else r2
     for name in ("b1", "b2"):
         if hasattr(args, name):
-            setattr(config, name, tuple(getattr(args, name)))
-    return config
+            setattr(args, name, tuple(getattr(args, name)))
+    return args
 
 
 def _emit(text: str, output: str | None) -> int:
@@ -198,13 +168,12 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _grid_side(extent: float, spacing: float) -> int | None:
-    """Points per side of the centred grid, or None after naming --spacing when over the cap."""
+def _grid_side(extent: float, spacing: float) -> int:
+    """Points per side of the centred grid; over the cap, a ``ParameterError`` naming spacing."""
     # min() keeps a ratio that overflowed to inf away from round().
     n = int(round(min(extent / spacing, _MAX_GRID_SIDE))) + 1
     if n > _MAX_GRID_SIDE:
-        print(f"error: --spacing: grid would exceed {_MAX_GRID_SIDE} points per side", file=sys.stderr)
-        return None
+        raise ParameterError("spacing", f"grid would exceed {_MAX_GRID_SIDE} points per side")
     return n
 
 
@@ -212,7 +181,7 @@ def _grid_side(extent: float, spacing: float) -> int | None:
 # Artifact commands.
 # ---------------------------------------------------------------------------
 
-def _run_profile(cfg: RunConfig) -> int:
+def _run_profile(cfg: argparse.Namespace) -> int:
     hi_plus = cfg.r1 + cfg.r2 + 1.0
     lo, hi = abs(cfg.r1 - cfg.r2), cfg.r1 + cfg.r2
     rho = np.linspace(0.0, hi_plus, cfg.points)
@@ -225,10 +194,8 @@ def _run_profile(cfg: RunConfig) -> int:
     return _emit("\n".join(lines) + "\n", cfg.output)
 
 
-def _run_surface(cfg: RunConfig) -> int:
+def _run_surface(cfg: argparse.Namespace) -> int:
     n = _grid_side(cfg.extent, cfg.spacing)
-    if n is None:
-        return 2
     coords = -cfg.extent / 2.0 + np.arange(n) * cfg.spacing
     values = eval_conv_2d(coords[None, :], coords[:, None], cfg.r1, cfg.r2)
     if cfg.format == "csv":
@@ -260,7 +227,7 @@ def _report(results: list[CheckResult]) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _run_mc_check(cfg: RunConfig) -> int:
+def _run_mc_check(cfg: argparse.Namespace) -> int:
     results, hist = checks.mc_check(Circle(cfg.b1, cfg.r1), Circle(cfg.b2, cfg.r2), cfg.samples,
                                     cfg.bins, cfg.seed, cfg.margin, cfg.sectors)
     code = _report(results)
@@ -274,31 +241,23 @@ def _run_mc_check(cfg: RunConfig) -> int:
     return code
 
 
-def _run_grid_check(cfg: RunConfig) -> int:
-    if cfg.epsilon < 2.0 * cfg.spacing:
-        print("error: --epsilon: must be at least twice --spacing", file=sys.stderr)
-        return 2
-    if _grid_side(cfg.extent, cfg.spacing) is None:
-        return 2
-    reach = max(abs(cfg.b1[0] + cfg.b2[0]), abs(cfg.b1[1] + cfg.b2[1]))
-    if reach + cfg.r1 + cfg.r2 + 5.0 * cfg.epsilon > cfg.extent / 2.0:
-        print("error: --extent: grid would clip the support of the convolution", file=sys.stderr)
-        return 2
+def _run_grid_check(cfg: argparse.Namespace) -> int:
+    _grid_side(cfg.extent, cfg.spacing)  # the cap, checked before any grid is allocated
     return _report(checks.grid_check(Circle(cfg.b1, cfg.r1), Circle(cfg.b2, cfg.r2), cfg.extent,
                                      cfg.spacing, cfg.epsilon))
 
 
-def _run_hankel_check(cfg: RunConfig) -> int:
+def _run_hankel_check(cfg: argparse.Namespace) -> int:
     pairs = [(cfg.r1, cfg.r2)] if cfg.explicit_radii else checks.CHECK_PAIRS
     return _report(checks.transform_product_check(pairs, cfg.nodes) + checks.gauss_roundtrip_check())
 
 
-def _run_neumann_check(cfg: RunConfig) -> int:
+def _run_neumann_check(cfg: argparse.Namespace) -> int:
     pairs = [(cfg.r1, cfg.r2)] if cfg.explicit_radii else checks.NEUMANN_PAIRS
     return _report(checks.neumann_check(pairs, cfg.nodes))
 
 
-def _run_mass_check(cfg: RunConfig) -> int:
+def _run_mass_check(cfg: argparse.Namespace) -> int:
     if not cfg.explicit_radii:
         return _report(checks.mass_sweep_check(cfg.seed))
     kernel = ConvKernel(cfg.r1, cfg.r2)
@@ -306,7 +265,7 @@ def _run_mass_check(cfg: RunConfig) -> int:
     return _report(checks.mass_check(cfg.r1, cfg.r2, cfg.nodes))
 
 
-def _run_roots_check(cfg: RunConfig) -> int:
+def _run_roots_check(cfg: argparse.Namespace) -> int:
     if cfg.explicit_radii:
         results = checks.roots_sweep_check(cfg.r1, cfg.r2)
         pairs = [(cfg.r1, cfg.r2)]
@@ -318,7 +277,7 @@ def _run_roots_check(cfg: RunConfig) -> int:
     return _report(results + checks.interior_minimum_check(pairs))
 
 
-def _run_circle_average(cfg: RunConfig) -> int:
+def _run_circle_average(cfg: argparse.Namespace) -> int:
     return _report(checks.ring_operator_check(cfg.r1, cfg.b1, cfg.nodes, cfg.seed))
 
 
@@ -335,8 +294,12 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    return _RUNNERS[config.command](config)
+def run(args: argparse.Namespace) -> int:
+    try:
+        return _RUNNERS[args.command](args)
+    except ParameterError as exc:
+        print(f"error: --{exc.param}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

@@ -23,6 +23,7 @@ from .special import chebyshev_singular_rule, squared_radius_terms
 __all__ = [
     "Circle",
     "ConvKernel",
+    "ParameterError",
     "SupportClass",
     "RadialProfile",
     "support_interval",
@@ -37,6 +38,14 @@ __all__ = [
     "conv_via_roots",
     "total_mass",
 ]
+
+
+class ParameterError(ValueError):
+    """An input rejected by a rule of the library, naming the parameter ``param`` it broke."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
 
 
 def _check_radius(radius: float, label: str) -> float:
@@ -170,8 +179,9 @@ def eval_conv_2d(x, y, r1: float, r2: float, center: tuple[float, float] = (0.0,
 class RadialProfile:
     """A radial function of one variable together with its support interval.
 
-    ``func`` is evaluated pointwise; ``support`` brackets where it may be
-    nonzero and is what quadrature-based consumers integrate over.
+    ``func`` takes an array of radii and returns values of the same shape (a
+    constant is broadcast); ``support`` brackets where it may be nonzero and
+    is what quadrature-based consumers integrate over.
     """
 
     func: object
@@ -179,15 +189,10 @@ class RadialProfile:
 
     def __call__(self, rho):
         arr = np.asarray(rho, dtype=float)
-        if arr.ndim == 0:
-            return float(self.func(float(arr)))
-        try:
-            vals = np.asarray(self.func(arr), dtype=float)
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None or vals.shape != arr.shape:
-            vals = np.array([float(self.func(float(r))) for r in arr.ravel()]).reshape(arr.shape)
-        return vals
+        vals = np.asarray(self.func(arr), dtype=float)
+        if vals.shape != arr.shape:
+            vals = np.broadcast_to(vals, arr.shape).copy()
+        return float(vals) if arr.ndim == 0 else vals
 
     def at_point(self, x, y):
         """Evaluate the induced radial field at a planar point."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvKernel, RadialProfile, psi
+from .core import ConvKernel, RadialProfile, _check_radius, psi
 from .special import (QuadratureRule, WeightKind, bessel_j0, chebyshev_singular_rule,
                       periodic_trapezoid, squared_radius_terms)
 
@@ -105,8 +105,7 @@ def hankel_sweep(profile: RadialProfile, r_values, rule: QuadratureRule) -> Hank
 
 def hankel_of_circle(radius: float, r) -> float:
     """Transform of one circle impulse: ``2 pi R J0(2 pi r R)``, in closed form."""
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    radius = _check_radius(radius, "radius")
     return 2.0 * math.pi * radius * bessel_j0(2.0 * math.pi * np.asarray(r, dtype=float) * radius)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import i0e
 
-from .core import Circle, eval_conv, support_interval
+from .core import Circle, ParameterError, eval_conv, support_interval
 from .special import chebyshev_singular_rule, squared_radius_terms
 
 __all__ = [
@@ -187,14 +187,17 @@ def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: floa
     integrates to 1 across the ring's normal direction, so the grid mass is
     2 pi R up to a curvature bias of relative size O(eps^2 / R^2) and the
     far Gaussian tails.  Raises if the mollifier is under-resolved or the
-    circle plus a 5-epsilon pad overflows the grid.
+    circle plus a 5-epsilon pad overflows the grid, with a ``ParameterError``
+    naming ``epsilon`` or ``extent``.
     """
     if epsilon < 2.0 * spacing:
-        raise ValueError(f"epsilon {epsilon} under-resolved by spacing {spacing} (need >= 2x)")
+        raise ParameterError("epsilon",
+                             f"epsilon {epsilon} under-resolved by spacing {spacing} (need >= 2x)")
     half = extent / 2.0
     reach = max(abs(c.center[0]), abs(c.center[1])) + c.radius + 5.0 * epsilon
     if reach > half:
-        raise ValueError(f"grid extent {extent} too small: ring needs {2.0 * reach:g} with padding")
+        raise ParameterError("extent",
+                             f"grid extent {extent} too small: ring needs {2.0 * reach:g} with padding")
     n = int(round(extent / spacing)) + 1
     coords = -half + np.arange(n) * spacing
     dist = np.hypot(coords[None, :] - c.center[0], coords[:, None] - c.center[1])
@@ -270,13 +273,14 @@ def grid_conv_check(
     product of sums times spacing^2 gives the continuous normalization), and
     the result is annularly averaged about b1 + b2 in bins of width
     2*spacing.  The reference is ``smoothed_profile`` at the bins' mean
-    radii.  Raises if the convolution support plus a 5-epsilon pad would be
-    clipped by the grid.
+    radii.  Raises a ``ParameterError`` naming ``extent`` if the convolution
+    support plus a 5-epsilon pad would be clipped by the grid, and naming
+    ``epsilon`` if no bin's mean radius falls in the trimmed interval.
     """
     lo, hi = support_interval(c1.radius, c2.radius)
     bx, by = c1.center[0] + c2.center[0], c1.center[1] + c2.center[1]
     if max(abs(bx), abs(by)) + hi + 5.0 * epsilon > extent / 2.0:
-        raise ValueError("grid extent clips the support of the convolution")
+        raise ParameterError("extent", "grid extent clips the support of the convolution")
     g1 = build_mollified_ring(c1, extent, spacing, epsilon)
     g2 = build_mollified_ring(c2, extent, spacing, epsilon)
     conv = fftconvolve(g1.values, g2.values, mode="same") * spacing**2
@@ -292,6 +296,9 @@ def grid_conv_check(
 
     t_lo, t_hi = lo + 5.0 * epsilon, hi - 5.0 * epsilon
     keep = (mean_rho >= t_lo) & (mean_rho <= t_hi)
+    if not keep.any():
+        raise ParameterError("epsilon", f"no bin falls in the trimmed range [{t_lo:g}, {t_hi:g}]"
+                                        f" of the support ({lo:g}, {hi:g})")
     ref = smoothed_profile(mean_rho[keep], c1.radius, c2.radius, epsilon)
     rel = np.abs(mean_val[keep] - ref) / np.abs(ref)
     return GridConvReport(

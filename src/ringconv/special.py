@@ -138,19 +138,8 @@ class QuadratureRule:
 
     def apply(self, f) -> float:
         """``sum(w_k * f(u_k))`` with ``f`` vectorized over the node array."""
-        vals = _eval_on_nodes(f, self.nodes)
+        vals = np.broadcast_to(np.asarray(f(self.nodes), dtype=float), self.nodes.shape)
         return float(np.sum(self.weights * vals))
-
-
-def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array of nodes, falling back to a scalar loop."""
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape == nodes.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(u)) for u in nodes])
 
 
 def chebyshev_singular_rule(a: float, b: float, n: int) -> QuadratureRule:

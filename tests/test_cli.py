@@ -167,6 +167,11 @@ class TestMcCheck:
         counts = [int(row.split(",")[1]) for row in lines[1:]]
         assert sum(counts) == 2_000_000
 
+    def test_no_bin_in_the_trimmed_support_exits_2(self, capsys):
+        code, out, err = run_main(["mc-check", "--r1", "1e-4", "--r2", "1e-4", "--samples", "1000"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --margin: ")
+
 
 class TestGridCheck:
     def test_passes_on_a_coarse_grid(self, capsys):
@@ -178,21 +183,27 @@ class TestGridCheck:
         assert out.count("PASS") == 3 and "FAIL" not in out
         assert "self-convolution swap (bitwise)" in out
 
-    def test_under_resolved_epsilon_exits_2(self, capsys):
-        code, _, err = run_main(["grid-check", "--epsilon", "0.01"], capsys)
-        assert code == 2
-        assert "--epsilon" in err
+    @pytest.mark.parametrize("argv, flag", [
+        # In the first two the summed support fits, but the self-convolution's, centred at 2*b1, does not.
+        (["--r1", "1", "--r2", "0.5", "--b1", "0.2", "-0.1", "--extent", "5", "--spacing", "0.025"],
+         "--extent"),
+        (["--r1", "1", "--r2", "1", "--b1", "4.5", "0", "--b2", "-4.5", "0", "--spacing", "0.02"],
+         "--extent"),
+        (["--r1", "0.25", "--r2", "0.25", "--extent", "4", "--spacing", "0.02"], "--epsilon"),
+        (["--epsilon", "0.01"], "--epsilon"),
+        (["--extent", "8"], "--extent"),
+    ], ids=["shifted-centre", "opposite-centres", "empty-trimmed-range", "under-resolved-epsilon",
+            "clipped-extent"])
+    def test_library_input_errors_exit_2_and_name_the_flag(self, argv, flag, capsys):
+        code, out, err = run_main(["grid-check"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}: ")
 
     def test_oversized_grid_exits_2(self, capsys):
         # Rejected before allocation: 12001 points per side is over 1 GB per grid.
         code, _, err = run_main(["grid-check", "--spacing", "0.001"], capsys)
         assert code == 2
         assert "--spacing" in err
-
-    def test_clipped_extent_exits_2(self, capsys):
-        code, _, err = run_main(["grid-check", "--extent", "8"], capsys)
-        assert code == 2
-        assert "--extent" in err
 
 
 class TestIdentityChecks:

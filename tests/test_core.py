@@ -237,8 +237,5 @@ class TestKernelTypes:
         rho = np.array([2.0, 3.0, 4.0])
         assert_allclose(profile(rho), eval_conv(rho, 2.0, 3.0), rtol=0, atol=0)
         assert profile.at_point(3.0, 0.0) == eval_conv(3.0, 2.0, 3.0)
-
-    def test_radial_profile_scalar_loop_fallback(self):
-        prof = RadialProfile(lambda rho: math.exp(-float(rho)), (0.0, 4.0))
-        rho = np.array([0.0, 1.0, 2.0])
-        assert_allclose(prof(rho), np.exp(-rho), rtol=0, atol=1e-16)
+        # A constant result is broadcast over the radii.
+        assert RadialProfile(lambda rho: 1.5, (0.0, 1.0))(rho).tolist() == [1.5, 1.5, 1.5]

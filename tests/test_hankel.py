@@ -47,8 +47,9 @@ class TestHankelOfCircle:
         assert_allclose(hankel_of_circle(1.5, r), expected, rtol=0, atol=0)
 
     def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            hankel_of_circle(0.0, 1.0)
+        for radius in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                hankel_of_circle(radius, 1.0)
 
 
 class TestHankelOfConv:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ringconv.core import Circle, eval_conv
+from ringconv.core import Circle, ParameterError, eval_conv
 from ringconv.oracle import (
     GridConvReport,
     MollifiedGrid,
@@ -192,8 +192,11 @@ class TestGridConvCheck:
         assert np.max(np.abs(a.conv_values - b.conv_values)) < 1e-9
 
     def test_support_clipping_rejected(self):
-        with pytest.raises(ValueError):
-            grid_conv_check(C1, C2, extent=10.0, spacing=0.02, epsilon=0.05)
+        # The second pair's summed centre fits, but each ring leaves the grid.
+        for c1, c2 in ((C1, C2), (Circle((5.5, 0.0), 1.0), Circle((-5.5, 0.0), 1.0))):
+            with pytest.raises(ParameterError) as exc:
+                grid_conv_check(c1, c2, extent=10.0, spacing=0.02, epsilon=0.05)
+            assert isinstance(exc.value, ValueError) and exc.value.param == "extent"
 
     def test_report_is_auditable(self):
         rep = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
