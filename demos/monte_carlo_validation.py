@@ -5,14 +5,16 @@
 
 import numpy as np
 
-from ringconv import Circle, eval_conv, grid_conv_check, mc_conv_histogram, mc_radiality_check
+from ringconv import Circle, eval_conv, grid_conv_check, mc_conv_histogram
 
 c1 = Circle((0.0, 0.0), 2.0)
 c2 = Circle((0.0, 0.0), 3.0)
 samples = 2_000_000
 seed = 20260814
+sectors = 90
 
-hist = mc_conv_histogram(c1, c2, samples, bins=100, seed=seed)
+# One pass gives the radius histogram and the angle-sector counts of the same draws.
+hist, counts = mc_conv_histogram(c1, c2, samples, bins=100, seed=seed, sectors=sectors)
 density = hist.density()
 centers = hist.centers
 
@@ -30,8 +32,6 @@ print()
 
 # The sampled measure is radial about the sum of the centers, so sector
 # counts should be flat to Poisson noise.
-sectors = 90
-counts = mc_radiality_check(c1, c2, samples, sectors, seed)
 mean = samples / sectors
 worst = np.max(np.abs(counts - mean)) / np.sqrt(mean)
 print(f"radiality over {sectors} sectors: worst deviation {worst:.2f} sigma")
@@ -39,7 +39,8 @@ print()
 
 # Shifting the circles only translates the picture.  The sampler works in
 # centered coordinates, so the histogram does not change by a single count.
-shifted = mc_conv_histogram(Circle((1.0, 0.0), 2.0), Circle((0.0, 2.0), 3.0), samples, 100, seed)
+shifted, _ = mc_conv_histogram(Circle((1.0, 0.0), 2.0), Circle((0.0, 2.0), 3.0), samples, 100, seed,
+                               sectors=sectors)
 print(f"shifted-centers histogram bit-identical: {np.array_equal(hist.counts, shifted.counts)}")
 print()
 

@@ -19,7 +19,7 @@ import numpy as np
 from .core import Circle, ConvKernel, ParameterError, RadialProfile, conv_via_roots, eval_conv, total_mass
 from .hankel import hankel_of_circle, hankel_of_conv, hankel_transform, neumann_product_check
 from .operators import Field2D, RingMeasure, circle_average, pair_with_test, restrict_to_circle
-from .oracle import RadialHistogram, grid_conv_check, mc_conv_histogram, mc_radiality_check
+from .oracle import RadialHistogram, grid_conv_check, mc_conv_histogram
 from .special import bessel_j0, periodic_trapezoid_rule
 
 CHECK_PAIRS = [(1.0, 1.0), (2.0, 3.0), (0.5, 2.5)]
@@ -59,15 +59,15 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
              sectors: int) -> tuple[list[CheckResult], RadialHistogram]:
     """Monte Carlo histogram vs the closed form, leakage, radiality and shift equivariance.
 
-    Three sampler passes: the histogram, the sector counts, and the histogram
-    of the same radii about the origin, which must match the first bit for
-    bit.  The first histogram is returned with the results so a caller can
-    export it without a fourth pass.  Raises a ``ParameterError`` naming
-    ``margin`` when no bin centre falls in the middle 90% of the support.
+    Two sampler passes, each giving a histogram and sector counts: the given
+    circles, then the same radii about the origin, which must match bit for
+    bit.  The first histogram is returned so a caller can export it without
+    a third pass.  Raises a ``ParameterError`` naming ``margin`` when no bin
+    centre falls in the middle 90% of the support.
     """
     results = _Verdicts()
     r1, r2 = c1.radius, c2.radius
-    hist = mc_conv_histogram(c1, c2, samples, bins, seed, margin=margin)
+    hist, sector_counts = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors, margin=margin)
     lo, hi = abs(r1 - r2), r1 + r2
     trim = 0.05 * (hi - lo)
     centers = hist.centers
@@ -75,23 +75,22 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
     if not keep.any():
         raise ParameterError("margin", f"no bin centre falls in the trimmed support"
                                        f" [{lo + trim:g}, {hi - trim:g}]")
-    rel = np.abs(hist.density()[keep] - eval_conv(centers[keep], r1, r2)) / eval_conv(
-        centers[keep], r1, r2
-    )
+    exact = eval_conv(centers[keep], r1, r2)
+    rel = np.abs(hist.density()[keep] - exact) / exact
     results.add("interior histogram agreement", rel.max(), 0.02)
 
     width = hist.edges[1] - hist.edges[0]
     stray = int(hist.counts[(hist.edges[1:] <= lo - width) | (hist.edges[:-1] >= hi + width)].sum())
     results.add("zero leakage outside the support", stray, 0.0)
 
-    sector_counts = mc_radiality_check(c1, c2, samples, sectors, seed)
     mean = samples / sectors
     results.add("sector uniformity (sigma units)",
                 np.max(np.abs(sector_counts - mean)) / math.sqrt(mean), 4.0)
 
-    concentric = mc_conv_histogram(Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2),
-                                   samples, bins, seed, margin=margin)
-    same = bool(np.array_equal(hist.counts, concentric.counts))
+    concentric, concentric_sectors = mc_conv_histogram(Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2),
+                                                       samples, bins, seed, sectors=sectors, margin=margin)
+    same = (np.array_equal(hist.counts, concentric.counts)
+            and np.array_equal(sector_counts, concentric_sectors))
     results.add("shift equivariance (bitwise)", 0.0 if same else 1.0, 0.0)
     return results, hist
 

@@ -55,6 +55,14 @@ def _check_radius(radius: float, label: str) -> float:
     return radius
 
 
+def _values_of_shape(vals, shape: tuple) -> np.ndarray:
+    """A callback's result as a float array of ``shape``; a constant is broadcast into a fresh array."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != shape:
+        vals = np.broadcast_to(vals, shape).copy()
+    return vals
+
+
 @dataclass(frozen=True)
 class Circle:
     """A circle in the plane carrying uniform unit-density arc-length measure.
@@ -189,9 +197,7 @@ class RadialProfile:
 
     def __call__(self, rho):
         arr = np.asarray(rho, dtype=float)
-        vals = np.asarray(self.func(arr), dtype=float)
-        if vals.shape != arr.shape:
-            vals = np.broadcast_to(vals, arr.shape).copy()
+        vals = _values_of_shape(self.func(arr), arr.shape)
         return float(vals) if arr.ndim == 0 else vals
 
     def at_point(self, x, y):

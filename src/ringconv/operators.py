@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle
+from .core import Circle, _values_of_shape
 from .special import periodic_trapezoid_rule
 
 __all__ = [
@@ -46,10 +46,7 @@ class RingMeasure:
 
     def density_values(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        vals = np.asarray(self.density(theta), dtype=float)
-        if vals.shape != theta.shape:
-            vals = np.broadcast_to(vals, theta.shape).copy()
-        return vals
+        return _values_of_shape(self.density(theta), theta.shape)
 
     def mass(self, n: int = 1024) -> float:
         rule = periodic_trapezoid_rule(n)
@@ -122,9 +119,7 @@ class Field2D:
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        vals = np.asarray(self.func(x, y), dtype=float)
-        if vals.shape != x.shape:
-            vals = np.broadcast_to(vals, x.shape).copy()
+        vals = _values_of_shape(self.func(x, y), x.shape)
         return float(vals) if x.ndim == 0 else vals
 
     def grid_coords(self) -> np.ndarray:

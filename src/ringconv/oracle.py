@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 # Fixed chunk size for the counter-based sampler.  Chunk c always uses the
-# substream jumped(c) of the seeded generator, so the histogram is a sum of
-# per-chunk integer count vectors and is bit-identical however the chunks
-# are scheduled.
+# substream jumped(c) of the seeded generator, so the histogram and the
+# sector counts are sums of per-chunk integer count vectors and are
+# bit-identical however the chunks are scheduled.
 _CHUNK = 1 << 20
 
 
@@ -81,7 +81,7 @@ class RadialHistogram:
 
 
 def _chunk_angles(seed: int, chunk_index: int, count: int, r1: float, r2: float):
-    """Radius and angle of ``count`` summed samples from substream chunk_index.
+    """Offsets ``dx, dy`` from b1 + b2 of ``count`` summed samples from substream chunk_index.
 
     theta1 is drawn before theta2.  The center offsets cancel before any
     arithmetic happens: the sampled point relative to b1 + b2 is
@@ -102,52 +102,42 @@ def mc_conv_histogram(
     samples: int,
     bins: int,
     seed: int,
+    *,
+    sectors: int,
     margin: float = 0.2,
-) -> RadialHistogram:
-    """Histogram of ``|p - (b1 + b2)|`` for p a sum of uniform circle points.
+) -> tuple[RadialHistogram, np.ndarray]:
+    """Radius histogram and angle-sector counts of p - (b1 + b2), p a sum of uniform circle points.
 
-    Bins cover ``[0, r1 + r2 + margin]`` uniformly.  The result depends only
-    on (radii, samples, bins, margin, seed): sampling is chunked through a
-    counter-based generator whose chunk substreams are derived from the seed,
-    and integer counts are summed, so reruns and any parallel schedule of
-    chunks give bit-identical histograms.
+    Bins cover ``[0, r1 + r2 + margin]`` uniformly and sectors ``[0, 2 pi)``;
+    the sector counts should be flat to Poisson noise (the caller applies the
+    bound).  Each chunk is drawn once for both, from a counter-based substream
+    derived from the seed, and integer counts are summed, so reruns and any
+    parallel schedule of chunks give bit-identical counts.  Raises a
+    ``ParameterError`` naming ``bins`` or ``sectors`` outside ``[1, 2^20]``
+    (the chunk size) before allocating; ``samples < 1`` is a ``ValueError``.
     """
-    if samples < 1 or bins < 1:
-        raise ValueError("samples and bins must be >= 1")
+    for name, value in (("bins", bins), ("sectors", sectors)):
+        if not 1 <= value <= _CHUNK:
+            raise ParameterError(name, f"need 1 <= {name} <= {_CHUNK}, got {value}")
     r1, r2 = c1.radius, c2.radius
     edges = np.linspace(0.0, r1 + r2 + margin, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
-    for chunk_index, count in _chunk_layout(samples):
-        dx, dy = _chunk_angles(seed, chunk_index, count, r1, r2)
+    sector_counts = np.zeros(sectors, dtype=np.int64)
+    width = 2.0 * math.pi / sectors
+    for start in range(0, samples, _CHUNK):
+        dx, dy = _chunk_angles(seed, start // _CHUNK, min(_CHUNK, samples - start), r1, r2)
         counts += np.histogram(np.hypot(dx, dy), bins=edges)[0]
-    return RadialHistogram(edges, counts, samples, 4.0 * math.pi**2 * r1 * r2)
-
-
-def _chunk_layout(samples: int):
-    full, rest = divmod(samples, _CHUNK)
-    for c in range(full):
-        yield c, _CHUNK
-    if rest:
-        yield full, rest
+        angle = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
+        idx = np.minimum((angle / width).astype(np.int64), sectors - 1)
+        sector_counts += np.bincount(idx, minlength=sectors)
+    return RadialHistogram(edges, counts, samples, 4.0 * math.pi**2 * r1 * r2), sector_counts
 
 
 def mc_radiality_check(c1: Circle, c2: Circle, samples: int, sectors: int, seed: int) -> np.ndarray:
-    """Per-sector counts of sample angles about the summed center.
-
-    The sampled measure is rotation invariant, so the counts should be flat
-    to Poisson noise; the caller applies the uniformity bound.  Uses the
-    same chunked substreams as ``mc_conv_histogram``.
+    """Sector counts alone, from a one-bin pass.  The package neither exports nor calls it; it
+    stays in ``__all__`` because ``perfbench`` reads a layer metric by this name.
     """
-    if samples < 1 or sectors < 1:
-        raise ValueError("samples and sectors must be >= 1")
-    counts = np.zeros(sectors, dtype=np.int64)
-    width = 2.0 * math.pi / sectors
-    for chunk_index, count in _chunk_layout(samples):
-        dx, dy = _chunk_angles(seed, chunk_index, count, c1.radius, c2.radius)
-        angle = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
-        idx = np.minimum((angle / width).astype(np.int64), sectors - 1)
-        counts += np.bincount(idx, minlength=sectors)
-    return counts
+    return mc_conv_histogram(c1, c2, samples, 1, seed, sectors=sectors)[1]
 
 
 @dataclass(frozen=True)

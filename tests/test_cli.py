@@ -167,10 +167,16 @@ class TestMcCheck:
         counts = [int(row.split(",")[1]) for row in lines[1:]]
         assert sum(counts) == 2_000_000
 
-    def test_no_bin_in_the_trimmed_support_exits_2(self, capsys):
-        code, out, err = run_main(["mc-check", "--r1", "1e-4", "--r2", "1e-4", "--samples", "1000"], capsys)
+    @pytest.mark.parametrize("argv, flag", [
+        (["--r1", "1e-4", "--r2", "1e-4", "--samples", "1000"], "--margin"),
+        # Rejected before allocation: a count vector never outweighs a 2^20-sample chunk.
+        (["--bins", "1048577"], "--bins"),
+        (["--sectors", "100000000"], "--sectors"),
+    ], ids=["no-bin-in-support", "too-many-bins", "too-many-sectors"])
+    def test_library_input_errors_exit_2_and_name_the_flag(self, argv, flag, capsys):
+        code, out, err = run_main(["mc-check"] + argv, capsys)
         assert code == 2 and out == ""
-        assert err.startswith("error: --margin: ")
+        assert err.startswith(f"error: {flag}: ")
 
 
 class TestGridCheck:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -38,65 +39,77 @@ class TestRadialHistogram:
 
 class TestMonteCarlo:
     def test_no_samples_leak_outside_the_support(self):
-        h = mc_conv_histogram(C1, C2, 100_000, 260, seed=11)
+        h, _ = mc_conv_histogram(C1, C2, 100_000, 260, seed=11, sectors=1)
         outside = (h.edges[1:] <= 1.0) | (h.edges[:-1] >= 5.0)
         assert h.counts[outside].sum() == 0
         assert h.counts.sum() == 100_000
 
     def test_density_matches_closed_form_at_the_collapse_radius(self):
-        h = mc_conv_histogram(C1, C2, 1_000_000, 260, seed=20260814)
+        h, _ = mc_conv_histogram(C1, C2, 1_000_000, 260, seed=20260814, sectors=1)
         i = int(np.argmin(np.abs(h.centers - math.sqrt(13.0))))
         assert abs(h.density()[i] - 2.0) / 2.0 < 0.05
 
     def test_unit_circles_density_at_one(self):
         # 109 bins over [0, 2 + 20/99] put a bin center exactly at rho = 1,
         # where the density is 4/sqrt(3).
-        h = mc_conv_histogram(Circle((0, 0), 1.0), Circle((0, 0), 1.0), 1_000_000, 109, seed=20260814, margin=20 / 99)
+        h, _ = mc_conv_histogram(Circle((0, 0), 1.0), Circle((0, 0), 1.0), 1_000_000, 109, seed=20260814,
+                                 sectors=1, margin=20 / 99)
         assert abs(h.centers[49] - 1.0) < 1e-15
         expected = 4.0 / math.sqrt(3.0)
         assert abs(h.density()[49] - expected) / expected < 0.04
 
     def test_same_seed_reruns_bitwise(self):
-        a = mc_conv_histogram(C1, C2, 300_000, 64, seed=99)
-        b = mc_conv_histogram(C1, C2, 300_000, 64, seed=99)
+        a, _ = mc_conv_histogram(C1, C2, 300_000, 64, seed=99, sectors=1)
+        b, _ = mc_conv_histogram(C1, C2, 300_000, 64, seed=99, sectors=1)
         assert np.array_equal(a.counts, b.counts)
 
     def test_different_seed_changes_counts(self):
-        a = mc_conv_histogram(C1, C2, 300_000, 64, seed=99)
-        b = mc_conv_histogram(C1, C2, 300_000, 64, seed=100)
+        a, _ = mc_conv_histogram(C1, C2, 300_000, 64, seed=99, sectors=1)
+        b, _ = mc_conv_histogram(C1, C2, 300_000, 64, seed=100, sectors=1)
         assert not np.array_equal(a.counts, b.counts)
 
     def test_shifting_centers_never_changes_the_stream(self):
-        shifted = mc_conv_histogram(Circle((3.0, -1.0), 2.0), Circle((-0.5, 2.0), 3.0), 200_000, 64, seed=7)
-        concentric = mc_conv_histogram(C1, C2, 200_000, 64, seed=7)
+        shifted, shifted_sectors = mc_conv_histogram(Circle((3.0, -1.0), 2.0), Circle((-0.5, 2.0), 3.0),
+                                                     200_000, 64, seed=7, sectors=16)
+        concentric, concentric_sectors = mc_conv_histogram(C1, C2, 200_000, 64, seed=7, sectors=16)
         assert np.array_equal(shifted.counts, concentric.counts)
+        assert np.array_equal(shifted_sectors, concentric_sectors)
 
     def test_partial_final_chunk_keeps_every_sample(self):
-        h = mc_conv_histogram(C1, C2, 2_500_000, 32, seed=5)
-        assert h.counts.sum() == 2_500_000
+        h, sector_counts = mc_conv_histogram(C1, C2, 2_500_000, 32, seed=5, sectors=8)
+        assert h.counts.sum() == sector_counts.sum() == 2_500_000
 
     def test_chunked_totals_are_schedule_independent(self):
         # 1.5 chunks and the same samples re-binned coarser must agree: the
         # counts come from fixed substreams, not from a running generator.
-        fine = mc_conv_histogram(C1, C2, 1_572_864, 64, seed=13)
-        coarse = mc_conv_histogram(C1, C2, 1_572_864, 32, seed=13)
+        # Halving a bin or sector width is exact, so every sample stays nested.
+        fine, fine_sectors = mc_conv_histogram(C1, C2, 1_572_864, 64, seed=13, sectors=16)
+        coarse, coarse_sectors = mc_conv_histogram(C1, C2, 1_572_864, 32, seed=13, sectors=8)
         assert np.array_equal(fine.counts.reshape(32, 2).sum(axis=1), coarse.counts)
+        assert np.array_equal(fine_sectors.reshape(8, 2).sum(axis=1), coarse_sectors)
+
+    def test_counts_are_pinned(self):
+        # sha256 of the little-endian int64 counts: any change of substream, arithmetic or order moves them.
+        h, sector_counts = mc_conv_histogram(C1, C2, 1_572_864, 64, seed=13, sectors=16)
+        digest = [hashlib.sha256(c.astype("<i8").tobytes()).hexdigest() for c in (h.counts, sector_counts)]
+        assert digest == ["6018950d892ea5cec688ec615dac071ff241ee068ecc0e12af6a82a1931298f5",
+                          "3c849988c0e5451ed0681f15dcebda9cdc60c34065c2d9eb72d8ee0365f86280"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            mc_conv_histogram(C1, C2, 0, 10, seed=1)
-        with pytest.raises(ValueError):
-            mc_conv_histogram(C1, C2, 10, 0, seed=1)
+        # Counts above 2^20, the chunk size, are refused before anything is allocated.
+        for samples, bins, sectors in ((0, 10, 1), (10, 0, 1), (10, 10, 0), (10, 2**20 + 1, 1), (10, 10, 2**20 + 1)):
+            with pytest.raises(ValueError):
+                mc_conv_histogram(C1, C2, samples, bins, seed=1, sectors=sectors)
 
 
 class TestRadiality:
     def test_single_sector_swallows_everything(self):
-        counts = mc_radiality_check(C1, C2, 10_000, 1, seed=3)
-        assert counts.tolist() == [10_000]
+        _, counts = mc_conv_histogram(C1, C2, 10_000, 1, seed=3, sectors=1)
+        assert counts.tolist() == mc_radiality_check(C1, C2, 10_000, 1, seed=3).tolist() == [10_000]
 
     def test_sector_counts_are_flat_to_poisson_noise(self):
         sectors, samples = 16, 1_000_000
-        counts = mc_radiality_check(C1, C2, samples, sectors, seed=20260814)
+        _, counts = mc_conv_histogram(C1, C2, samples, 1, seed=20260814, sectors=sectors)
         assert counts.sum() == samples
         expected = samples / sectors
         sigma = math.sqrt(expected * (1.0 - 1.0 / sectors))
