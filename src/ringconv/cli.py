@@ -22,10 +22,9 @@ import numpy as np
 from . import checks
 from .checks import CheckResult
 from .core import Circle, ConvKernel, ParameterError, eval_conv, eval_conv_2d, total_mass
+from .operators import _grid_side
 
 __all__ = ["build_parser", "parse_args", "run", "main"]
-
-_MAX_GRID_SIDE = 4001
 
 
 def _finite_float(text: str) -> float:
@@ -168,15 +167,6 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _grid_side(extent: float, spacing: float) -> int:
-    """Points per side of the centred grid; over the cap, a ``ParameterError`` naming spacing."""
-    # min() keeps a ratio that overflowed to inf away from round().
-    n = int(round(min(extent / spacing, _MAX_GRID_SIDE))) + 1
-    if n > _MAX_GRID_SIDE:
-        raise ParameterError("spacing", f"grid would exceed {_MAX_GRID_SIDE} points per side")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Artifact commands.
 # ---------------------------------------------------------------------------
@@ -242,7 +232,6 @@ def _run_mc_check(cfg: argparse.Namespace) -> int:
 
 
 def _run_grid_check(cfg: argparse.Namespace) -> int:
-    _grid_side(cfg.extent, cfg.spacing)  # the cap, checked before any grid is allocated
     return _report(checks.grid_check(Circle(cfg.b1, cfg.r1), Circle(cfg.b2, cfg.r2), cfg.extent,
                                      cfg.spacing, cfg.epsilon))
 

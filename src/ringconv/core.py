@@ -200,10 +200,6 @@ class RadialProfile:
         vals = _values_of_shape(self.func(arr), arr.shape)
         return float(vals) if arr.ndim == 0 else vals
 
-    def at_point(self, x, y):
-        """Evaluate the induced radial field at a planar point."""
-        return self(np.hypot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-
 
 @dataclass(frozen=True)
 class ConvKernel:
@@ -241,12 +237,6 @@ class ConvKernel:
 
     def at_point(self, x, y):
         return eval_conv_2d(x, y, self.r1, self.r2, self.center)
-
-    def classify(self, rho: float) -> SupportClass:
-        return classify(rho, self.r1, self.r2)
-
-    def profile(self) -> RadialProfile:
-        return kernel_profile(self)
 
 
 def kernel_profile(kernel: ConvKernel) -> RadialProfile:

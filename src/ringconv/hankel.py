@@ -15,7 +15,6 @@ bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,30 +23,11 @@ from .special import (QuadratureRule, WeightKind, bessel_j0, chebyshev_singular_
                       periodic_trapezoid, squared_radius_terms)
 
 __all__ = [
-    "HankelResult",
     "hankel_transform",
-    "hankel_sweep",
     "hankel_of_circle",
     "hankel_of_conv",
     "neumann_product_check",
 ]
-
-
-@dataclass(frozen=True)
-class HankelResult:
-    """A transform sampled on a grid of frequency radii."""
-
-    r_values: np.ndarray
-    values: np.ndarray
-    node_count: int
-
-    def __post_init__(self):
-        r_values = np.atleast_1d(np.asarray(self.r_values, dtype=float))
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "r_values", r_values)
-        object.__setattr__(self, "values", values)
-        if r_values.shape != values.shape or self.node_count < 1:
-            raise ValueError("r_values and values must match in length and node_count must be >= 1")
 
 
 def _transform_values(profile: RadialProfile, r: np.ndarray, rule: QuadratureRule) -> np.ndarray:
@@ -95,12 +75,6 @@ def hankel_transform(profile: RadialProfile, r, rule: QuadratureRule):
     scalar = arr.ndim == 0
     out = _transform_values(profile, np.atleast_1d(arr), rule)
     return float(out[0]) if scalar else out
-
-
-def hankel_sweep(profile: RadialProfile, r_values, rule: QuadratureRule) -> HankelResult:
-    """Evaluate the transform on a grid of radii, bundled with the rule size."""
-    r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
-    return HankelResult(r_values, _transform_values(profile, r_values, rule), len(rule))
 
 
 def hankel_of_circle(radius: float, r) -> float:

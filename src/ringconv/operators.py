@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, _values_of_shape
+from .core import Circle, ParameterError, _values_of_shape
 from .special import periodic_trapezoid_rule
 
 __all__ = [
@@ -53,13 +53,30 @@ class RingMeasure:
         return self.circle.radius * float(np.sum(rule.weights * self.density_values(rule.nodes)))
 
 
+_MAX_GRID_SIDE = 4001
+
+
+def _grid_side(extent: float, spacing: float) -> int:
+    """Points per side of the centred grid; over the cap, a ``ParameterError`` naming spacing."""
+    # min() keeps a ratio that overflowed to inf away from round().
+    n = int(round(min(extent / spacing, _MAX_GRID_SIDE))) + 1
+    if n > _MAX_GRID_SIDE:
+        raise ParameterError("spacing", f"grid would exceed {_MAX_GRID_SIDE} points per side")
+    return n
+
+
+def _grid_coords(n: int, spacing: float) -> np.ndarray:
+    """The ``n`` coordinates of a centred grid side: ``-(n-1)*spacing/2 + j*spacing``."""
+    return -(n - 1) * spacing / 2.0 + np.arange(n) * spacing
+
+
 @dataclass(frozen=True)
 class Field2D:
     """A real-valued function on the plane, optionally backed by a grid.
 
     ``func`` takes coordinate arrays ``(x, y)`` and returns values of the
-    same shape.  Sampled fields carry a centered square grid: ``values`` is
-    row-major with ``values[i, j]`` the sample at
+    same shape.  Sampled fields have no ``func`` and carry a centered square
+    grid: ``values`` is row-major with ``values[i, j]`` the sample at
     ``(-extent/2 + j*spacing, -extent/2 + i*spacing)``, and the evaluator is
     bilinear interpolation that refuses to extrapolate.
     """
@@ -87,19 +104,15 @@ class Field2D:
 
     @classmethod
     def from_grid(cls, values, spacing: float) -> "Field2D":
-        field = cls(None, values=values, spacing=float(spacing))
-        object.__setattr__(field, "func", field._interpolate)
-        return field
+        return cls(None, values=values, spacing=float(spacing))
 
     @property
     def is_sampled(self) -> bool:
         return self.values is not None
 
     def _interpolate(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         half = self.extent / 2.0
-        if np.any(x < -half) or np.any(x > half) or np.any(y < -half) or np.any(y > half):
+        if not (np.all(x >= -half) and np.all(x <= half) and np.all(y >= -half) and np.all(y <= half)):
             raise ValueError("point outside the sampled grid; no extrapolation")
         n = self.values.shape[0]
         fx = np.clip((x + half) / self.spacing, 0.0, n - 1.0)
@@ -119,13 +132,14 @@ class Field2D:
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        vals = _values_of_shape(self.func(x, y), x.shape)
+        func = self._interpolate if self.func is None else self.func
+        vals = _values_of_shape(func(x, y), x.shape)
         return float(vals) if x.ndim == 0 else vals
 
     def grid_coords(self) -> np.ndarray:
         if not self.is_sampled:
             raise ValueError("field has no grid")
-        return -self.extent / 2.0 + np.arange(self.values.shape[0]) * self.spacing
+        return _grid_coords(self.values.shape[0], self.spacing)
 
 
 def pair_with_test(m: RingMeasure, phi: Field2D, n: int = 1024) -> float:

@@ -23,11 +23,11 @@ from scipy.signal import fftconvolve
 from scipy.special import i0e
 
 from .core import Circle, ParameterError, eval_conv, support_interval
+from .operators import Field2D, _grid_coords, _grid_side
 from .special import chebyshev_singular_rule, squared_radius_terms
 
 __all__ = [
     "RadialHistogram",
-    "MollifiedGrid",
     "GridConvReport",
     "mc_conv_histogram",
     "mc_radiality_check",
@@ -140,46 +140,19 @@ def mc_radiality_check(c1: Circle, c2: Circle, samples: int, sectors: int, seed:
     return mc_conv_histogram(c1, c2, samples, 1, seed, sectors=sectors)[1]
 
 
-@dataclass(frozen=True)
-class MollifiedGrid:
-    """A centered square raster of an epsilon-smoothed ring.
-
-    ``values[i, j]`` samples the field at
-    ``(-extent/2 + j*spacing, -extent/2 + i*spacing)``.  The mollifier must
-    be resolved by the grid: ``epsilon >= 2*spacing``.
-    """
-
-    extent: float
-    spacing: float
-    epsilon: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if self.spacing <= 0.0 or self.epsilon < 2.0 * self.spacing:
-            raise ValueError("need spacing > 0 and epsilon >= 2*spacing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("grid values must be finite")
-
-    @property
-    def mass(self) -> float:
-        return float(self.values.sum()) * self.spacing**2
-
-    def coords(self) -> np.ndarray:
-        return -self.extent / 2.0 + np.arange(self.values.shape[0]) * self.spacing
-
-
-def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: float) -> MollifiedGrid:
+def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: float) -> Field2D:
     """Rasterize a ring as a unit-mass Gaussian slice across the circle.
 
     values(x) = exp(-(|x - b| - R)^2 / (2 eps^2)) / (sqrt(2 pi) eps), which
     integrates to 1 across the ring's normal direction, so the grid mass is
     2 pi R up to a curvature bias of relative size O(eps^2 / R^2) and the
-    far Gaussian tails.  Raises if the mollifier is under-resolved or the
-    circle plus a 5-epsilon pad overflows the grid, with a ``ParameterError``
-    naming ``epsilon`` or ``extent``.
+    far Gaussian tails.  The side is odd, so a ``mode="same"`` convolution
+    of two rings stays centred on the grid.  Raises a ``ParameterError``
+    naming ``spacing`` over the grid-side cap, ``epsilon`` if the mollifier
+    is under-resolved, or ``extent`` if the ring plus a 5-epsilon pad
+    overflows the grid.
     """
+    n = _grid_side(extent, spacing) | 1
     if epsilon < 2.0 * spacing:
         raise ParameterError("epsilon",
                              f"epsilon {epsilon} under-resolved by spacing {spacing} (need >= 2x)")
@@ -188,11 +161,10 @@ def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: floa
     if reach > half:
         raise ParameterError("extent",
                              f"grid extent {extent} too small: ring needs {2.0 * reach:g} with padding")
-    n = int(round(extent / spacing)) + 1
-    coords = -half + np.arange(n) * spacing
+    coords = _grid_coords(n, spacing)
     dist = np.hypot(coords[None, :] - c.center[0], coords[:, None] - c.center[1])
     values = np.exp(-((dist - c.radius) ** 2) / (2.0 * epsilon**2)) / (math.sqrt(2.0 * math.pi) * epsilon)
-    return MollifiedGrid(float((n - 1) * spacing), spacing, epsilon, values)
+    return Field2D.from_grid(values, spacing)
 
 
 def smoothed_profile(rho, r1: float, r2: float, epsilon: float, n: int = 2048):
@@ -243,7 +215,6 @@ class GridConvReport:
     expected_mass: float
     trim: tuple[float, float]
     conv_values: np.ndarray
-    spacing: float
 
     @property
     def mass_rel_error(self) -> float:
@@ -263,10 +234,12 @@ def grid_conv_check(
     product of sums times spacing^2 gives the continuous normalization), and
     the result is annularly averaged about b1 + b2 in bins of width
     2*spacing.  The reference is ``smoothed_profile`` at the bins' mean
-    radii.  Raises a ``ParameterError`` naming ``extent`` if the convolution
-    support plus a 5-epsilon pad would be clipped by the grid, and naming
-    ``epsilon`` if no bin's mean radius falls in the trimmed interval.
+    radii.  Raises a ``ParameterError`` naming ``spacing`` over the grid-side
+    cap, ``extent`` if the convolution support plus a 5-epsilon pad would be
+    clipped by the grid, and ``epsilon`` if no bin's mean radius falls in the
+    trimmed interval, in that order of precedence.
     """
+    _grid_side(extent, spacing)
     lo, hi = support_interval(c1.radius, c2.radius)
     bx, by = c1.center[0] + c2.center[0], c1.center[1] + c2.center[1]
     if max(abs(bx), abs(by)) + hi + 5.0 * epsilon > extent / 2.0:
@@ -275,7 +248,7 @@ def grid_conv_check(
     g2 = build_mollified_ring(c2, extent, spacing, epsilon)
     conv = fftconvolve(g1.values, g2.values, mode="same") * spacing**2
 
-    coords = g1.coords()
+    coords = g1.grid_coords()
     rho = np.hypot(coords[None, :] - bx, coords[:, None] - by)
     width = 2.0 * spacing
     idx = np.rint(rho / width).astype(np.int64).ravel()
@@ -300,5 +273,4 @@ def grid_conv_check(
         expected_mass=4.0 * math.pi**2 * c1.radius * c2.radius,
         trim=(t_lo, t_hi),
         conv_values=conv,
-        spacing=spacing,
     )

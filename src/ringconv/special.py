@@ -133,9 +133,6 @@ class QuadratureRule:
             if not np.array_equal(nodes, expected):
                 raise ValueError("periodic trapezoid nodes must be the uniform grid on [0, 2pi)")
 
-    def __len__(self) -> int:
-        return self.nodes.size
-
     def apply(self, f) -> float:
         """``sum(w_k * f(u_k))`` with ``f`` vectorized over the node array."""
         vals = np.broadcast_to(np.asarray(f(self.nodes), dtype=float), self.nodes.shape)

@@ -6,10 +6,8 @@ from numpy.testing import assert_allclose
 
 from ringconv.core import ConvKernel, RadialProfile, kernel_profile
 from ringconv.hankel import (
-    HankelResult,
     hankel_of_circle,
     hankel_of_conv,
-    hankel_sweep,
     hankel_transform,
     neumann_product_check,
 )
@@ -119,22 +117,6 @@ class TestHankelTransform:
         out = hankel_transform(gaussian_profile(), 0.5, rule)
         assert isinstance(out, float)
         assert abs(out - math.exp(-math.pi * 0.25)) < 1e-8
-
-
-class TestHankelSweep:
-    def test_bundles_rule_size_and_values(self):
-        rule = periodic_trapezoid_rule(256)
-        r = np.linspace(0.0, 1.0, 11)
-        res = hankel_sweep(gaussian_profile(), r, rule)
-        assert res.node_count == 256
-        assert_allclose(res.values, hankel_transform(gaussian_profile(), r, rule), rtol=0, atol=0)
-        assert_allclose(res.r_values, r, rtol=0, atol=0)
-
-    def test_result_validates_shapes(self):
-        with pytest.raises(ValueError):
-            HankelResult(np.array([1.0, 2.0]), np.array([1.0]), 8)
-        with pytest.raises(ValueError):
-            HankelResult(np.array([1.0]), np.array([1.0]), 0)
 
 
 class TestNeumannProduct:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -208,8 +210,17 @@ class TestField2D:
 
     def test_no_extrapolation(self):
         field = Field2D.from_grid(np.zeros((5, 5)), 0.5)
-        with pytest.raises(ValueError):
-            field(1.25, 0.0)
+        for x in (1.25, math.nan):
+            with pytest.raises(ValueError):
+                field(x, 0.0)
+
+    def test_sampled_field_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            ref = weakref.ref(Field2D.from_grid(np.zeros((5, 5)), 0.5))
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_scalar_call_returns_float(self):
         field = Field2D.from_function(lambda x, y: x + y)

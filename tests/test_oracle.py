@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from ringconv.core import Circle, ParameterError, eval_conv
 from ringconv.oracle import (
     GridConvReport,
-    MollifiedGrid,
     RadialHistogram,
     build_mollified_ring,
     grid_conv_check,
@@ -122,11 +121,11 @@ class TestMollifiedRing:
 
     def test_mass_is_the_circumference(self):
         g = self.build()
-        assert abs(g.mass - 4.0 * math.pi) / (4.0 * math.pi) < 1e-3
+        assert abs(g.values.sum() * g.spacing**2 - 4.0 * math.pi) / (4.0 * math.pi) < 1e-3
 
     def test_peak_on_the_ring(self):
         g = self.build()
-        coords = g.coords()
+        coords = g.grid_coords()
         i = int(np.argmin(np.abs(coords)))          # y = 0 row
         j = int(np.argmin(np.abs(coords - 2.0)))    # x = 2 column
         peak = 1.0 / (math.sqrt(2.0 * math.pi) * 0.05)
@@ -134,7 +133,7 @@ class TestMollifiedRing:
 
     def test_tail_beyond_five_epsilon(self):
         g = self.build()
-        coords = g.coords()
+        coords = g.grid_coords()
         dist = np.hypot(coords[None, :], coords[:, None])
         far = np.abs(dist - 2.0) >= 5.0 * 0.05
         peak = 1.0 / (math.sqrt(2.0 * math.pi) * 0.05)
@@ -150,11 +149,16 @@ class TestMollifiedRing:
         with pytest.raises(ValueError):
             build_mollified_ring(Circle((1.0, 0.0), 2.0), extent=6.4, spacing=0.01, epsilon=0.05)
         off = build_mollified_ring(Circle((1.0, 0.0), 2.0), extent=6.6, spacing=0.01, epsilon=0.05)
-        assert abs(off.mass - 4.0 * math.pi) / (4.0 * math.pi) < 1e-3
+        assert abs(off.values.sum() * off.spacing**2 - 4.0 * math.pi) / (4.0 * math.pi) < 1e-3
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            MollifiedGrid(1.0, 0.01, 0.05, np.array([[1.0, np.inf], [0.0, 0.0]]))
+    def test_side_is_odd_and_over_the_cap_names_spacing(self):
+        # 499 cells round up to 500, so the centred side has 501 points.
+        assert build_mollified_ring(C1, extent=4.99, spacing=0.01, epsilon=0.05).values.shape == (501, 501)
+        # Rejected before allocation: 12001 points per side is over 1 GB per grid.
+        for build in (build_mollified_ring, lambda c, *a: grid_conv_check(c, C2, *a)):
+            with pytest.raises(ParameterError) as exc:
+                build(C1, 12.0, 0.001, 0.05)
+            assert exc.value.param == "spacing"
 
 
 class TestSmoothedProfile:
@@ -203,6 +207,17 @@ class TestGridConvCheck:
         a = grid_conv_check(C1, C2, extent=12.0, spacing=0.02, epsilon=0.1)
         b = grid_conv_check(C2, C1, extent=12.0, spacing=0.02, epsilon=0.1)
         assert np.max(np.abs(a.conv_values - b.conv_values)) < 1e-9
+
+    @pytest.mark.parametrize("extent, spacing", [(12.0, 0.013), (11.99, 0.01)])
+    def test_convolution_is_centred_on_the_summed_centres(self, extent, spacing):
+        # Extents that are no whole number of cells, and odd cell counts, once
+        # shifted the convolution off the binning grid by up to half a cell.
+        c1, c2 = Circle((0.3, -0.2), 2.0), Circle((-0.1, 0.25), 3.0)
+        rep = grid_conv_check(c1, c2, extent, spacing, 0.05)
+        coords = build_mollified_ring(c1, extent, spacing, 0.05).grid_coords()
+        w = rep.conv_values
+        centroid = (np.sum(w.sum(axis=0) * coords) / w.sum(), np.sum(w.sum(axis=1) * coords) / w.sum())
+        assert_allclose(centroid, (0.2, 0.05), rtol=0, atol=1e-9)
 
     def test_support_clipping_rejected(self):
         # The second pair's summed centre fits, but each ring leaves the grid.

@@ -104,7 +104,6 @@ class TestChebyshevSingularRule:
         assert np.all(rule.nodes > a) and np.all(rule.nodes < b)
         assert np.all(rule.weights == math.pi / n)
         assert rule.weight_kind is WeightKind.CHEBYSHEV_SINGULAR
-        assert len(rule) == n
 
     def test_rejects_bad_interval_and_count(self):
         with pytest.raises(ValueError):
