@@ -30,7 +30,6 @@ __all__ = [
     "classify",
     "eval_conv",
     "eval_conv_2d",
-    "kernel_profile",
     "psi",
     "phi",
     "phi_prime",
@@ -205,23 +204,16 @@ class RadialProfile:
 class ConvKernel:
     """The convolution of two circle impulses, reduced to its two radii.
 
-    The density is radial about the sum of the two centers; the radii alone
-    determine the profile, so the kernel records them plus that center.
+    The density is radial about the sum of the two centers, and the radii
+    alone determine its profile; ``eval_conv_2d`` places it in the plane.
     """
 
     r1: float
     r2: float
-    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         _check_radius(self.r1, "r1")
         _check_radius(self.r2, "r2")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-
-    @classmethod
-    def from_circles(cls, c1: Circle, c2: Circle) -> "ConvKernel":
-        center = (c1.center[0] + c2.center[0], c1.center[1] + c2.center[1])
-        return cls(c1.radius, c2.radius, center)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -234,15 +226,6 @@ class ConvKernel:
 
     def __call__(self, rho):
         return eval_conv(rho, self.r1, self.r2)
-
-    def at_point(self, x, y):
-        return eval_conv_2d(x, y, self.r1, self.r2, self.center)
-
-
-def kernel_profile(kernel: ConvKernel) -> RadialProfile:
-    """The kernel's radial density as a ``RadialProfile``."""
-    r1, r2 = kernel.r1, kernel.r2
-    return RadialProfile(lambda rho: eval_conv(rho, r1, r2), kernel.support)
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,14 @@ def _grid_side(extent: float, spacing: float) -> int:
     return n
 
 
+def _half_width(n: int, spacing: float) -> float:
+    """Half the side ``(n-1)*spacing`` of a centred ``n``-point grid: it spans ``[-half, half]``."""
+    return (n - 1) * spacing / 2.0
+
+
 def _grid_coords(n: int, spacing: float) -> np.ndarray:
-    """The ``n`` coordinates of a centred grid side: ``-(n-1)*spacing/2 + j*spacing``."""
-    return -(n - 1) * spacing / 2.0 + np.arange(n) * spacing
+    """The ``n`` coordinates of a centred grid side: ``-half + j*spacing``."""
+    return -_half_width(n, spacing) + np.arange(n) * spacing
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,6 @@ class Field2D:
     func: object
     values: np.ndarray | None = None
     spacing: float | None = None
-    extent: float | None = None
 
     def __post_init__(self):
         if self.values is not None:
@@ -96,7 +100,6 @@ class Field2D:
                 raise ValueError("sampled field needs spacing > 0")
             if not np.all(np.isfinite(values)):
                 raise ValueError("sampled field values must be finite")
-            object.__setattr__(self, "extent", float((values.shape[0] - 1) * self.spacing))
 
     @classmethod
     def from_function(cls, func) -> "Field2D":
@@ -110,11 +113,16 @@ class Field2D:
     def is_sampled(self) -> bool:
         return self.values is not None
 
+    @property
+    def extent(self) -> float | None:
+        """Side length ``(n - 1) * spacing`` of a sampled field's grid; None without a grid."""
+        return None if self.values is None else 2.0 * _half_width(self.values.shape[0], self.spacing)
+
     def _interpolate(self, x, y):
-        half = self.extent / 2.0
+        n = self.values.shape[0]
+        half = _half_width(n, self.spacing)
         if not (np.all(x >= -half) and np.all(x <= half) and np.all(y >= -half) and np.all(y <= half)):
             raise ValueError("point outside the sampled grid; no extrapolation")
-        n = self.values.shape[0]
         fx = np.clip((x + half) / self.spacing, 0.0, n - 1.0)
         fy = np.clip((y + half) / self.spacing, 0.0, n - 1.0)
         j0 = np.minimum(fx.astype(int), n - 2)
@@ -202,12 +210,12 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     rule = periodic_trapezoid_rule(n)
     cos_t = r * np.cos(rule.nodes)
     sin_t = r * np.sin(rule.nodes)
-    coords = -f.extent / 2.0 + (cells + np.arange(out_size)) * f.spacing
+    half = _half_width(size, f.spacing)
+    coords = -half + (cells + np.arange(out_size)) * f.spacing
     out = np.empty((out_size, out_size))
     # Every sample point is inside the grid by construction, but the border
     # rows can land an ulp past it through rounding in `coords`; clamping
     # moves those points back by that ulp without admitting real outsiders.
-    half = f.extent / 2.0
     px = np.clip(coords[:, None] + cos_t, -half, half)
     # Row at a time: rows are independent, so memory stays at O(row * n) and
     # any row partitioning across workers would reproduce the same output.

@@ -10,7 +10,9 @@ Two independent routes to the same density:
   closed form smoothed by the matching Gaussian.
 
 Neither route evaluates the closed form while producing its estimate, so
-agreement is evidence for the formula rather than a tautology.
+agreement is evidence for the formula rather than a tautology.  Both run on
+numpy alone: the FFT convolution is ``fftconvolve`` below, and the scaled
+Bessel I0 of the smoothing is ``special.i0e``.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.special import i0e
 
 from .core import Circle, ParameterError, eval_conv, support_interval
-from .operators import Field2D, _grid_coords, _grid_side
-from .special import chebyshev_singular_rule, squared_radius_terms
+from .operators import Field2D, _grid_coords, _grid_side, _half_width
+from .special import chebyshev_singular_rule, i0e, squared_radius_terms
 
 __all__ = [
     "RadialHistogram",
@@ -32,6 +32,7 @@ __all__ = [
     "mc_conv_histogram",
     "mc_radiality_check",
     "build_mollified_ring",
+    "fftconvolve",
     "smoothed_profile",
     "grid_conv_check",
 ]
@@ -140,23 +141,32 @@ def mc_radiality_check(c1: Circle, c2: Circle, samples: int, sectors: int, seed:
     return mc_conv_histogram(c1, c2, samples, 1, seed, sectors=sectors)[1]
 
 
+def _ring_grid(extent: float, spacing: float) -> tuple[int, float]:
+    """Side and half-width of the odd, centred grid the rings are built on.
+
+    The half-width ``(n - 1) * spacing / 2`` may differ from ``extent / 2`` by
+    a fraction of a cell either way, so the pad checks compare against it.
+    """
+    n = _grid_side(extent, spacing) | 1
+    return n, _half_width(n, spacing)
+
+
 def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: float) -> Field2D:
     """Rasterize a ring as a unit-mass Gaussian slice across the circle.
 
     values(x) = exp(-(|x - b| - R)^2 / (2 eps^2)) / (sqrt(2 pi) eps), which
     integrates to 1 across the ring's normal direction, so the grid mass is
     2 pi R up to a curvature bias of relative size O(eps^2 / R^2) and the
-    far Gaussian tails.  The side is odd, so a ``mode="same"`` convolution
-    of two rings stays centred on the grid.  Raises a ``ParameterError``
+    far Gaussian tails.  The side is odd, so ``fftconvolve`` of two rings
+    stays centred on the grid.  Raises a ``ParameterError``
     naming ``spacing`` over the grid-side cap, ``epsilon`` if the mollifier
     is under-resolved, or ``extent`` if the ring plus a 5-epsilon pad
-    overflows the grid.
+    overflows the grid that is built.
     """
-    n = _grid_side(extent, spacing) | 1
+    n, half = _ring_grid(extent, spacing)
     if epsilon < 2.0 * spacing:
         raise ParameterError("epsilon",
                              f"epsilon {epsilon} under-resolved by spacing {spacing} (need >= 2x)")
-    half = extent / 2.0
     reach = max(abs(c.center[0]), abs(c.center[1])) + c.radius + 5.0 * epsilon
     if reach > half:
         raise ParameterError("extent",
@@ -165,6 +175,42 @@ def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: floa
     dist = np.hypot(coords[None, :] - c.center[0], coords[:, None] - c.center[1])
     values = np.exp(-((dist - c.radius) ** 2) / (2.0 * epsilon**2)) / (math.sqrt(2.0 * math.pi) * epsilon)
     return Field2D.from_grid(values, spacing)
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest ``m >= n`` with no prime factor above 5, a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+    """The centred ``n x n`` part of the linear convolution of two ``n x n`` arrays.
+
+    Output ``[i, j]`` is the full convolution at ``[h + i, h + j]`` with
+    ``h = (n - 1) // 2``, so for odd ``n`` the result stays centred on the
+    input grid.  The circular convolution behind it uses the smallest
+    5-smooth length of at least ``2n - 1 - h``: wrap-around then only lands
+    on rows and columns outside the kept slice.  The spectral product is
+    written out in real arithmetic, so swapping the operands gives the same
+    array bit for bit.
+    """
+    in1, in2 = np.asarray(in1, dtype=float), np.asarray(in2, dtype=float)
+    if in1.ndim != 2 or in1.shape[0] != in1.shape[1] or in1.shape != in2.shape:
+        raise ValueError(f"need two square arrays of one shape, got {in1.shape} and {in2.shape}")
+    n = in1.shape[0]
+    h = (n - 1) // 2
+    size = (_smooth_length(2 * n - 1 - h),) * 2
+    a, b = np.fft.rfft2(in1, size), np.fft.rfft2(in2, size)
+    product = np.empty_like(a)
+    np.subtract(a.real * b.real, a.imag * b.imag, out=product.real)
+    np.add(a.real * b.imag, a.imag * b.real, out=product.imag)
+    return np.fft.irfft2(product, size)[h:h + n, h:h + n]
 
 
 def smoothed_profile(rho, r1: float, r2: float, epsilon: float, n: int = 2048):
@@ -239,14 +285,14 @@ def grid_conv_check(
     clipped by the grid, and ``epsilon`` if no bin's mean radius falls in the
     trimmed interval, in that order of precedence.
     """
-    _grid_side(extent, spacing)
+    _, half = _ring_grid(extent, spacing)
     lo, hi = support_interval(c1.radius, c2.radius)
     bx, by = c1.center[0] + c2.center[0], c1.center[1] + c2.center[1]
-    if max(abs(bx), abs(by)) + hi + 5.0 * epsilon > extent / 2.0:
+    if max(abs(bx), abs(by)) + hi + 5.0 * epsilon > half:
         raise ParameterError("extent", "grid extent clips the support of the convolution")
     g1 = build_mollified_ring(c1, extent, spacing, epsilon)
     g2 = build_mollified_ring(c2, extent, spacing, epsilon)
-    conv = fftconvolve(g1.values, g2.values, mode="same") * spacing**2
+    conv = fftconvolve(g1.values, g2.values) * spacing**2
 
     coords = g1.grid_coords()
     rho = np.hypot(coords[None, :] - bx, coords[:, None] - by)

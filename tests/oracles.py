@@ -73,3 +73,30 @@ def chebyshev_weight_moment(a: float, b: float, m: int) -> float:
         cos_power = math.pi * _double_factorial(j - 1) / _double_factorial(j)
         total += math.comb(m, j) * c ** (m - j) * d**j * cos_power
     return total
+
+
+def i0e_series_oracle(x: float) -> float:
+    """``I0(x) exp(-x)`` for ``x >= 0``, as the quotient of two exact-rational power series.
+
+    ``I0(x) = sum (x^2/4)^k / (k!)^2`` and ``exp(x) = sum x^k / k!`` both have
+    positive terms.  Each sum runs in Fractions until its term has fallen
+    below 2^-80 of the running total while shrinking at least twofold per
+    step, so the omitted tail is smaller than that last term.  Only the
+    final quotient is rounded.
+    """
+    q = Fraction(x)
+
+    def positive_series(ratio):
+        term = total = Fraction(1)
+        k = 0
+        while True:
+            k += 1
+            r = ratio(k)
+            term *= r
+            total += term
+            if r <= Fraction(1, 2) and term * 2**80 < total:
+                return total
+
+    i0 = positive_series(lambda k: q * q / (4 * k * k))
+    exp = positive_series(lambda k: q / k)
+    return float(i0 / exp)

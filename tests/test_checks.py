@@ -24,7 +24,7 @@ RUNS = {
     "grid-check": (
         lambda: checks.grid_check(Circle((0.0, 0.0), 1.0), Circle((0.0, 0.0), 1.0), 5.2, 0.04, 0.08),
         ["trimmed profile vs smoothed closed form", "grid mass vs analytic mass",
-         "self-convolution swap (bitwise)"]),
+         "operand swap (bitwise)"]),
     "hankel-check": (
         lambda: checks.transform_product_check(checks.CHECK_PAIRS, 32) + checks.gauss_roundtrip_check(),
         [f"{kind} r1={a} r2={b}" for a, b in PAIRS for kind in ("product identity", "consistency square")]

@@ -187,19 +187,23 @@ class TestGridCheck:
         )
         assert code == 0
         assert out.count("PASS") == 3 and "FAIL" not in out
-        assert "self-convolution swap (bitwise)" in out
+        assert "operand swap (bitwise)" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--r1", "1", "--r2", "0.5", "--b1", "0.2", "-0.1", "--extent", "5", "--spacing", "0.025"],
+        ["--r1", "1", "--r2", "1", "--b1", "4.5", "0", "--b2", "-4.5", "0", "--spacing", "0.02"],
+    ], ids=["shifted-centre", "opposite-centres"])
+    def test_off_centre_pairs_that_fit_the_grid_pass(self, argv, capsys):
+        # Each ring and the summed support fit; only the pair itself is convolved.
+        code, out, _ = run_main(["grid-check"] + argv, capsys)
+        assert code == 0
+        assert out.count("PASS") == 3 and "FAIL" not in out
 
     @pytest.mark.parametrize("argv, flag", [
-        # In the first two the summed support fits, but the self-convolution's, centred at 2*b1, does not.
-        (["--r1", "1", "--r2", "0.5", "--b1", "0.2", "-0.1", "--extent", "5", "--spacing", "0.025"],
-         "--extent"),
-        (["--r1", "1", "--r2", "1", "--b1", "4.5", "0", "--b2", "-4.5", "0", "--spacing", "0.02"],
-         "--extent"),
         (["--r1", "0.25", "--r2", "0.25", "--extent", "4", "--spacing", "0.02"], "--epsilon"),
         (["--epsilon", "0.01"], "--epsilon"),
         (["--extent", "8"], "--extent"),
-    ], ids=["shifted-centre", "opposite-centres", "empty-trimmed-range", "under-resolved-epsilon",
-            "clipped-extent"])
+    ], ids=["empty-trimmed-range", "under-resolved-epsilon", "clipped-extent"])
     def test_library_input_errors_exit_2_and_name_the_flag(self, argv, flag, capsys):
         code, out, err = run_main(["grid-check"] + argv, capsys)
         assert code == 2 and out == ""
@@ -256,14 +260,19 @@ class TestIdentityChecks:
         assert "measured" in line and "vs tolerance" in line
 
 
+def run_child(*args):
+    """Run a fresh interpreter that imports the same package as this process, installed or not."""
+    src = str(Path(ringconv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        # The child imports the same package as this process, installed or not.
-        src = str(Path(ringconv.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "ringconv", "mass-check", "--r1", "1", "--r2", "1"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_child("-m", "ringconv", "mass-check", "--r1", "1", "--r2", "1")
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        proc = run_child("-c", "import sys, ringconv; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert proc.returncode == 0 and proc.stdout == "[]\n"

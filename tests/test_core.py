@@ -15,7 +15,6 @@ from ringconv.core import (
     eval_conv,
     eval_conv_2d,
     interior_root,
-    kernel_profile,
     phi,
     phi_prime,
     psi,
@@ -130,8 +129,8 @@ class TestEvalConv2d:
         assert abs(eval_conv_2d(math.hypot(2.0, 3.0), 0.0, 2.0, 3.0) - 2.0) < 1e-12
 
     def test_shift_of_the_unit_case(self):
-        k = ConvKernel.from_circles(Circle((1.0, 0.0), 1.0), Circle((0.0, 2.0), 1.0))
-        assert abs(k.at_point(2.0, 2.0) - 4.0 / math.sqrt(3.0)) < 1e-14
+        # Unit circles about (1, 0) and (0, 2): the density is radial about (1, 2).
+        assert abs(eval_conv_2d(2.0, 2.0, 1.0, 1.0, center=(1.0, 2.0)) - 4.0 / math.sqrt(3.0)) < 1e-14
 
     def test_shift_covariance_is_exact(self):
         xs = np.linspace(-4.0, 4.0, 23)
@@ -224,15 +223,14 @@ class TestKernelTypes:
         px, py = c.point(math.pi / 2.0)
         assert_allclose([px, py], [1.0, 0.0], atol=1e-15)
 
-    def test_kernel_from_circles_sums_centers(self):
-        k = ConvKernel.from_circles(Circle((1.0, 0.0), 2.0), Circle((0.0, 2.0), 3.0))
-        assert k.center == (1.0, 2.0)
+    def test_kernel_support_and_mass(self):
+        k = ConvKernel(2.0, 3.0)
         assert k.support == (1.0, 5.0)
         assert abs(k.mass - 24.0 * math.pi**2) < 1e-12
 
-    def test_kernel_profile_wraps_eval(self):
+    def test_radial_profile_of_the_kernel(self):
         k = ConvKernel(2.0, 3.0)
-        profile = kernel_profile(k)
+        profile = RadialProfile(k, k.support)
         assert profile.support == (1.0, 5.0)
         rho = np.array([2.0, 3.0, 4.0])
         assert_allclose(profile(rho), eval_conv(rho, 2.0, 3.0), rtol=0, atol=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ringconv.core import ConvKernel, RadialProfile, kernel_profile
+from ringconv.core import ConvKernel, RadialProfile
 from ringconv.hankel import (
     hankel_of_circle,
     hankel_of_conv,
@@ -90,14 +90,15 @@ class TestHankelTransform:
         lo, hi = k.support
         rule = chebyshev_singular_rule(lo * lo, hi * hi, 256)
         r = np.linspace(0.0, 0.8, 17)
-        via_profile = hankel_transform(kernel_profile(k), r, rule)
+        via_profile = hankel_transform(RadialProfile(k, k.support), r, rule)
         dedicated = hankel_of_conv(k, r, 256)
         assert_allclose(via_profile, dedicated, rtol=1e-12, atol=1e-12 * k.mass)
 
     def test_singular_rule_interval_must_meet_support(self):
         rule = chebyshev_singular_rule(30.0, 40.0, 16)
+        k = ConvKernel(2.0, 3.0)
         with pytest.raises(ValueError):
-            hankel_transform(kernel_profile(ConvKernel(2.0, 3.0)), 0.1, rule)
+            hankel_transform(RadialProfile(k, k.support), 0.1, rule)
 
     def test_periodic_rule_must_cover_full_period(self):
         n = 8

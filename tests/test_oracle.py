@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ringconv import checks, oracle
 from ringconv.core import Circle, ParameterError, eval_conv
 from ringconv.oracle import (
     GridConvReport,
     RadialHistogram,
     build_mollified_ring,
+    fftconvolve,
     grid_conv_check,
     mc_conv_histogram,
     mc_radiality_check,
@@ -151,6 +153,16 @@ class TestMollifiedRing:
         off = build_mollified_ring(Circle((1.0, 0.0), 2.0), extent=6.6, spacing=0.01, epsilon=0.05)
         assert abs(off.values.sum() * off.spacing**2 - 4.0 * math.pi) / (4.0 * math.pi) < 1e-3
 
+    def test_pad_is_checked_against_the_built_grid(self):
+        # Extent 12.004 at spacing 0.01 builds 1201 points, a half-width of 6.0
+        # rather than 6.002, so a reach of 6.001 overflows the grid.
+        with pytest.raises(ParameterError) as exc:
+            build_mollified_ring(Circle((0, 0), 5.751), 12.004, 0.01, 0.05)
+        assert exc.value.param == "extent"
+        with pytest.raises(ParameterError) as exc:
+            grid_conv_check(Circle((0, 0), 2.751), C2, 12.004, 0.01, 0.05)
+        assert exc.value.param == "extent"
+
     def test_side_is_odd_and_over_the_cap_names_spacing(self):
         # 499 cells round up to 500, so the centred side has 501 points.
         assert build_mollified_ring(C1, extent=4.99, spacing=0.01, epsilon=0.05).values.shape == (501, 501)
@@ -159,6 +171,28 @@ class TestMollifiedRing:
             with pytest.raises(ParameterError) as exc:
                 build(C1, 12.0, 0.001, 0.05)
             assert exc.value.param == "spacing"
+
+
+class TestFFTConvolve:
+    @pytest.mark.parametrize("n", [1, 2, 7, 10])
+    def test_centred_slice_of_the_direct_convolution(self, n):
+        a, b = np.random.default_rng(n).normal(size=(2, n, n))
+        full = np.zeros((2 * n - 1, 2 * n - 1))
+        for i in range(n):
+            for j in range(n):
+                full[i:i + n, j:j + n] += a[i, j] * b
+        h = (n - 1) // 2
+        assert_allclose(fftconvolve(a, b), full[h:h + n, h:h + n], rtol=0, atol=1e-12)
+        assert np.array_equal(fftconvolve(a, b), fftconvolve(b, a))
+
+    def test_pads_to_a_5_smooth_length(self):
+        # 1201 is prime; 1215 = 3^5 * 5.
+        assert [oracle._smooth_length(m) for m in (1, 7, 1201, 1875)] == [1, 8, 1215, 1875]
+
+    def test_rejects_unequal_or_non_square_shapes(self):
+        for a, b in ((np.ones((3, 3)), np.ones((5, 5))), (np.ones((3, 4)), np.ones((3, 4)))):
+            with pytest.raises(ValueError):
+                fftconvolve(a, b)
 
 
 class TestSmoothedProfile:
@@ -196,17 +230,20 @@ class TestGridConvCheck:
         assert fine.max_rel_error < coarse.max_rel_error
         assert fine.max_rel_error < 0.05
 
-    def test_swapping_identical_rings_is_bitwise(self):
-        a = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
-        b = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
+    def test_swapping_distinct_rings_is_bitwise(self):
+        c1, c2 = Circle((0.3, -0.2), 2.0), Circle((-0.1, 0.25), 3.0)
+        a = grid_conv_check(c1, c2, extent=12.0, spacing=0.02, epsilon=0.1)
+        b = grid_conv_check(c2, c1, extent=12.0, spacing=0.02, epsilon=0.1)
         assert np.array_equal(a.conv_values, b.conv_values)
 
-    def test_swapping_distinct_rings_agrees_to_rounding(self):
-        # The FFT product is commutative only up to rounding, so this is an
-        # allclose statement, not a bitwise one.
-        a = grid_conv_check(C1, C2, extent=12.0, spacing=0.02, epsilon=0.1)
-        b = grid_conv_check(C2, C1, extent=12.0, spacing=0.02, epsilon=0.1)
-        assert np.max(np.abs(a.conv_values - b.conv_values)) < 1e-9
+    def test_swap_verdict_fails_on_an_order_dependent_convolution(self, monkeypatch):
+        # This convolution leaks a trace of its first operand, so its result
+        # depends on operand order: the swap verdict must catch it.
+        exact = oracle.fftconvolve
+        monkeypatch.setattr(oracle, "fftconvolve", lambda in1, in2: exact(in1, in2) + 1e-9 * in1)
+        *_, swap = checks.grid_check(Circle((0, 0), 1.0), Circle((0, 0), 1.5), 6.0, 0.04, 0.08)
+        assert swap.label == "operand swap (bitwise)"
+        assert swap.measured == 1.0 and not swap.ok
 
     @pytest.mark.parametrize("extent, spacing", [(12.0, 0.013), (11.99, 0.01)])
     def test_convolution_is_centred_on_the_summed_centres(self, extent, spacing):

@@ -10,11 +10,20 @@ from ringconv.special import (
     WeightKind,
     bessel_j0,
     chebyshev_singular_rule,
+    i0e,
     periodic_trapezoid,
     periodic_trapezoid_rule,
 )
 
-from oracles import j0_series_oracle, j0_series_term, j0_zero_oracle
+from oracles import i0e_series_oracle, j0_series_oracle, j0_series_term, j0_zero_oracle
+
+# Relative tolerance of the scaled I0 against its exact-rational oracle, about 18 ulps.
+I0E_RTOL = 4e-15
+
+
+def i0e_rel_error(xs):
+    ref = np.array([i0e_series_oracle(float(x)) for x in xs])
+    return np.max(np.abs(i0e(xs) - ref) / ref)
 
 
 class TestBesselJ0:
@@ -70,6 +79,34 @@ class TestBesselJ0:
     @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
     def test_bounded_by_one(self, x):
         assert abs(bessel_j0(x)) <= 1.0 + 1e-9
+
+
+class TestI0e:
+    def test_value_at_zero_is_one(self):
+        assert i0e(0.0) == 1.0
+
+    def test_series_branch_matches_oracle(self):
+        assert i0e_rel_error(np.linspace(0.0, 25.0, 101)) < I0E_RTOL
+
+    def test_asymptotic_branch_matches_oracle(self):
+        assert i0e_rel_error(np.linspace(25.5, 120.0, 20)) < I0E_RTOL
+
+    def test_switch_point(self):
+        # x = 25 is the last series argument; one ulp on is asymptotic.
+        below, above = 25.0, float(np.nextafter(25.0, 26.0))
+        assert i0e_rel_error(np.array([below, above])) < I0E_RTOL
+        assert abs(i0e(above) - i0e(below)) / i0e(below) < I0E_RTOL
+
+    def test_large_arguments_do_not_overflow(self):
+        # Leading asymptotic term 1/sqrt(2 pi x); the rest adds 1/(8x) + O(1/x^2) relative.
+        for x in (1e3, 1e300):
+            assert -1e-15 <= i0e(x) * math.sqrt(2.0 * math.pi * x) - 1.0 <= 1.0 / (4.0 * x) + 1e-15
+        assert i0e(math.inf) == 0.0
+
+    def test_scalar_in_scalar_out_and_even(self):
+        assert isinstance(i0e(1.5), float)
+        xs = np.array([0.0, 0.5, 3.0, 24.9, 25.1, 300.0])
+        assert_allclose(i0e(-xs), [i0e(float(x)) for x in xs], rtol=0, atol=0)
 
 
 class TestChebyshevSingularRule:
