@@ -230,6 +230,18 @@ class TestGridConvCheck:
         assert fine.max_rel_error < coarse.max_rel_error
         assert fine.max_rel_error < 0.05
 
+    def test_swapping_identical_rings_is_bitwise(self):
+        a = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
+        b = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
+        assert np.array_equal(a.conv_values, b.conv_values)
+
+    def test_swapping_distinct_rings_agrees_to_rounding(self):
+        # The weaker, tolerance-level statement on the reference pair; the
+        # bitwise test below pins the exact symmetry of this convolution.
+        a = grid_conv_check(C1, C2, extent=12.0, spacing=0.02, epsilon=0.1)
+        b = grid_conv_check(C2, C1, extent=12.0, spacing=0.02, epsilon=0.1)
+        assert np.max(np.abs(a.conv_values - b.conv_values)) < 1e-9
+
     def test_swapping_distinct_rings_is_bitwise(self):
         c1, c2 = Circle((0.3, -0.2), 2.0), Circle((-0.1, 0.25), 3.0)
         a = grid_conv_check(c1, c2, extent=12.0, spacing=0.02, epsilon=0.1)
