@@ -25,20 +25,21 @@ print()
 # Pairing integrates over the circle in arclength.  A constant sees the
 # mass; the x coordinate sees the center.
 shifted = RingMeasure.uniform(Circle((3.0, 0.0), 2.0))
-coordinate = Field2D.from_function(lambda x, y: x)
-print(f"<ring at (3,0), x> = {pair_with_test(shifted, coordinate):.6f} "
+print(f"<ring at (3,0), x> = {pair_with_test(shifted, lambda x, y: x):.6f} "
       f"(center x times circumference = {3 * 2 * math.pi * 2:.6f})")
 
 # Multiplying by the impulse keeps only the values on the circle; for a
 # radial function that is a single number.
-radial = Field2D.from_function(lambda x, y: x**2 + y**2)
-measure = restrict_to_circle(radial, circle)
+def squared(x, y):
+    return x**2 + y**2
+
+
+measure = restrict_to_circle(squared, circle)
 values = measure.density_values(np.linspace(0, 2 * math.pi, 8, endpoint=False))
 print(f"rho^2 restricted to the radius-2 circle: {values}")
 print()
 
 # Convolving with the impulse averages over a circle about each point.
-squared = Field2D.from_function(lambda x, y: x**2 + y**2)
 x = (0.6, -1.1)
 got = circle_average(squared, Circle((0.0, 0.0), 1.3), x)
 expected = 2 * math.pi * 1.3 * (x[0] ** 2 + x[1] ** 2 + 1.3**2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ __all__ = [
     "conv_via_roots",
     "total_mass",
 ]
+
+# Smallest normal float; ``_interior_density`` falls back below it.
+_TINY = sys.float_info.min
+# Bracket width at which the root route's bisection stops.
+_BISECTION_TOL = 1e-13
 
 
 class ParameterError(ValueError):
@@ -155,18 +161,41 @@ def eval_conv(rho, r1: float, r2: float):
     out = np.zeros_like(arr)
     interior = (arr > lo) & (arr < hi)
     if interior.any():
-        p = arr[interior]
-        # Factored radicand: each difference of distinct floats is nonzero,
-        # so radii even one ulp inside the support get a finite value
-        # instead of a rounded-to-zero denominator.
-        radicand = (p - lo) * (p + lo) * (hi - p) * (hi + p)
-        out[interior] = 4.0 * r1 * r2 / np.sqrt(radicand)
+        out[interior] = _interior_density(arr[interior], lo, hi, r1, r2)
     out[(arr == lo) | (arr == hi)] = np.inf
     # At the origin the equal-radii endpoint rule above already wrote +inf
     # (lo == 0 exactly); for distinct radii rho = 0 lies below the support.
     if r1 != r2:
         out[arr == 0.0] = 0.0
     return float(out[0]) if scalar else out
+
+
+def _interior_density(p: np.ndarray, lo: float, hi: float, r1: float, r2: float) -> np.ndarray:
+    """``4 r1 r2 / sqrt((p - lo)(p + lo)(hi - p)(hi + p))`` at radii strictly inside the support.
+
+    The radicand is factored: each difference of distinct floats is nonzero,
+    so radii even one ulp inside the support get a finite value instead of a
+    rounded-to-zero denominator.  Where the numerator or a partial product of
+    the radicand leaves the normal range, two factors ``sqrt(r1) sqrt(r2)``
+    are each divided by two of the four square roots one root at a time,
+    which keeps every intermediate in range; a density beyond the float range
+    comes out as ``inf``.  Other radii keep the plain formula's bits.
+    """
+    numerator = 4.0 * r1 * r2
+    numerator_normal = _TINY <= numerator < math.inf
+    if numerator_normal:
+        try:
+            with np.errstate(under="raise", over="raise"):
+                return numerator / np.sqrt((p - lo) * (p + lo) * (hi - p) * (hi + p))
+        except FloatingPointError:
+            pass
+    with np.errstate(all="ignore"):
+        partial = np.cumprod([p - lo, p + lo, hi - p, hi + p], axis=0)
+        direct = numerator / np.sqrt(partial[-1])
+        g = np.sqrt(r1) * np.sqrt(r2)
+        stepwise = 4.0 * (g / np.sqrt(hi + p) / np.sqrt(p - lo)) * (g / np.sqrt(hi - p) / np.sqrt(p + lo))
+    normal = numerator_normal & np.all((partial >= _TINY) & (partial < math.inf), axis=0)
+    return np.where(normal, direct, stepwise)
 
 
 def eval_conv_2d(x, y, r1: float, r2: float, center: tuple[float, float] = (0.0, 0.0)):
@@ -270,7 +299,7 @@ def phi_prime(theta, r1: float, r2: float):
     return float(out[0]) if scalar else out
 
 
-def interior_root(rho: float, r1: float, r2: float, tol: float = 1e-13) -> float:
+def interior_root(rho: float, r1: float, r2: float) -> float:
     """The unique zero of ``phi(rho, .)`` in (0, pi), by bracketed bisection.
 
     psi is strictly increasing on (0, pi) from ``|r1 - r2|`` to ``r1 + r2``,
@@ -284,7 +313,7 @@ def interior_root(rho: float, r1: float, r2: float, tol: float = 1e-13) -> float
     lo, hi = 1e-12, math.pi - 1e-12
     f_lo = phi(rho, lo, r1, r2)
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= _BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
         f_mid = phi(rho, mid, r1, r2)
@@ -297,7 +326,7 @@ def interior_root(rho: float, r1: float, r2: float, tol: float = 1e-13) -> float
     return 0.5 * (lo + hi)
 
 
-def conv_via_roots(rho: float, r1: float, r2: float, tol: float = 1e-13) -> float:
+def conv_via_roots(rho: float, r1: float, r2: float) -> float:
     """Re-derive the density at an interior rho from the zeros of phi.
 
     The zero theta1 = ``interior_root(rho, ...)`` and its mirror
@@ -308,7 +337,7 @@ def conv_via_roots(rho: float, r1: float, r2: float, tol: float = 1e-13) -> floa
     which must agree with ``eval_conv`` without sharing any code with it.
     Raises ValueError unless rho is classified INTERIOR.
     """
-    theta1 = interior_root(rho, r1, r2, tol)
+    theta1 = interior_root(rho, r1, r2)
     theta2 = 2.0 * math.pi - theta1
     slopes = np.abs(phi_prime(np.array([theta1, theta2]), r1, r2))
     return float(r1 * r2 / rho * np.sum(1.0 / slopes))

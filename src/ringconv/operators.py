@@ -5,6 +5,11 @@ in arclength.  Multiplying the impulse by a continuous function only sees
 the function's restriction to the circle; convolving a function with the
 impulse replaces each value by an arclength-weighted average over a circle
 of the same radius about the evaluation point.
+
+A function on the plane is any callable ``f(x, y)`` taking coordinate arrays
+and returning values of their shape (a constant is broadcast).  ``Field2D``
+is such a callable for a sampled grid, and ``circle_average_field`` applies
+the convolution at every point of one.
 """
 
 from __future__ import annotations
@@ -49,8 +54,7 @@ class RingMeasure:
         return _values_of_shape(self.density(theta), theta.shape)
 
     def mass(self, n: int = 1024) -> float:
-        rule = periodic_trapezoid_rule(n)
-        return self.circle.radius * float(np.sum(rule.weights * self.density_values(rule.nodes)))
+        return pair_with_test(self, lambda x, y: 1.0, n)
 
 
 _MAX_GRID_SIDE = 4001
@@ -77,48 +81,39 @@ def _grid_coords(n: int, spacing: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field2D:
-    """A real-valued function on the plane, optionally backed by a grid.
+    """A real-valued function on the plane, sampled on a centred square grid.
 
-    ``func`` takes coordinate arrays ``(x, y)`` and returns values of the
-    same shape.  Sampled fields have no ``func`` and carry a centered square
-    grid: ``values`` is row-major with ``values[i, j]`` the sample at
-    ``(-extent/2 + j*spacing, -extent/2 + i*spacing)``, and the evaluator is
-    bilinear interpolation that refuses to extrapolate.
+    ``values`` is row-major with ``values[i, j]`` the sample at
+    ``(-extent/2 + j*spacing, -extent/2 + i*spacing)``.  Calling the field
+    interpolates bilinearly and refuses to extrapolate, so a ``Field2D`` is a
+    callable ``f(x, y)`` like any other the operators take.
     """
 
-    func: object
-    values: np.ndarray | None = None
-    spacing: float | None = None
+    values: np.ndarray
+    spacing: float
 
     def __post_init__(self):
-        if self.values is not None:
-            values = np.asarray(self.values, dtype=float)
-            object.__setattr__(self, "values", values)
-            if values.ndim != 2 or values.shape[0] != values.shape[1]:
-                raise ValueError("sampled field values must be a square 2-d array")
-            if not self.spacing or self.spacing <= 0.0:
-                raise ValueError("sampled field needs spacing > 0")
-            if not np.all(np.isfinite(values)):
-                raise ValueError("sampled field values must be finite")
-
-    @classmethod
-    def from_function(cls, func) -> "Field2D":
-        return cls(func)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError("sampled field values must be a square 2-d array")
+        if not self.spacing or self.spacing <= 0.0:
+            raise ValueError("sampled field needs spacing > 0")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("sampled field values must be finite")
 
     @classmethod
     def from_grid(cls, values, spacing: float) -> "Field2D":
-        return cls(None, values=values, spacing=float(spacing))
+        return cls(values, float(spacing))
 
     @property
-    def is_sampled(self) -> bool:
-        return self.values is not None
+    def extent(self) -> float:
+        """Side length ``(n - 1) * spacing`` of the grid."""
+        return 2.0 * _half_width(self.values.shape[0], self.spacing)
 
-    @property
-    def extent(self) -> float | None:
-        """Side length ``(n - 1) * spacing`` of a sampled field's grid; None without a grid."""
-        return None if self.values is None else 2.0 * _half_width(self.values.shape[0], self.spacing)
-
-    def _interpolate(self, x, y):
+    def __call__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         n = self.values.shape[0]
         half = _half_width(n, self.spacing)
         if not (np.all(x >= -half) and np.all(x <= half) and np.all(y >= -half) and np.all(y <= half)):
@@ -130,27 +125,19 @@ class Field2D:
         tx = fx - j0
         ty = fy - i0
         v = self.values
-        return (
+        vals = (
             v[i0, j0] * (1 - tx) * (1 - ty)
             + v[i0, j0 + 1] * tx * (1 - ty)
             + v[i0 + 1, j0] * (1 - tx) * ty
             + v[i0 + 1, j0 + 1] * tx * ty
         )
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        func = self._interpolate if self.func is None else self.func
-        vals = _values_of_shape(func(x, y), x.shape)
-        return float(vals) if x.ndim == 0 else vals
+        return float(vals) if vals.ndim == 0 else vals
 
     def grid_coords(self) -> np.ndarray:
-        if not self.is_sampled:
-            raise ValueError("field has no grid")
         return _grid_coords(self.values.shape[0], self.spacing)
 
 
-def pair_with_test(m: RingMeasure, phi: Field2D, n: int = 1024) -> float:
+def pair_with_test(m: RingMeasure, phi, n: int = 1024) -> float:
     """The pairing ``<density . ds, phi> = R * int density(theta) phi(on-circle point) d theta``."""
     rule = periodic_trapezoid_rule(n)
     px, py = m.circle.point(rule.nodes)
@@ -158,7 +145,7 @@ def pair_with_test(m: RingMeasure, phi: Field2D, n: int = 1024) -> float:
     return m.circle.radius * float(np.sum(rule.weights * vals))
 
 
-def restrict_to_circle(f: Field2D, c: Circle) -> RingMeasure:
+def restrict_to_circle(f, c: Circle) -> RingMeasure:
     """Multiplication by the impulse: ``f . delta_C`` keeps only f's values on C.
 
     The density is ``theta -> f(center + R e(theta))``.  For f radial about
@@ -171,7 +158,7 @@ def restrict_to_circle(f: Field2D, c: Circle) -> RingMeasure:
     return RingMeasure(c, density)
 
 
-def circle_average(f: Field2D, c: Circle, x: tuple[float, float], n: int = 1024) -> float:
+def circle_average(f, c: Circle, x: tuple[float, float], n: int = 1024) -> float:
     """Arclength integral of f over the radius-R circle about x.
 
     This realizes convolution with the circle impulse of radius ``c.radius``:
@@ -179,14 +166,10 @@ def circle_average(f: Field2D, c: Circle, x: tuple[float, float], n: int = 1024)
     ``2 pi R`` (a sum, not a mean; see ``circle_mean``).  Only the circle's
     radius enters; its own center is irrelevant to where the average is taken.
     """
-    rule = periodic_trapezoid_rule(n)
-    r = c.radius
-    px = x[0] + r * np.cos(rule.nodes)
-    py = x[1] + r * np.sin(rule.nodes)
-    return r * float(np.sum(rule.weights * f(px, py)))
+    return pair_with_test(RingMeasure.uniform(Circle(x, c.radius)), f, n)
 
 
-def circle_mean(f: Field2D, c: Circle, x: tuple[float, float], n: int = 1024) -> float:
+def circle_mean(f, c: Circle, x: tuple[float, float], n: int = 1024) -> float:
     """``circle_average`` normalized by the circumference: an actual mean of f."""
     return circle_average(f, c, x, n) / (2.0 * math.pi * c.radius)
 
@@ -199,7 +182,7 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     inside the input grid; off-grid circle points are filled by the field's
     bilinear interpolation.  Raises if the circle does not fit at all.
     """
-    if not f.is_sampled:
+    if not isinstance(f, Field2D):
         raise ValueError("circle_average_field needs a sampled field")
     r = c.radius
     cells = math.ceil(r / f.spacing - 1e-12)

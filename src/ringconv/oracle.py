@@ -42,6 +42,8 @@ __all__ = [
 # sector counts are sums of per-chunk integer count vectors and are
 # bit-identical however the chunks are scheduled.
 _CHUNK = 1 << 20
+# Chebyshev nodes of the squared-radius rule in ``smoothed_profile``.
+_SMOOTHING_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,7 @@ def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(product, size)[h:h + n, h:h + n]
 
 
-def smoothed_profile(rho, r1: float, r2: float, epsilon: float, n: int = 2048):
+def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
     """The closed-form density smoothed by the grid oracle's total mollifier.
 
     Convolving both rings with a normal-slice Gaussian of width eps smooths
@@ -231,7 +233,7 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float, n: int = 2048):
     sigma2 = 2.0 * epsilon**2
     lo, hi = support_interval(r1, r2)
     s, terms = squared_radius_terms(lambda rho: eval_conv(rho, r1, r2),
-                                    chebyshev_singular_rule(lo * lo, hi * hi, n))
+                                    chebyshev_singular_rule(lo * lo, hi * hi, _SMOOTHING_NODES))
     # ds = du / (2 s) cancels the kernel's s / sigma^2 prefactor down to 1 / (2 sigma^2).
     coef = terms / (2.0 * sigma2)
     rho = np.asarray(rho, dtype=float)

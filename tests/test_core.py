@@ -106,6 +106,33 @@ class TestEvalConv:
         with pytest.raises(ValueError):
             eval_conv(np.array([1.0, math.nan]), 2.0, 3.0)
 
+    @pytest.mark.parametrize("rho", [1e-160, 1e-200, 1e-300])
+    def test_tiny_radius_for_equal_radii_is_two_over_rho(self, rho):
+        # lo = 0, so the factored radicand rho^2 (4 - rho^2) underflows here.
+        expected = 2.0 / rho
+        assert abs(eval_conv(rho, 1.0, 1.0) - expected) <= 4 * np.spacing(expected)
+
+    @pytest.mark.parametrize("rho, r1, r2, scale", [
+        (3.0, 2.0, 2.5, 1e150),  # the radicand (2.5)(3.5)(1.5)(7.5)e600 overflows
+        (1.0, 1.0, 1.5, 1e200),  # 4 r1 r2 itself overflows
+        (1.0, 1.0, 1.5, 1e-200),  # 4 r1 r2 itself underflows
+    ])
+    def test_scaled_radii_out_of_the_float_range(self, rho, r1, r2, scale):
+        expected = eval_conv(rho, r1, r2)
+        got = eval_conv(rho * scale, r1 * scale, r2 * scale)
+        assert abs(got - expected) < 1e-14 * expected
+
+    def test_density_beyond_the_float_range_is_inf(self):
+        assert eval_conv(5e-324, 1.0, 1.0) == math.inf
+
+    @settings(max_examples=300)
+    @given(radii, radii, st.one_of(st.just(0.0), st.floats(min_value=1e-280, max_value=11.0)),
+           st.integers(min_value=-60, max_value=60))
+    def test_invariant_under_power_of_two_scaling(self, r1, r2, rho, k):
+        a = eval_conv(rho, r1, r2)
+        b = eval_conv(rho * 2.0**k, r1 * 2.0**k, r2 * 2.0**k)
+        assert (math.isinf(a) and math.isinf(b)) or abs(b - a) <= 1e-14 * a
+
     @given(radii, radii, st.floats(min_value=0.0, max_value=11.0, allow_nan=False))
     def test_symmetric_in_the_radii_bitwise(self, r1, r2, rho):
         a = eval_conv(rho, r1, r2)

@@ -85,15 +85,6 @@ class TestHankelOfConv:
 
 
 class TestHankelTransform:
-    def test_singular_rule_route_matches_dedicated_path(self):
-        k = ConvKernel(2.0, 3.0)
-        lo, hi = k.support
-        rule = chebyshev_singular_rule(lo * lo, hi * hi, 256)
-        r = np.linspace(0.0, 0.8, 17)
-        via_profile = hankel_transform(RadialProfile(k, k.support), r, rule)
-        dedicated = hankel_of_conv(k, r, 256)
-        assert_allclose(via_profile, dedicated, rtol=1e-12, atol=1e-12 * k.mass)
-
     def test_singular_rule_interval_must_meet_support(self):
         rule = chebyshev_singular_rule(30.0, 40.0, 16)
         k = ConvKernel(2.0, 3.0)

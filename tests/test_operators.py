@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ringconv.core import Circle
 from ringconv.operators import (
@@ -20,7 +20,7 @@ from ringconv.oracle import smoothed_profile
 
 
 def const_field(c):
-    return Field2D.from_function(lambda x, y: np.full_like(np.asarray(x, dtype=float), c))
+    return lambda x, y: np.full_like(np.asarray(x, dtype=float), c)
 
 
 class TestRingMeasure:
@@ -48,14 +48,14 @@ class TestPairing:
         # cancels over full turns.
         R = 2.0
         m = RingMeasure.uniform(Circle((3.0, 0.0), R))
-        f = Field2D.from_function(lambda x, y: x)
+        f = lambda x, y: x
         assert abs(pair_with_test(m, f) - 6.0 * math.pi * R) < 1e-12
 
     def test_linearity(self):
         m = RingMeasure(Circle((0.5, -0.5), 1.5), lambda t: 1.0 + 0.3 * np.sin(2 * t))
-        f = Field2D.from_function(lambda x, y: x * y)
-        g = Field2D.from_function(lambda x, y: np.cos(x) + y)
-        combo = Field2D.from_function(lambda x, y: 2.0 * x * y - 0.7 * (np.cos(x) + y))
+        f = lambda x, y: x * y
+        g = lambda x, y: np.cos(x) + y
+        combo = lambda x, y: 2.0 * x * y - 0.7 * (np.cos(x) + y)
         lhs = pair_with_test(m, combo)
         rhs = 2.0 * pair_with_test(m, f) - 0.7 * pair_with_test(m, g)
         assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(rhs))
@@ -63,28 +63,28 @@ class TestPairing:
     def test_multiplication_moves_across_the_pairing(self):
         # <f . delta_C, phi> must equal <delta_C, f phi>.
         c = Circle((0.3, -0.2), 1.7)
-        f = Field2D.from_function(lambda x, y: 1.0 + x**2 - 0.5 * y)
-        phi = Field2D.from_function(lambda x, y: np.sin(x + 2 * y))
+        f = lambda x, y: 1.0 + x**2 - 0.5 * y
+        phi = lambda x, y: np.sin(x + 2 * y)
         lhs = pair_with_test(restrict_to_circle(f, c), phi)
-        rhs = pair_with_test(RingMeasure.uniform(c), Field2D.from_function(lambda x, y: f(x, y) * phi(x, y)))
+        rhs = pair_with_test(RingMeasure.uniform(c), lambda x, y: f(x, y) * phi(x, y))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
 class TestRestriction:
     def test_radial_field_restricts_to_a_constant(self):
-        f = Field2D.from_function(lambda x, y: x**2 + y**2)
+        f = lambda x, y: x**2 + y**2
         m = restrict_to_circle(f, Circle((0.0, 0.0), 2.0))
         vals = m.density_values(np.linspace(0.0, 2.0 * math.pi, 33))
         assert_allclose(vals, 4.0, rtol=0, atol=1e-12)
 
     def test_coordinate_restricts_to_cosine(self):
         R = 1.5
-        m = restrict_to_circle(Field2D.from_function(lambda x, y: x), Circle((0.0, 0.0), R))
+        m = restrict_to_circle(lambda x, y: x, Circle((0.0, 0.0), R))
         theta = np.linspace(0.0, 2.0 * math.pi, 50)
         assert_allclose(m.density_values(theta), R * np.cos(theta), atol=1e-15)
 
     def test_restricted_mass(self):
-        f = Field2D.from_function(lambda x, y: x**2 + y**2)
+        f = lambda x, y: x**2 + y**2
         m = restrict_to_circle(f, Circle((0.0, 0.0), 2.0))
         assert abs(m.mass() - 2.0 * math.pi * 2.0 * 4.0) < 1e-11
 
@@ -97,19 +97,19 @@ class TestCircleAverage:
 
     def test_linear_field_sees_the_center_value(self):
         R = 0.8
-        f = Field2D.from_function(lambda x, y: x)
+        f = lambda x, y: x
         got = circle_average(f, Circle((0.0, 0.0), R), (1.2, -0.7))
         assert abs(got - 1.2 * 2.0 * math.pi * R) < 1e-12
 
     def test_squared_norm(self):
         # |x + R e(theta)|^2 averages to |x|^2 + R^2, carried on weight 2 pi R.
         R, x = 1.3, (0.6, -1.1)
-        f = Field2D.from_function(lambda px, py: px**2 + py**2)
+        f = lambda px, py: px**2 + py**2
         expected = 2.0 * math.pi * R * (x[0] ** 2 + x[1] ** 2 + R**2)
         assert abs(circle_average(f, Circle((0.0, 0.0), R), x) - expected) < 1e-11
 
     def test_measure_center_does_not_enter(self):
-        f = Field2D.from_function(lambda x, y: np.sin(x) * np.cosh(y))
+        f = lambda x, y: np.sin(x) * np.cosh(y)
         a = circle_average(f, Circle((0.0, 0.0), 0.9), (0.4, 0.2))
         b = circle_average(f, Circle((5.0, -7.0), 0.9), (0.4, 0.2))
         assert a == b
@@ -127,9 +127,21 @@ class TestCircleAverage:
             dist = np.hypot(np.asarray(x) - x0[0], np.asarray(y) - x0[1])
             return np.where(np.abs(dist - R) < 0.25, base(x, y), 1e6)
 
-        a = circle_average(Field2D.from_function(base), Circle((0.0, 0.0), R), x0)
-        b = circle_average(Field2D.from_function(spoiled), Circle((0.0, 0.0), R), x0)
+        a = circle_average(base, Circle((0.0, 0.0), R), x0)
+        b = circle_average(spoiled, Circle((0.0, 0.0), R), x0)
         assert a == b
+
+    def test_constant_callable_is_broadcast(self):
+        # A callable may return one number for all points; each operator
+        # broadcasts it and matches the array-returning field bit for bit.
+        c, x0 = Circle((0.3, -0.2), 1.7), (1.0, -2.0)
+        scalar, array = (lambda x, y: 2.5), const_field(2.5)
+        assert circle_average(scalar, c, x0) == circle_average(array, c, x0)
+        m = RingMeasure.uniform(c)
+        assert pair_with_test(m, scalar) == pair_with_test(m, array)
+        theta = np.linspace(0.0, 2.0 * math.pi, 9)
+        assert_array_equal(restrict_to_circle(scalar, c).density_values(theta),
+                           restrict_to_circle(array, c).density_values(theta))
 
     def test_mean_normalizes_to_the_constant(self):
         got = circle_mean(const_field(2.5), Circle((0.0, 0.0), 0.8), (3.0, 4.0))
@@ -159,7 +171,7 @@ class TestCircleAverageField:
 
     def test_gaussian_probes_match_dense_quadrature(self):
         f = self.make_grid(lambda x, y: np.exp(-(x**2 + y**2)))
-        analytic = Field2D.from_function(lambda x, y: np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2)))
+        analytic = lambda x, y: np.exp(-(x**2 + y**2))
         circ = Circle((0.0, 0.0), 1.0)
         out = circle_average_field(f, circ, n=256)
         assert out.values.shape == (101, 101)
@@ -187,9 +199,7 @@ class TestMollifiedRingConsistency:
         # feeding it eps/sqrt(2) dials it back to a single pass.
         r1, r2, eps = 2.0, 3.0, 0.05
         norm = 1.0 / (math.sqrt(2.0 * math.pi) * eps)
-        ring = Field2D.from_function(
-            lambda x, y: norm * np.exp(-((np.hypot(x, y) - r2) ** 2) / (2.0 * eps**2))
-        )
+        ring = lambda x, y: norm * np.exp(-((np.hypot(x, y) - r2) ** 2) / (2.0 * eps**2))
         rho = np.array([1.5, 2.0, 3.0, 4.0, 4.5])
         want = smoothed_profile(rho, r1, r2, eps / math.sqrt(2.0))
         for k, r in enumerate(rho):
@@ -223,9 +233,10 @@ class TestField2D:
             gc.enable()
 
     def test_scalar_call_returns_float(self):
-        field = Field2D.from_function(lambda x, y: x + y)
-        out = field(1.0, 2.0)
-        assert isinstance(out, float) and out == 3.0
+        coords = np.linspace(-1.0, 1.0, 5)
+        field = Field2D.from_grid(coords[None, :] + coords[:, None], 0.5)
+        out = field(0.5, -1.0)
+        assert isinstance(out, float) and out == -0.5
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -240,5 +251,3 @@ class TestField2D:
         coords = field.grid_coords()
         assert abs(coords[0] + 1.0) < 1e-15 and abs(coords[-1] - 1.0) < 1e-15
         assert_allclose(np.diff(coords), 0.2, rtol=0, atol=1e-15)
-        with pytest.raises(ValueError):
-            Field2D.from_function(lambda x, y: x).grid_coords()
