@@ -152,6 +152,9 @@ def eval_conv(rho, r1: float, r2: float):
     Accepts a scalar or an ndarray of radii; negative entries are rejected.
     """
     lo, hi = support_interval(r1, r2)
+    # Validated above; as Python floats the products below overflow to inf
+    # without a warning, even for NumPy scalar radii.
+    r1, r2 = float(r1), float(r2)
     arr = np.asarray(rho, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)

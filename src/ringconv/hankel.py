@@ -84,18 +84,28 @@ def hankel_of_circle(radius: float, r):
 
 
 def hankel_of_conv(kernel: ConvKernel, r, n: int = 256):
-    """Transform of the closed-form kernel by ``hankel_transform``'s squared-radius route.
+    """Transform of the closed-form kernel by the squared-radius quadrature.
 
-    The kernel is sampled through ``eval_conv`` on an ``n``-node Chebyshev
-    rule over ``[lo^2, hi^2]``.  Dividing out the rule's endpoint weight
-    leaves the constant ``4 r1 r2`` up to rounding, so at r = 0 the transform
-    is the total mass ``(2 pi)^2 r1 r2`` to within 1e-12 relative for radii
-    in [0.1, 5].  Must agree with ``hankel_of_circle(r1, r) *
-    hankel_of_circle(r2, r)``; the two routes share no quadrature code.
+    Under u = rho^2 the density times the Chebyshev weight's reciprocal is
+    the constant ``4 r1 r2``, so the transform collapses to
+
+        4 pi r1 r2 * sum_k w_k J0(2 pi r sqrt(u_k))
+
+    which at r = 0 reproduces the total mass ``(2 pi)^2 r1 r2`` to rounding.
+    The constant is used as is rather than sampled through ``eval_conv``:
+    when one radius is ~1e-9 of the other, the outer nodes lie a few ulps
+    from the endpoints, and the rounded ``sqrt(u_k)`` leaves the sampled
+    density times the weight's reciprocal off by up to 1e-2 there.
+    Must agree with ``hankel_of_circle(r1, r) * hankel_of_circle(r2, r)``;
+    the two routes share no quadrature code.
     """
     lo, hi = kernel.support
-    return hankel_transform(RadialProfile(kernel, kernel.support), r,
-                            chebyshev_singular_rule(lo * lo, hi * hi, n))
+    rule = chebyshev_singular_rule(lo * lo, hi * hi, n)
+    arr = np.asarray(r, dtype=float)
+    scalar = arr.ndim == 0
+    kernel_mat = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), np.sqrt(rule.nodes)))
+    out = 4.0 * math.pi * kernel.r1 * kernel.r2 * (kernel_mat @ rule.weights)
+    return float(out[0]) if scalar else out
 
 
 def neumann_product_check(r1: float, r2: float, r: float, n: int = 4096) -> tuple[float, float]:

@@ -117,9 +117,11 @@ class TestEvalConv:
         (1.0, 1.0, 1.5, 1e200),  # 4 r1 r2 itself overflows
         (1.0, 1.0, 1.5, 1e-200),  # 4 r1 r2 itself underflows
     ])
-    def test_scaled_radii_out_of_the_float_range(self, rho, r1, r2, scale):
+    @pytest.mark.parametrize("as_radius", [float, np.float64])
+    def test_scaled_radii_out_of_the_float_range(self, rho, r1, r2, scale, as_radius):
+        # NumPy scalar radii must not warn on overflow where Python floats would not.
         expected = eval_conv(rho, r1, r2)
-        got = eval_conv(rho * scale, r1 * scale, r2 * scale)
+        got = eval_conv(rho * scale, as_radius(r1 * scale), as_radius(r2 * scale))
         assert abs(got - expected) < 1e-14 * expected
 
     def test_density_beyond_the_float_range_is_inf(self):

@@ -83,8 +83,26 @@ class TestHankelOfConv:
         r = np.array([0.0, 0.1, 0.25])
         assert_allclose(hankel_of_conv(k, r), [hankel_of_conv(k, float(v)) for v in r], rtol=1e-13)
 
+    def test_factorizes_at_small_radius_ratios(self):
+        # The outer nodes sit within ~1-100 ulps of the endpoints here, so any
+        # route that samples the density at sqrt(u_k) loses the cancellation.
+        for r1, r2 in [(1.5, 1e-9), (1.0, 3e-12)]:
+            k = ConvKernel(r1, r2)
+            r = np.linspace(0.0, 2.0, 9)
+            rhs = hankel_of_circle(r1, r) * hankel_of_circle(r2, r)
+            assert np.max(np.abs(hankel_of_conv(k, r) - rhs)) < 1e-12 * k.mass
+
 
 class TestHankelTransform:
+    def test_singular_rule_route_matches_dedicated_path(self):
+        k = ConvKernel(2.0, 3.0)
+        lo, hi = k.support
+        rule = chebyshev_singular_rule(lo * lo, hi * hi, 256)
+        r = np.linspace(0.0, 0.8, 17)
+        via_profile = hankel_transform(RadialProfile(k, k.support), r, rule)
+        dedicated = hankel_of_conv(k, r, 256)
+        assert_allclose(via_profile, dedicated, rtol=1e-12, atol=1e-12 * k.mass)
+
     def test_singular_rule_interval_must_meet_support(self):
         rule = chebyshev_singular_rule(30.0, 40.0, 16)
         k = ConvKernel(2.0, 3.0)
