@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import chebyshev_singular_rule, squared_radius_terms
+from .special import QuadratureRule, chebyshev_singular_rule, squared_radius_terms
 
 __all__ = [
     "Circle",
@@ -357,6 +357,27 @@ def total_mass(kernel: ConvKernel, n: int = 256) -> float:
     evaluated through ``eval_conv``; nothing here assumes the closed form's
     algebraic shape, so agreement with ``kernel.mass`` is a real check.
     """
-    lo, hi = kernel.support
-    _, terms = squared_radius_terms(kernel, chebyshev_singular_rule(lo * lo, hi * hi, n))
+    _, terms = squared_radius_terms(kernel, _squared_radius_rule(kernel.r1, kernel.r2, n))
     return float(math.pi * np.sum(terms))
+
+
+def _squared_radius_rule(r1: float, r2: float, n: int) -> QuadratureRule:
+    """The n-node Chebyshev singular rule on the squared support ``[lo^2, hi^2]``.
+
+    When the squared support cannot hold n nodes strictly inside it, raises a
+    ``ParameterError`` naming the radius to blame: the larger one when
+    ``hi^2`` overflows, otherwise the smaller one, which is then too small
+    beside the other for the support to keep a width in floats.
+    """
+    lo, hi = support_interval(r1, r2)
+    if not math.isfinite(hi * hi):
+        raise ParameterError("r1" if r1 >= r2 else "r2",
+                             f"the squared outer support radius ({hi:g})^2 overflows")
+    try:
+        return chebyshev_singular_rule(lo * lo, hi * hi, n)
+    except ValueError as exc:
+        if n < 1:
+            raise
+        raise ParameterError("r1" if r1 <= r2 else "r2",
+                             f"the squared support [{lo * lo:.17g}, {hi * hi:.17g}] cannot hold"
+                             f" {n} quadrature nodes strictly inside it") from exc

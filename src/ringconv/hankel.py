@@ -10,6 +10,10 @@ convolution of two circle impulses must transform to the product
 ``(2 pi)^2 R1 R2 J0(2 pi R1 r) J0(2 pi R2 r)``.  This module evaluates both
 sides by separately coded routes so their agreement is evidence, not
 bookkeeping.
+
+``hankel_transform`` takes any profile by one route, a Chebyshev rule on its
+support in rho: spectral for the kernel of distinct radii, algebraic where the
+support starts at the origin.  ``hankel_of_conv`` is the kernel's own route.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ import math
 
 import numpy as np
 
-from .core import ConvKernel, RadialProfile, _check_radius, psi
-from .special import (QuadratureRule, WeightKind, bessel_j0, chebyshev_singular_rule,
-                      periodic_trapezoid, squared_radius_terms)
+from .core import ConvKernel, RadialProfile, _check_radius, _squared_radius_rule, psi
+from .special import bessel_j0, chebyshev_singular_rule, periodic_trapezoid, singular_rule_terms
 
 __all__ = [
     "hankel_transform",
@@ -30,50 +33,27 @@ __all__ = [
 ]
 
 
-def _transform_values(profile: RadialProfile, r: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    lo, hi = profile.support
-    if rule.weight_kind is WeightKind.CHEBYSHEV_SINGULAR:
-        # The rule lives in the squared-radius variable u = rho^2, where
-        # dividing out the endpoint weight leaves the kernel's integrand
-        # analytic:  H f(r) = pi * int f(sqrt(u)) J0(2 pi r sqrt(u)) du.
-        ua, ub = rule.interval
-        if ub <= lo * lo or ua >= hi * hi:
-            raise ValueError(
-                f"rule interval {rule.interval} does not meet the profile support "
-                f"({lo * lo}, {hi * hi}) in the squared-radius variable"
-            )
-        root_u, terms = squared_radius_terms(profile, rule)
-        kernel = bessel_j0(2.0 * np.pi * np.multiply.outer(r, root_u))
-        return math.pi * kernel @ terms
-    # Smooth-profile route: fold [lo, hi] onto the periodic rule through the
-    # cosine map rho(phi) = lo + (hi - lo)(1 - cos phi)/2, which traverses the
-    # interval twice per period; the Jacobian |sin phi| times the half factor
-    # keeps the total weight right.
-    if rule.interval != (0.0, 2.0 * math.pi):
-        raise ValueError(f"periodic rule must live on [0, 2pi), got interval {rule.interval}")
-    phi_nodes = rule.nodes
-    rho = lo + 0.5 * (hi - lo) * (1.0 - np.cos(phi_nodes))
-    jac = 0.25 * (hi - lo) * np.abs(np.sin(phi_nodes))
-    weightless = 2.0 * math.pi * profile(rho) * rho * jac
-    kernel = bessel_j0(2.0 * np.pi * np.multiply.outer(r, rho))
-    return kernel @ (rule.weights * weightless)
-
-
-def hankel_transform(profile: RadialProfile, r, rule: QuadratureRule):
+def hankel_transform(profile: RadialProfile, r, n: int):
     """Quadrature approximation of ``2 pi int f(rho) J0(2 pi r rho) rho d rho``.
 
-    The rule selects the integration route.  A ``CHEBYSHEV_SINGULAR`` rule is
-    interpreted in the squared-radius variable (build it on the squares of
-    the support endpoints); it integrates profiles with inverse-square-root
-    endpoint blow-ups, like the closed-form kernel, at spectral accuracy.  A
-    ``PERIODIC_TRAPEZOID`` rule integrates smooth profiles on their support
-    via a cosine change of variable.
+    The ``n``-node Chebyshev singular rule on the profile's support
+    ``[lo, hi]`` is applied to the integrand times ``sqrt((rho - lo)(hi - rho))``,
+    the reciprocal of its weight.  That is spectral where the product is
+    smooth, as for the kernel of distinct radii (256 nodes meet the J0
+    product to ~2e-13 of the mass).  At ``lo = 0`` the Jacobian leaves a
+    fractional power of rho: the Gaussian ``exp(-pi rho^2)`` on [0, 4]
+    converges as n^-4 (8e-12 at 1024 nodes), and the equal-radii kernel as
+    n^-2 (2e-6 of the mass at 256 nodes).
 
     ``r`` may be a scalar or an ndarray of frequency radii.
     """
+    lo, hi = profile.support
+    rule = chebyshev_singular_rule(lo, hi, n)
+    rho = rule.nodes
+    terms = singular_rule_terms(rule, 2.0 * math.pi * profile(rho) * rho)
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
-    out = _transform_values(profile, np.atleast_1d(arr), rule)
+    out = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), rho)) @ terms
     return float(out[0]) if scalar else out
 
 
@@ -99,8 +79,7 @@ def hankel_of_conv(kernel: ConvKernel, r, n: int = 256):
     Must agree with ``hankel_of_circle(r1, r) * hankel_of_circle(r2, r)``;
     the two routes share no quadrature code.
     """
-    lo, hi = kernel.support
-    rule = chebyshev_singular_rule(lo * lo, hi * hi, n)
+    rule = _squared_radius_rule(kernel.r1, kernel.r2, n)
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     kernel_mat = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), np.sqrt(rule.nodes)))

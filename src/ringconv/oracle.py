@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, ParameterError, eval_conv, support_interval
+from .core import Circle, ParameterError, _squared_radius_rule, eval_conv, support_interval
 from .operators import Field2D, _grid_coords, _grid_side, _half_width
-from .special import chebyshev_singular_rule, i0e, squared_radius_terms
+from .special import i0e, squared_radius_terms
 
 __all__ = [
     "RadialHistogram",
@@ -231,9 +231,8 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
     check target for the grid route rather than a copy of it.
     """
     sigma2 = 2.0 * epsilon**2
-    lo, hi = support_interval(r1, r2)
     s, terms = squared_radius_terms(lambda rho: eval_conv(rho, r1, r2),
-                                    chebyshev_singular_rule(lo * lo, hi * hi, _SMOOTHING_NODES))
+                                    _squared_radius_rule(r1, r2, _SMOOTHING_NODES))
     # ds = du / (2 s) cancels the kernel's s / sigma^2 prefactor down to 1 / (2 sigma^2).
     coef = terms / (2.0 * sigma2)
     rho = np.asarray(rho, dtype=float)

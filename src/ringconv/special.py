@@ -8,20 +8,19 @@ asymptotic coefficients.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "WeightKind",
     "QuadratureRule",
     "bessel_j0",
     "i0e",
     "chebyshev_singular_rule",
     "periodic_trapezoid",
     "periodic_trapezoid_rule",
+    "singular_rule_terms",
     "squared_radius_terms",
 ]
 
@@ -132,26 +131,21 @@ def i0e(x):
                            _i0e_asymptotic)
 
 
-class WeightKind(enum.Enum):
-    CHEBYSHEV_SINGULAR = "chebyshev_singular"
-    PERIODIC_TRAPEZOID = "periodic_trapezoid"
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights for a fixed weight function on an interval.
 
-    ``CHEBYSHEV_SINGULAR`` rules target integrals of the form
-    ``int_a^b f(u) / sqrt((u - a)(b - u)) du``; applying the rule to ``f``
-    means ``sum(weights * f(nodes))``.  ``PERIODIC_TRAPEZOID`` rules hold
-    the uniform angular grid on [0, 2pi).  Rules are immutable value
-    objects and safe to share across threads and r-sweeps.
+    Applying the rule to ``f`` means ``sum(weights * f(nodes))``.  A
+    ``chebyshev_singular_rule`` targets integrals of the form
+    ``int_a^b f(u) / sqrt((u - a)(b - u)) du``, with every node strictly
+    inside ``(a, b)``; a ``periodic_trapezoid_rule`` holds the uniform
+    angular grid on [0, 2pi).  Rules are immutable value objects and safe
+    to share across threads and r-sweeps.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     interval: tuple[float, float]
-    weight_kind: WeightKind = field(default=WeightKind.CHEBYSHEV_SINGULAR)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -162,14 +156,6 @@ class QuadratureRule:
             raise ValueError("nodes and weights must be equal-length 1-d arrays with >= 1 entry")
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive")
-        a, b = self.interval
-        if self.weight_kind is WeightKind.CHEBYSHEV_SINGULAR:
-            if not (np.all(nodes > a) and np.all(nodes < b)):
-                raise ValueError("chebyshev nodes must lie strictly inside the interval")
-        else:
-            expected = np.arange(nodes.size) * (2.0 * np.pi / nodes.size)
-            if not np.array_equal(nodes, expected):
-                raise ValueError("periodic trapezoid nodes must be the uniform grid on [0, 2pi)")
 
     def apply(self, f) -> float:
         """``sum(w_k * f(u_k))`` with ``f`` vectorized over the node array."""
@@ -183,29 +169,36 @@ def chebyshev_singular_rule(a: float, b: float, n: int) -> QuadratureRule:
     Nodes are ``(a+b)/2 + (b-a)/2 * cos((2k-1) pi / (2n))`` for k = 1..n and
     every weight equals ``pi/n``.  Exact for polynomials of degree < 2n
     against the weight; in particular ``f = 1`` integrates to pi for any n.
+    Raises ValueError unless every node lies strictly inside (a, b), which
+    also rejects ``a >= b`` and intervals only a few ulps wide.
     """
-    if not a < b:
-        raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     k = np.arange(1, n + 1)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi / (2 * n))
-    weights = np.full(n, np.pi / n)
-    return QuadratureRule(nodes, weights, (float(a), float(b)), WeightKind.CHEBYSHEV_SINGULAR)
+    if not (np.all(nodes > a) and np.all(nodes < b)):
+        raise ValueError(f"({a}, {b}) does not hold {n} chebyshev nodes strictly inside it")
+    return QuadratureRule(nodes, np.full(n, np.pi / n), (float(a), float(b)))
+
+
+def singular_rule_terms(rule: QuadratureRule, values: np.ndarray) -> np.ndarray:
+    """``w_k * (values_k * sqrt((u_k - a)(b - u_k)))``: a Chebyshev singular rule's terms for ``values``.
+
+    ``values`` samples an integrand at the nodes; times the reciprocal of the
+    rule's weight, ``sum(terms)`` approximates its plain integral over [a, b].
+    """
+    a, b = rule.interval
+    return rule.weights * (values * np.sqrt((rule.nodes - a) * (b - rule.nodes)))
 
 
 def squared_radius_terms(f, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and weighted terms for integrating a radial ``f`` in ``u = rho^2``.
+    """Radii ``rho = sqrt(u_k)`` and ``singular_rule_terms`` of ``f(rho)``, for a rule on ``[lo^2, hi^2]``.
 
-    ``rule`` is a Chebyshev singular rule on ``[a, b] = [lo^2, hi^2]``.  Returns
-    ``rho = sqrt(u_k)`` and ``w_k * (f(rho) * sqrt((u_k - a)(b - u_k)))``:
-    multiplying ``f`` by the reciprocal of the rule's weight leaves a bounded
-    integrand for densities with inverse-square-root endpoint blow-ups, so
-    ``sum(terms)`` approximates ``int_a^b f(sqrt u) du``.
+    ``sum(terms)`` approximates ``int f(sqrt u) du``, with a bounded
+    integrand for densities with inverse-square-root endpoint blow-ups.
     """
-    a, b = rule.interval
     rho = np.sqrt(rule.nodes)
-    return rho, rule.weights * (f(rho) * np.sqrt((rule.nodes - a) * (b - rule.nodes)))
+    return rho, singular_rule_terms(rule, f(rho))
 
 
 def periodic_trapezoid_rule(n: int) -> QuadratureRule:
@@ -214,7 +207,7 @@ def periodic_trapezoid_rule(n: int) -> QuadratureRule:
         raise ValueError(f"node count must be >= 1, got {n}")
     nodes = np.arange(n) * (2.0 * np.pi / n)
     weights = np.full(n, 2.0 * np.pi / n)
-    return QuadratureRule(nodes, weights, (0.0, 2.0 * np.pi), WeightKind.PERIODIC_TRAPEZOID)
+    return QuadratureRule(nodes, weights, (0.0, 2.0 * np.pi))
 
 
 def periodic_trapezoid(f, n: int) -> float:

@@ -254,6 +254,19 @@ class TestIdentityChecks:
         assert code == 0
         assert out.count("PASS") == 5 and "FAIL" not in out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["hankel-check", "--r1", "1e-300"], "--r1"),
+        (["hankel-check", "--r1", "1", "--r2", "1e-12"], "--r2"),
+        (["mass-check", "--r1", "1", "--r2", "1e-12"], "--r2"),
+        (["mass-check", "--r1", "1e200"], "--r1"),
+        (["roots-check", "--r1", "1e-300", "--r2", "1"], "--r1"),
+    ], ids=["hankel-collapsed-support", "hankel-thin-support", "mass-thin-support",
+            "mass-squared-support-overflows", "roots-collapsed-support"])
+    def test_degenerate_supports_exit_2_and_name_the_flag(self, argv, flag, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}: ")
+
     def test_check_lines_show_measured_vs_tolerance(self, capsys):
         _, out, _ = run_main(["mass-check", "--r1", "1", "--r2", "1"], capsys)
         line = [l for l in out.splitlines() if l.startswith("PASS")][0]

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from ringconv.core import (
     Circle,
     ConvKernel,
+    ParameterError,
     RadialProfile,
     SupportClass,
     classify,
@@ -237,6 +238,11 @@ class TestTotalMass:
     def test_mass_conserved_for_any_node_count(self, r1, r2, n):
         k = ConvKernel(r1, r2)
         assert abs(total_mass(k, n) - k.mass) / k.mass < 1e-12
+
+    def test_zero_nodes_is_not_blamed_on_a_radius(self):
+        with pytest.raises(ValueError) as exc:
+            total_mass(ConvKernel(2.0, 3.0), 0)
+        assert not isinstance(exc.value, ParameterError)
 
 
 class TestKernelTypes:

@@ -11,13 +11,7 @@ from ringconv.hankel import (
     hankel_transform,
     neumann_product_check,
 )
-from ringconv.special import (
-    QuadratureRule,
-    WeightKind,
-    bessel_j0,
-    chebyshev_singular_rule,
-    periodic_trapezoid_rule,
-)
+from ringconv.special import bessel_j0
 
 from oracles import j0_zero_oracle
 
@@ -94,39 +88,28 @@ class TestHankelOfConv:
 
 
 class TestHankelTransform:
-    def test_singular_rule_route_matches_dedicated_path(self):
+    def test_distinct_radii_kernel_matches_dedicated_path(self):
         k = ConvKernel(2.0, 3.0)
-        lo, hi = k.support
-        rule = chebyshev_singular_rule(lo * lo, hi * hi, 256)
         r = np.linspace(0.0, 0.8, 17)
-        via_profile = hankel_transform(RadialProfile(k, k.support), r, rule)
+        via_profile = hankel_transform(RadialProfile(k, k.support), r, 256)
         dedicated = hankel_of_conv(k, r, 256)
         assert_allclose(via_profile, dedicated, rtol=1e-12, atol=1e-12 * k.mass)
 
-    def test_singular_rule_interval_must_meet_support(self):
-        rule = chebyshev_singular_rule(30.0, 40.0, 16)
-        k = ConvKernel(2.0, 3.0)
-        with pytest.raises(ValueError):
-            hankel_transform(RadialProfile(k, k.support), 0.1, rule)
-
-    def test_periodic_rule_must_cover_full_period(self):
-        n = 8
-        nodes = np.arange(n) * (2.0 * np.pi / n)
-        rule = QuadratureRule(nodes, np.full(n, 2.0 * np.pi / n), (0.0, 1.0), WeightKind.PERIODIC_TRAPEZOID)
-        with pytest.raises(ValueError):
-            hankel_transform(gaussian_profile(), 0.1, rule)
-
     def test_gaussian_is_a_fixed_point(self):
-        rule = periodic_trapezoid_rule(1024)
         r = np.linspace(0.0, 2.5, 26)
-        out = hankel_transform(gaussian_profile(), r, rule)
+        out = hankel_transform(gaussian_profile(), r, 512)
         assert np.max(np.abs(out - np.exp(-math.pi * r**2))) < 1e-8
 
     def test_scalar_in_scalar_out(self):
-        rule = periodic_trapezoid_rule(512)
-        out = hankel_transform(gaussian_profile(), 0.5, rule)
+        out = hankel_transform(gaussian_profile(), 0.5, 256)
         assert isinstance(out, float)
         assert abs(out - math.exp(-math.pi * 0.25)) < 1e-8
+
+    def test_gaussian_round_trip_at_1024_nodes(self):
+        once = RadialProfile(lambda r: hankel_transform(gaussian_profile(), r, 1024), (0.0, 4.0))
+        s = np.linspace(0.0, 3.0, 61)
+        twice = hankel_transform(once, s, 1024)
+        assert np.max(np.abs(twice - np.exp(-math.pi * s * s))) < 1e-9
 
 
 class TestNeumannProduct:

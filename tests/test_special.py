@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from ringconv.special import (
     QuadratureRule,
-    WeightKind,
     bessel_j0,
     chebyshev_singular_rule,
     i0e,
@@ -140,7 +139,6 @@ class TestChebyshevSingularRule:
         rule = chebyshev_singular_rule(a, b, n)
         assert np.all(rule.nodes > a) and np.all(rule.nodes < b)
         assert np.all(rule.weights == math.pi / n)
-        assert rule.weight_kind is WeightKind.CHEBYSHEV_SINGULAR
 
     def test_rejects_bad_interval_and_count(self):
         with pytest.raises(ValueError):
@@ -180,18 +178,8 @@ class TestPeriodicTrapezoid:
 
     def test_rule_object_layout(self):
         rule = periodic_trapezoid_rule(8)
-        assert rule.weight_kind is WeightKind.PERIODIC_TRAPEZOID
         assert_allclose(rule.nodes, np.arange(8) * math.pi / 4.0, rtol=0, atol=0)
         assert np.all(rule.weights == math.pi / 4.0)
-
-    def test_rejects_non_uniform_periodic_nodes(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(
-                np.array([0.0, 1.0, 2.0]),
-                np.full(3, 2.0 * math.pi / 3.0),
-                (0.0, 2.0 * math.pi),
-                WeightKind.PERIODIC_TRAPEZOID,
-            )
 
 
 class TestQuadratureRuleValidation:
@@ -204,5 +192,6 @@ class TestQuadratureRuleValidation:
             QuadratureRule(np.array([0.5]), np.array([-1.0]), (0.0, 1.0))
 
     def test_node_outside_interval(self):
+        # An interval two ulps wide rounds outer nodes onto its endpoints.
         with pytest.raises(ValueError):
-            QuadratureRule(np.array([1.5]), np.array([1.0]), (0.0, 1.0))
+            chebyshev_singular_rule(1.0, 1.0 + 4e-16, 256)
