@@ -41,10 +41,8 @@ from .oracle import (
     smoothed_profile,
 )
 from .special import (
-    QuadratureRule,
     bessel_j0,
     chebyshev_singular_rule,
-    periodic_trapezoid,
     periodic_trapezoid_rule,
 )
 
@@ -83,10 +81,8 @@ __all__ = [
     "grid_conv_check",
     "mc_conv_histogram",
     "smoothed_profile",
-    "QuadratureRule",
     "bessel_j0",
     "chebyshev_singular_rule",
-    "periodic_trapezoid",
     "periodic_trapezoid_rule",
     "__version__",
 ]

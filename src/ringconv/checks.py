@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, ConvKernel, ParameterError, RadialProfile, conv_via_roots, eval_conv, total_mass
+from .core import (Circle, ConvKernel, ParameterError, RadialProfile, conv_via_roots, eval_conv,
+                   support_interval, total_mass)
 from .hankel import hankel_of_circle, hankel_of_conv, hankel_transform, neumann_product_check
 from .operators import RingMeasure, circle_average, pair_with_test, restrict_to_circle
 from .oracle import RadialHistogram, grid_conv_check, mc_conv_histogram
@@ -68,7 +69,7 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
     results = _Verdicts()
     r1, r2 = c1.radius, c2.radius
     hist, sector_counts = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors, margin=margin)
-    lo, hi = abs(r1 - r2), r1 + r2
+    lo, hi = support_interval(r1, r2)
     trim = 0.05 * (hi - lo)
     centers = hist.centers
     keep = (centers >= lo + trim) & (centers <= hi - trim)
@@ -123,7 +124,7 @@ def transform_product_check(pairs, nodes: int) -> list[CheckResult]:
     r = np.linspace(0.0, 2.0, 41)
     for r1, r2 in pairs:
         kernel = ConvKernel(r1, r2)
-        scale = 4.0 * math.pi**2 * r1 * r2
+        scale = kernel.mass
         product = scale * bessel_j0(2.0 * math.pi * r1 * r) * bessel_j0(2.0 * math.pi * r2 * r)
         transform = hankel_of_conv(kernel, r, nodes)
         err = np.max(np.abs(transform - product))
@@ -193,7 +194,7 @@ def roots_sweep_check(r1: float, r2: float) -> list[CheckResult]:
     beside the other for the support to keep a width in floats.
     """
     results = _Verdicts()
-    lo, hi = abs(r1 - r2), r1 + r2
+    lo, hi = support_interval(r1, r2)
     rhos = lo + np.linspace(0.05, 0.95, 19) * (hi - lo)
     if not np.all((rhos > lo) & (rhos < hi)):
         raise ParameterError("r1" if r1 <= r2 else "r2",
@@ -216,7 +217,7 @@ def roots_random_check(rng: np.random.Generator) -> list[CheckResult]:
     worst = 0.0
     for _ in range(1000):
         r1, r2 = rng.uniform(0.1, 5.0, 2)
-        lo, hi = abs(r1 - r2), r1 + r2
+        lo, hi = support_interval(r1, r2)
         rho = lo + rng.uniform(0.05, 0.95) * (hi - lo)
         worst = np.maximum(
             worst,
@@ -253,12 +254,24 @@ def ring_operator_check(radius: float, center: tuple[float, float], nodes: int,
 
     ``center`` is both the averaging point and the circle's centre.  The
     averages use ``nodes`` quadrature nodes; the pairing identity runs on 20
-    seeded random smooth pairs.
+    seeded random smooth pairs.  Raises a ``ParameterError`` when the
+    expected average of the squared norm, ``2 pi R (|x|^2 + R^2)``, overflows;
+    it names ``r1`` (the radius) or ``b1`` (the centre), whichever is the
+    larger of ``R`` and ``|x|``.  A NaN centre is no error: it fails every
+    verdict.
     """
     results = _Verdicts()
     circle = Circle(center, radius)
     x = center
     circumference = 2.0 * math.pi * radius
+    try:
+        expected = circumference * (x[0] ** 2 + x[1] ** 2 + radius**2)
+    except OverflowError:
+        expected = math.inf
+    if expected == math.inf:
+        raise ParameterError("r1" if radius >= math.hypot(*x) else "b1",
+                             f"the expected average of the squared norm, 2 pi R (|x|^2 + R^2),"
+                             f" overflows at R = {radius:g}, x = ({x[0]:g}, {x[1]:g})")
 
     err = abs(circle_average(lambda px, py: 2.5 + 0.0 * px, circle, x, nodes) - 2.5 * circumference)
     results.add("average of a constant", err, 1e-10 * circumference)
@@ -266,7 +279,6 @@ def ring_operator_check(radius: float, center: tuple[float, float], nodes: int,
     err = abs(circle_average(lambda px, py: px, circle, x, nodes) - circumference * x[0])
     results.add("average of a linear field", err, 1e-10 * circumference)
 
-    expected = circumference * (x[0] ** 2 + x[1] ** 2 + radius**2)
     err = abs(circle_average(lambda px, py: px**2 + py**2, circle, x, nodes) - expected)
     results.add("average of the squared norm", err, 1e-10 * max(expected, 1.0))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checks
 from .checks import CheckResult
-from .core import Circle, ConvKernel, ParameterError, eval_conv, eval_conv_2d, total_mass
+from .core import Circle, ConvKernel, ParameterError, eval_conv, eval_conv_2d, support_interval, total_mass
 from .operators import _grid_side
 
 __all__ = ["build_parser", "parse_args", "run", "main"]
@@ -172,9 +172,8 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_profile(cfg: argparse.Namespace) -> int:
-    hi_plus = cfg.r1 + cfg.r2 + 1.0
-    lo, hi = abs(cfg.r1 - cfg.r2), cfg.r1 + cfg.r2
-    rho = np.linspace(0.0, hi_plus, cfg.points)
+    lo, hi = support_interval(cfg.r1, cfg.r2)
+    rho = np.linspace(0.0, hi + 1.0, cfg.points)
     # The exact endpoint floats carry the inf rows; the collapse radius
     # carries the interior minimum value 2 exactly.
     rho = np.unique(np.concatenate([rho, [lo, hi, math.hypot(cfg.r1, cfg.r2)]]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import QuadratureRule, chebyshev_singular_rule, squared_radius_terms
+from .special import singular_rule_terms
 
 __all__ = [
     "Circle",
@@ -357,13 +357,16 @@ def total_mass(kernel: ConvKernel, n: int = 256) -> float:
     evaluated through ``eval_conv``; nothing here assumes the closed form's
     algebraic shape, so agreement with ``kernel.mass`` is a real check.
     """
-    _, terms = squared_radius_terms(kernel, _squared_radius_rule(kernel.r1, kernel.r2, n))
+    _, terms = _on_squared_support(singular_rule_terms, kernel.r1, kernel.r2, n,
+                                   lambda u: kernel(np.sqrt(u)))
     return float(math.pi * np.sum(terms))
 
 
-def _squared_radius_rule(r1: float, r2: float, n: int) -> QuadratureRule:
-    """The n-node Chebyshev singular rule on the squared support ``[lo^2, hi^2]``.
+def _on_squared_support(rule, r1: float, r2: float, n: int, *f):
+    """``rule(lo^2, hi^2, n, *f)`` on the squared support of the pair ``(r1, r2)``.
 
+    ``rule`` is ``chebyshev_singular_rule``, for ``(nodes, weight)``, or
+    ``singular_rule_terms`` with its integrand ``f``, for ``(nodes, terms)``.
     When the squared support cannot hold n nodes strictly inside it, raises a
     ``ParameterError`` naming the radius to blame: the larger one when
     ``hi^2`` overflows, otherwise the smaller one, which is then too small
@@ -374,7 +377,7 @@ def _squared_radius_rule(r1: float, r2: float, n: int) -> QuadratureRule:
         raise ParameterError("r1" if r1 >= r2 else "r2",
                              f"the squared outer support radius ({hi:g})^2 overflows")
     try:
-        return chebyshev_singular_rule(lo * lo, hi * hi, n)
+        return rule(lo * lo, hi * hi, n, *f)
     except ValueError as exc:
         if n < 1:
             raise

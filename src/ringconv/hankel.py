@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .core import ConvKernel, RadialProfile, _check_radius, _squared_radius_rule, psi
-from .special import bessel_j0, chebyshev_singular_rule, periodic_trapezoid, singular_rule_terms
+from .core import ConvKernel, RadialProfile, _check_radius, _on_squared_support, psi
+from .special import bessel_j0, chebyshev_singular_rule, periodic_trapezoid_rule, singular_rule_terms
 
 __all__ = [
     "hankel_transform",
@@ -48,9 +48,7 @@ def hankel_transform(profile: RadialProfile, r, n: int):
     ``r`` may be a scalar or an ndarray of frequency radii.
     """
     lo, hi = profile.support
-    rule = chebyshev_singular_rule(lo, hi, n)
-    rho = rule.nodes
-    terms = singular_rule_terms(rule, 2.0 * math.pi * profile(rho) * rho)
+    rho, terms = singular_rule_terms(lo, hi, n, lambda rho: 2.0 * math.pi * profile(rho) * rho)
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     out = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), rho)) @ terms
@@ -79,11 +77,11 @@ def hankel_of_conv(kernel: ConvKernel, r, n: int = 256):
     Must agree with ``hankel_of_circle(r1, r) * hankel_of_circle(r2, r)``;
     the two routes share no quadrature code.
     """
-    rule = _squared_radius_rule(kernel.r1, kernel.r2, n)
+    u, weight = _on_squared_support(chebyshev_singular_rule, kernel.r1, kernel.r2, n)
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
-    kernel_mat = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), np.sqrt(rule.nodes)))
-    out = 4.0 * math.pi * kernel.r1 * kernel.r2 * (kernel_mat @ rule.weights)
+    kernel_mat = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), np.sqrt(u)))
+    out = 4.0 * math.pi * kernel.r1 * kernel.r2 * (kernel_mat @ np.full(n, weight))
     return float(out[0]) if scalar else out
 
 
@@ -98,7 +96,8 @@ def neumann_product_check(r1: float, r2: float, r: float, n: int = 4096) -> tupl
     The equality of the two is the addition-formula identity that powers the
     product form of the kernel's transform; the caller asserts the tolerance.
     """
-    two_pi_r = 2.0 * math.pi * float(r)
-    lhs = periodic_trapezoid(lambda theta: bessel_j0(two_pi_r * psi(theta, r1, r2)), n) / (2.0 * math.pi)
+    theta, weight = periodic_trapezoid_rule(n)
+    values = bessel_j0(2.0 * math.pi * float(r) * psi(theta, r1, r2))
+    lhs = float(np.sum(weight * values)) / (2.0 * math.pi)
     rhs = float(bessel_j0(2.0 * math.pi * r1 * r) * bessel_j0(2.0 * math.pi * r2 * r))
     return lhs, rhs

@@ -139,10 +139,10 @@ class Field2D:
 
 def pair_with_test(m: RingMeasure, phi, n: int = 1024) -> float:
     """The pairing ``<density . ds, phi> = R * int density(theta) phi(on-circle point) d theta``."""
-    rule = periodic_trapezoid_rule(n)
-    px, py = m.circle.point(rule.nodes)
-    vals = m.density_values(rule.nodes) * phi(px, py)
-    return m.circle.radius * float(np.sum(rule.weights * vals))
+    theta, weight = periodic_trapezoid_rule(n)
+    px, py = m.circle.point(theta)
+    vals = m.density_values(theta) * phi(px, py)
+    return m.circle.radius * float(np.sum(weight * vals))
 
 
 def restrict_to_circle(f, c: Circle) -> RingMeasure:
@@ -190,9 +190,9 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     out_size = size - 2 * cells
     if out_size < 1:
         raise ValueError(f"circle of radius {r} does not fit inside the grid (extent {f.extent})")
-    rule = periodic_trapezoid_rule(n)
-    cos_t = r * np.cos(rule.nodes)
-    sin_t = r * np.sin(rule.nodes)
+    theta, weight = periodic_trapezoid_rule(n)
+    cos_t = r * np.cos(theta)
+    sin_t = r * np.sin(theta)
     half = _half_width(size, f.spacing)
     coords = -half + (cells + np.arange(out_size)) * f.spacing
     out = np.empty((out_size, out_size))
@@ -204,5 +204,5 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     # any row partitioning across workers would reproduce the same output.
     for i, y in enumerate(coords):
         py = np.clip(np.broadcast_to(y + sin_t, px.shape), -half, half)
-        out[i] = r * (2.0 * math.pi / n) * np.sum(f(px, py), axis=-1)
+        out[i] = r * weight * np.sum(f(px, py), axis=-1)
     return Field2D.from_grid(out, f.spacing)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, ParameterError, _squared_radius_rule, eval_conv, support_interval
+from .core import Circle, ConvKernel, ParameterError, _on_squared_support, eval_conv, support_interval
 from .operators import Field2D, _grid_coords, _grid_side, _half_width
-from .special import i0e, squared_radius_terms
+from .special import i0e, singular_rule_terms
 
 __all__ = [
     "RadialHistogram",
@@ -133,7 +133,7 @@ def mc_conv_histogram(
         angle = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
         idx = np.minimum((angle / width).astype(np.int64), sectors - 1)
         sector_counts += np.bincount(idx, minlength=sectors)
-    return RadialHistogram(edges, counts, samples, 4.0 * math.pi**2 * r1 * r2), sector_counts
+    return RadialHistogram(edges, counts, samples, ConvKernel(r1, r2).mass), sector_counts
 
 
 def mc_radiality_check(c1: Circle, c2: Circle, samples: int, sectors: int, seed: int) -> np.ndarray:
@@ -231,8 +231,9 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
     check target for the grid route rather than a copy of it.
     """
     sigma2 = 2.0 * epsilon**2
-    s, terms = squared_radius_terms(lambda rho: eval_conv(rho, r1, r2),
-                                    _squared_radius_rule(r1, r2, _SMOOTHING_NODES))
+    u, terms = _on_squared_support(singular_rule_terms, r1, r2, _SMOOTHING_NODES,
+                                   lambda u: eval_conv(np.sqrt(u), r1, r2))
+    s = np.sqrt(u)
     # ds = du / (2 s) cancels the kernel's s / sigma^2 prefactor down to 1 / (2 sigma^2).
     coef = terms / (2.0 * sigma2)
     rho = np.asarray(rho, dtype=float)
@@ -317,7 +318,7 @@ def grid_conv_check(
         oracle_profile=ref,
         max_rel_error=float(rel.max()),
         mass=float(conv.sum()) * spacing**2,
-        expected_mass=4.0 * math.pi**2 * c1.radius * c2.radius,
+        expected_mass=ConvKernel(c1.radius, c2.radius).mass,
         trim=(t_lo, t_hi),
         conv_values=conv,
     )

@@ -4,24 +4,27 @@ The Bessel evaluators are self-contained (numpy only) so that the transform
 identities tested elsewhere do not silently compare a library against
 itself.  J0 and I0 share one power-series loop and one table of exact
 asymptotic coefficients.
+
+Both quadrature rules give every node the same weight, so each returns
+``(nodes, weight)``: a node array and one float, and a rule applied to ``f``
+is ``weight * sum(f(nodes))``.  The Chebyshev singular rule serves integrals
+with inverse-square-root endpoint weight, and ``singular_rule_terms`` is its
+one product with the weight's reciprocal; the periodic trapezoid is the
+uniform angular grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "bessel_j0",
     "i0e",
     "chebyshev_singular_rule",
-    "periodic_trapezoid",
     "periodic_trapezoid_rule",
     "singular_rule_terms",
-    "squared_radius_terms",
 ]
 
 # Series/asymptotic split for J0.  Below the split the power series loses at
@@ -67,7 +70,10 @@ def _power_series(z: np.ndarray) -> np.ndarray:
 
 
 def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
-    inv2 = 1.0 / (x * x)
+    # Above about 1.3e154 x * x overflows to inf, and inv2 = 0 is then right:
+    # every 1/x^2 term is far below an ulp of the leading one.
+    with np.errstate(over="ignore"):
+        inv2 = 1.0 / (x * x)
     p = np.full_like(x, _J0_P[-1])
     for c in reversed(_J0_P[:-1]):
         p = p * inv2 + c
@@ -131,46 +137,15 @@ def i0e(x):
                            _i0e_asymptotic)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for a fixed weight function on an interval.
-
-    Applying the rule to ``f`` means ``sum(weights * f(nodes))``.  A
-    ``chebyshev_singular_rule`` targets integrals of the form
-    ``int_a^b f(u) / sqrt((u - a)(b - u)) du``, with every node strictly
-    inside ``(a, b)``; a ``periodic_trapezoid_rule`` holds the uniform
-    angular grid on [0, 2pi).  Rules are immutable value objects and safe
-    to share across threads and r-sweeps.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    interval: tuple[float, float]
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size < 1:
-            raise ValueError("nodes and weights must be equal-length 1-d arrays with >= 1 entry")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be positive")
-
-    def apply(self, f) -> float:
-        """``sum(w_k * f(u_k))`` with ``f`` vectorized over the node array."""
-        vals = np.broadcast_to(np.asarray(f(self.nodes), dtype=float), self.nodes.shape)
-        return float(np.sum(self.weights * vals))
-
-
-def chebyshev_singular_rule(a: float, b: float, n: int) -> QuadratureRule:
+def chebyshev_singular_rule(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
     """Gauss-Chebyshev rule for the weight ``1/sqrt((u - a)(b - u))`` on (a, b).
 
-    Nodes are ``(a+b)/2 + (b-a)/2 * cos((2k-1) pi / (2n))`` for k = 1..n and
-    every weight equals ``pi/n``.  Exact for polynomials of degree < 2n
-    against the weight; in particular ``f = 1`` integrates to pi for any n.
-    Raises ValueError unless every node lies strictly inside (a, b), which
-    also rejects ``a >= b`` and intervals only a few ulps wide.
+    Returns ``(nodes, weight)``: the nodes ``(a+b)/2 + (b-a)/2 * cos((2k-1) pi / (2n))``
+    for k = 1..n and the weight ``pi/n`` that every node shares, so the rule
+    applied to ``f`` is ``weight * sum(f(nodes))``.  Exact for polynomials of
+    degree < 2n against the weight; in particular ``f = 1`` integrates to pi
+    for any n.  Raises ValueError unless every node lies strictly inside
+    (a, b), which also rejects ``a >= b`` and intervals only a few ulps wide.
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
@@ -178,42 +153,28 @@ def chebyshev_singular_rule(a: float, b: float, n: int) -> QuadratureRule:
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k - 1) * np.pi / (2 * n))
     if not (np.all(nodes > a) and np.all(nodes < b)):
         raise ValueError(f"({a}, {b}) does not hold {n} chebyshev nodes strictly inside it")
-    return QuadratureRule(nodes, np.full(n, np.pi / n), (float(a), float(b)))
+    return nodes, np.pi / n
 
 
-def singular_rule_terms(rule: QuadratureRule, values: np.ndarray) -> np.ndarray:
-    """``w_k * (values_k * sqrt((u_k - a)(b - u_k)))``: a Chebyshev singular rule's terms for ``values``.
+def singular_rule_terms(a: float, b: float, n: int, f) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, w * (f(u) * sqrt((u - a)(b - u))))`` for the n-node Chebyshev singular rule ``(u, w)`` on (a, b).
 
-    ``values`` samples an integrand at the nodes; times the reciprocal of the
-    rule's weight, ``sum(terms)`` approximates its plain integral over [a, b].
+    ``f`` is vectorized over the node array ``u``.  Times the reciprocal of the
+    rule's weight, ``sum(terms)`` approximates the plain integral of ``f``
+    over [a, b], with a bounded summand where ``f`` has inverse-square-root
+    blow-ups at both ends.
     """
-    a, b = rule.interval
-    return rule.weights * (values * np.sqrt((rule.nodes - a) * (b - rule.nodes)))
+    nodes, weight = chebyshev_singular_rule(a, b, n)
+    return nodes, weight * (f(nodes) * np.sqrt((nodes - a) * (b - nodes)))
 
 
-def squared_radius_terms(f, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Radii ``rho = sqrt(u_k)`` and ``singular_rule_terms`` of ``f(rho)``, for a rule on ``[lo^2, hi^2]``.
+def periodic_trapezoid_rule(n: int) -> tuple[np.ndarray, float]:
+    """Uniform n-point rule on [0, 2pi): nodes ``2 pi j / n`` and their shared weight ``2 pi / n``.
 
-    ``sum(terms)`` approximates ``int f(sqrt u) du``, with a bounded
-    integrand for densities with inverse-square-root endpoint blow-ups.
+    ``weight * sum(f(nodes))`` is spectrally accurate for smooth 2pi-periodic
+    integrands, and exact to rounding on trigonometric polynomials of
+    degree < n.
     """
-    rho = np.sqrt(rule.nodes)
-    return rho, singular_rule_terms(rule, f(rho))
-
-
-def periodic_trapezoid_rule(n: int) -> QuadratureRule:
-    """Uniform n-point rule on [0, 2pi): nodes ``2 pi j / n``, weights ``2 pi / n``."""
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
-    nodes = np.arange(n) * (2.0 * np.pi / n)
-    weights = np.full(n, 2.0 * np.pi / n)
-    return QuadratureRule(nodes, weights, (0.0, 2.0 * np.pi))
-
-
-def periodic_trapezoid(f, n: int) -> float:
-    """``(2 pi / n) * sum_j f(2 pi j / n)``.
-
-    Spectrally accurate for smooth 2pi-periodic integrands; exact to
-    rounding on trigonometric polynomials of degree < n.
-    """
-    return periodic_trapezoid_rule(n).apply(f)
+    return np.arange(n) * (2.0 * np.pi / n), 2.0 * np.pi / n

@@ -216,6 +216,19 @@ class TestGridCheck:
         assert "--spacing" in err
 
 
+class TestCircleAverage:
+    @pytest.mark.parametrize("argv, flag", [
+        (["--r1", "1e300"], "--r1"),
+        (["--r1", "1e160"], "--r1"),
+        (["--r1", "1e150"], "--r1"),
+        (["--b1", "1e200", "0"], "--b1"),
+    ], ids=["radius-1e300", "radius-1e160", "radius-1e150", "centre-1e200"])
+    def test_library_input_errors_exit_2_and_name_the_flag(self, argv, flag, capsys):
+        code, out, err = run_main(["circle-average"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}: ")
+
+
 class TestIdentityChecks:
     def test_hankel_single_pair(self, capsys):
         code, out, _ = run_main(["hankel-check", "--r1", "1", "--r2", "2", "--nodes", "128"], capsys)
