@@ -7,7 +7,8 @@ with an integrable inverse-square-root blow-up at both support endpoints:
     conv(rho) = 4 r1 r2 / sqrt((rho^2 - (r1 - r2)^2) ((r1 + r2)^2 - rho^2))
 
 Everything else in the package either evaluates this formula, re-derives it
-along an independent route, or checks an identity it must satisfy.
+along an independent route, or checks an identity it must satisfy.  Every
+integral of the density against a smooth factor runs on ``_planar_rule``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import singular_rule_terms
+from .special import chebyshev_singular_rule
 
 __all__ = [
     "Circle",
@@ -264,17 +265,23 @@ class ConvKernel:
 # Independent route: distance function on the torus and its critical points.
 # ---------------------------------------------------------------------------
 
-def psi(theta, r1: float, r2: float):
-    """Distance ``|r1 e(0) + r2 e(theta)|`` between summed unit vectors.
+def _pinned_sin(theta: np.ndarray) -> np.ndarray:
+    """``sin(theta)``, but 0.0 at whole multiples of the float pi such as pi and 2 pi, where it is ~1e-16.
 
-    Law of cosines: ``sqrt(r1^2 + r2^2 - 2 r1 r2 cos(pi - theta))`` collapses
-    to the form below once the angle between the two radius vectors is theta.
-    The radicand is clamped at zero so equal radii at theta = pi cannot go
-    negative by rounding.
+    One exact remainder test costs less on scalars than comparing with each multiple.
     """
-    theta = np.asarray(theta, dtype=float)
-    rad = r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * np.cos(theta)
-    return np.sqrt(np.maximum(rad, 0.0))
+    return np.sin(theta) * (np.remainder(theta, math.pi) != 0.0)
+
+
+def psi(theta, r1: float, r2: float):
+    """Distance ``|r1 e(0) - r2 e(theta)|`` between two radius vectors at angle theta.
+
+    ``hypot(r1 - r2 cos theta, r2 sin theta)`` forms no squares, so unlike the
+    law of cosines it neither overflows nor underflows for any float radii.
+    With sin pinned, psi is exactly ``|r1 - r2|`` at theta = 0 and 2 pi.
+    """
+    # The ufuncs take a float or an array; a float stays on NumPy's faster scalar path.
+    return np.hypot(r1 - r2 * np.cos(theta), r2 * _pinned_sin(theta))
 
 
 def phi(rho: float, theta, r1: float, r2: float):
@@ -285,17 +292,15 @@ def phi(rho: float, theta, r1: float, r2: float):
 def phi_prime(theta, r1: float, r2: float):
     """Derivative of phi in theta: ``-r1 r2 sin(theta) / psi(theta)``.
 
-    Exactly 0.0 at the floats theta = 0, pi, and 2 pi (sin(pi) rounds to
-    1.2e-16, so those points are pinned rather than computed), and NaN where
-    psi vanishes (equal radii, theta = pi) since the derivative has no limit
-    there.
+    Exactly 0.0 at the floats theta = 0, pi, and 2 pi, where sin is pinned,
+    and NaN where psi vanishes (equal radii, theta = 0 or 2 pi) since the
+    derivative has no limit there.
     """
     theta = np.asarray(theta, dtype=float)
     scalar = theta.ndim == 0
     theta = np.atleast_1d(theta)
     den = psi(theta, r1, r2)
-    sin = np.sin(theta)
-    sin[(theta == 0.0) | (theta == math.pi) | (theta == 2.0 * math.pi)] = 0.0
+    sin = _pinned_sin(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, -r1 * r2 * sin / np.where(den > 0.0, den, 1.0), np.nan)
     # 0/0 at a vanishing-psi point is NaN even when the pinned sin is zero.
@@ -347,26 +352,24 @@ def conv_via_roots(rho: float, r1: float, r2: float) -> float:
 
 
 def total_mass(kernel: ConvKernel, n: int = 256) -> float:
-    """Integrate the density over the plane via singular-weight quadrature.
+    """Integrate the density over the plane: the sum of the ``n`` weights of ``_planar_rule``.
 
-    In the squared-radius variable ``u = rho^2`` the planar integral
-    ``int conv(rho) 2 pi rho d rho`` becomes ``pi * int conv(sqrt(u)) du``
-    over ``[lo^2, hi^2]``, and dividing out the endpoint weight
-    ``1/sqrt((u - lo^2)(hi^2 - u))`` leaves a bounded integrand the
-    Chebyshev rule handles at machine precision for any n.  The density is
-    evaluated through ``eval_conv``; nothing here assumes the closed form's
-    algebraic shape, so agreement with ``kernel.mass`` is a real check.
+    Nothing here assumes the closed form's algebraic shape, so agreement with
+    ``kernel.mass`` is a real check.
     """
-    _, terms = _on_squared_support(singular_rule_terms, kernel.r1, kernel.r2, n,
-                                   lambda u: kernel(np.sqrt(u)))
-    return float(math.pi * np.sum(terms))
+    return float(np.sum(_planar_rule(kernel.r1, kernel.r2, n)[1]))
 
 
-def _on_squared_support(rule, r1: float, r2: float, n: int, *f):
-    """``rule(lo^2, hi^2, n, *f)`` on the squared support of the pair ``(r1, r2)``.
+def _planar_rule(r1: float, r2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii ``rho`` and weights ``w``: ``sum(w * g(rho))`` integrates ``conv(|x|) g(|x|)`` over the plane.
 
-    ``rule`` is ``chebyshev_singular_rule``, for ``(nodes, weight)``, or
-    ``singular_rule_terms`` with its integrand ``f``, for ``(nodes, terms)``.
+    In ``u = rho^2`` that integral is ``pi int conv(sqrt(u)) g(sqrt(u)) du`` on
+    ``[lo^2, hi^2]``, where the n-node Chebyshev singular rule gives nodes ``u``.
+    At ``p = sqrt(u)``, clamped one ulp inside ``(lo, hi)``, each weight is pi
+    times the rule's weight, ``eval_conv(p)`` and the weight function's
+    reciprocal at ``p^2``, the float the density sees, so the endpoint
+    blow-ups cancel to rounding at any radius ratio.
+
     When the squared support cannot hold n nodes strictly inside it, raises a
     ``ParameterError`` naming the radius to blame: the larger one when
     ``hi^2`` overflows, otherwise the smaller one, which is then too small
@@ -377,10 +380,13 @@ def _on_squared_support(rule, r1: float, r2: float, n: int, *f):
         raise ParameterError("r1" if r1 >= r2 else "r2",
                              f"the squared outer support radius ({hi:g})^2 overflows")
     try:
-        return rule(lo * lo, hi * hi, n, *f)
+        u, weight = chebyshev_singular_rule(lo * lo, hi * hi, n)
     except ValueError as exc:
         if n < 1:
             raise
         raise ParameterError("r1" if r1 <= r2 else "r2",
                              f"the squared support [{lo * lo:.17g}, {hi * hi:.17g}] cannot hold"
                              f" {n} quadrature nodes strictly inside it") from exc
+    p = np.clip(np.sqrt(u), np.nextafter(lo, hi), np.nextafter(hi, lo))
+    root = np.sqrt((p - lo) * (p + lo)) * np.sqrt((hi - p) * (hi + p))
+    return p, (math.pi * weight) * (eval_conv(p, r1, r2) * root)

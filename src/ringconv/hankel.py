@@ -13,7 +13,8 @@ bookkeeping.
 
 ``hankel_transform`` takes any profile by one route, a Chebyshev rule on its
 support in rho: spectral for the kernel of distinct radii, algebraic where the
-support starts at the origin.  ``hankel_of_conv`` is the kernel's own route.
+support starts at the origin.  ``hankel_of_conv`` sums J0 against the kernel's
+planar rule ``core._planar_rule``; both end in one ``J0 @ terms`` sum.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import math
 
 import numpy as np
 
-from .core import ConvKernel, RadialProfile, _check_radius, _on_squared_support, psi
-from .special import bessel_j0, chebyshev_singular_rule, periodic_trapezoid_rule, singular_rule_terms
+from .core import ConvKernel, RadialProfile, _check_radius, _planar_rule, psi
+from .special import bessel_j0, chebyshev_singular_rule, periodic_trapezoid_rule
 
 __all__ = [
     "hankel_transform",
@@ -48,11 +49,9 @@ def hankel_transform(profile: RadialProfile, r, n: int):
     ``r`` may be a scalar or an ndarray of frequency radii.
     """
     lo, hi = profile.support
-    rho, terms = singular_rule_terms(lo, hi, n, lambda rho: 2.0 * math.pi * profile(rho) * rho)
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    out = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), rho)) @ terms
-    return float(out[0]) if scalar else out
+    rho, weight = chebyshev_singular_rule(lo, hi, n)
+    terms = weight * ((2.0 * math.pi * profile(rho) * rho) * np.sqrt((rho - lo) * (hi - rho)))
+    return _j0_sum(r, rho, terms)
 
 
 def hankel_of_circle(radius: float, r):
@@ -62,27 +61,21 @@ def hankel_of_circle(radius: float, r):
 
 
 def hankel_of_conv(kernel: ConvKernel, r, n: int = 256):
-    """Transform of the closed-form kernel by the squared-radius quadrature.
+    """Transform of the kernel, ``sum_k w_k J0(2 pi r rho_k)`` on ``core._planar_rule``'s n-node rule.
 
-    Under u = rho^2 the density times the Chebyshev weight's reciprocal is
-    the constant ``4 r1 r2``, so the transform collapses to
-
-        4 pi r1 r2 * sum_k w_k J0(2 pi r sqrt(u_k))
-
-    which at r = 0 reproduces the total mass ``(2 pi)^2 r1 r2`` to rounding.
-    The constant is used as is rather than sampled through ``eval_conv``:
-    when one radius is ~1e-9 of the other, the outer nodes lie a few ulps
-    from the endpoints, and the rounded ``sqrt(u_k)`` leaves the sampled
-    density times the weight's reciprocal off by up to 1e-2 there.
-    Must agree with ``hankel_of_circle(r1, r) * hankel_of_circle(r2, r)``;
-    the two routes share no quadrature code.
+    At r = 0 this is the total mass ``(2 pi)^2 r1 r2`` to rounding.  Must agree
+    with ``hankel_of_circle(r1, r) * hankel_of_circle(r2, r)``; the two routes
+    share no quadrature code.
     """
-    u, weight = _on_squared_support(chebyshev_singular_rule, kernel.r1, kernel.r2, n)
+    rho, w = _planar_rule(kernel.r1, kernel.r2, n)
+    return _j0_sum(r, rho, w)
+
+
+def _j0_sum(r, rho: np.ndarray, terms: np.ndarray):
+    """``sum_k terms_k J0(2 pi r rho_k)`` at each frequency radius; a float for a scalar r."""
     arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    kernel_mat = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), np.sqrt(u)))
-    out = 4.0 * math.pi * kernel.r1 * kernel.r2 * (kernel_mat @ np.full(n, weight))
-    return float(out[0]) if scalar else out
+    out = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), rho)) @ terms
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def neumann_product_check(r1: float, r2: float, r: float, n: int = 4096) -> tuple[float, float]:

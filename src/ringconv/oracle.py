@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, ConvKernel, ParameterError, _on_squared_support, eval_conv, support_interval
+from .core import Circle, ConvKernel, ParameterError, _planar_rule, support_interval
 from .operators import Field2D, _grid_coords, _grid_side, _half_width
-from .special import i0e, singular_rule_terms
+from .special import i0e
 
 __all__ = [
     "RadialHistogram",
@@ -42,7 +42,7 @@ __all__ = [
 # sector counts are sums of per-chunk integer count vectors and are
 # bit-identical however the chunks are scheduled.
 _CHUNK = 1 << 20
-# Chebyshev nodes of the squared-radius rule in ``smoothed_profile``.
+# Nodes of the planar rule in ``smoothed_profile``.
 _SMOOTHING_NODES = 2048
 
 
@@ -225,17 +225,15 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
         (f * G_sigma)(rho) = int f(s) (s / sigma^2) I0(rho s / sigma^2)
                              exp(-(rho^2 + s^2) / (2 sigma^2)) ds
 
-    evaluated here with the exponentially scaled I0 to avoid overflow and
-    the squared-radius Chebyshev rule to absorb f's endpoint blow-ups.  The
-    density is sampled through ``eval_conv``, so this stays an independent
-    check target for the grid route rather than a copy of it.
+    evaluated here with the exponentially scaled I0 to avoid overflow, on the
+    kernel's planar rule ``core._planar_rule``.  The density is sampled through
+    ``eval_conv``, so this stays an independent check target for the grid
+    route rather than a copy of it.
     """
     sigma2 = 2.0 * epsilon**2
-    u, terms = _on_squared_support(singular_rule_terms, r1, r2, _SMOOTHING_NODES,
-                                   lambda u: eval_conv(np.sqrt(u), r1, r2))
-    s = np.sqrt(u)
-    # ds = du / (2 s) cancels the kernel's s / sigma^2 prefactor down to 1 / (2 sigma^2).
-    coef = terms / (2.0 * sigma2)
+    s, w = _planar_rule(r1, r2, _SMOOTHING_NODES)
+    # The planar weights carry 2 pi s ds, which cancels the kernel's s / sigma^2 to 1 / (2 pi sigma^2).
+    coef = w / (2.0 * math.pi * sigma2)
     rho = np.asarray(rho, dtype=float)
     scalar = rho.ndim == 0
     arr = np.atleast_1d(rho)
@@ -252,7 +250,7 @@ class GridConvReport:
 
     The profile arrays are restricted to the trimmed interval
     ``[lo + 5 eps, hi - 5 eps]`` where both routes are finite and the
-    mollifier tails are negligible.
+    mollifier tails are negligible.  ``ring_values`` are the two ring grids, in order.
     """
 
     rho: np.ndarray
@@ -263,6 +261,7 @@ class GridConvReport:
     expected_mass: float
     trim: tuple[float, float]
     conv_values: np.ndarray
+    ring_values: tuple[np.ndarray, np.ndarray]
 
     @property
     def mass_rel_error(self) -> float:
@@ -321,4 +320,5 @@ def grid_conv_check(
         expected_mass=ConvKernel(c1.radius, c2.radius).mass,
         trim=(t_lo, t_hi),
         conv_values=conv,
+        ring_values=(g1.values, g2.values),
     )

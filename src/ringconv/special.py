@@ -8,9 +8,9 @@ asymptotic coefficients.
 Both quadrature rules give every node the same weight, so each returns
 ``(nodes, weight)``: a node array and one float, and a rule applied to ``f``
 is ``weight * sum(f(nodes))``.  The Chebyshev singular rule serves integrals
-with inverse-square-root endpoint weight, and ``singular_rule_terms`` is its
-one product with the weight's reciprocal; the periodic trapezoid is the
-uniform angular grid.
+with inverse-square-root endpoint weight: ``hankel.hankel_transform`` and
+``core._planar_rule`` each multiply an integrand by the weight's reciprocal
+on its own support; the periodic trapezoid is the uniform angular grid.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "i0e",
     "chebyshev_singular_rule",
     "periodic_trapezoid_rule",
-    "singular_rule_terms",
 ]
 
 # Series/asymptotic split for J0.  Below the split the power series loses at
@@ -154,18 +153,6 @@ def chebyshev_singular_rule(a: float, b: float, n: int) -> tuple[np.ndarray, flo
     if not (np.all(nodes > a) and np.all(nodes < b)):
         raise ValueError(f"({a}, {b}) does not hold {n} chebyshev nodes strictly inside it")
     return nodes, np.pi / n
-
-
-def singular_rule_terms(a: float, b: float, n: int, f) -> tuple[np.ndarray, np.ndarray]:
-    """``(u, w * (f(u) * sqrt((u - a)(b - u))))`` for the n-node Chebyshev singular rule ``(u, w)`` on (a, b).
-
-    ``f`` is vectorized over the node array ``u``.  Times the reciprocal of the
-    rule's weight, ``sum(terms)`` approximates the plain integral of ``f``
-    over [a, b], with a bounded summand where ``f`` has inverse-square-root
-    blow-ups at both ends.
-    """
-    nodes, weight = chebyshev_singular_rule(a, b, n)
-    return nodes, weight * (f(nodes) * np.sqrt((nodes - a) * (b - nodes)))
 
 
 def periodic_trapezoid_rule(n: int) -> tuple[np.ndarray, float]:

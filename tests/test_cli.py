@@ -247,6 +247,20 @@ class TestIdentityChecks:
         assert "computed mass 39.4784176044, expected 39.4784176044" in out
         assert "PASS" in out
 
+    def test_mass_of_huge_radii_is_finite(self, capsys):
+        # (2 pi r)^2 at r = 1e100 is in range; the quadrature must not overflow on the way.
+        code, out, err = run_main(["mass-check", "--r1", "1e100", "--r2", "1e100"], capsys)
+        assert code == 0 and err == ""
+        assert "computed mass inf" not in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--r1", "1e200"], ["--r1", "1e300", "--r2", "3"], ["--r1", "1e-300", "--r2", "1e-300"],
+    ], ids=["radius-1e200", "radius-1e300", "radii-1e-300"])
+    def test_neumann_at_extreme_radii(self, argv, capsys):
+        code, out, err = run_main(["neumann-check"] + argv, capsys)
+        assert code == 0 and err == ""
+        assert out.count("PASS") == 1
+
     def test_mass_random_sweep(self, capsys):
         code, out, _ = run_main(["mass-check"], capsys)
         assert code == 0

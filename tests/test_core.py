@@ -178,6 +178,12 @@ class TestPsiPhi:
     def test_psi_clamps_at_zero_for_equal_radii(self):
         assert psi(0.0, 1.3, 1.3) == 0.0
 
+    def test_psi_stays_in_range_at_extreme_radii(self):
+        # The squares of these radii overflow or underflow; psi forms none.
+        assert psi(math.pi, 1e200, 1e200) == 2e200
+        assert psi(0.0, 1e300, 3.0) == 1e300
+        assert psi(math.pi, 1e-300, 1e-300) == 2e-300
+
     def test_psi_nondecreasing_on_half_period(self):
         theta = np.linspace(0.0, math.pi, 20001)
         for r1, r2 in [(1.0, 1.0), (2.0, 3.0), (0.5, 2.5)]:
@@ -238,6 +244,17 @@ class TestTotalMass:
     def test_mass_conserved_for_any_node_count(self, r1, r2, n):
         k = ConvKernel(r1, r2)
         assert abs(total_mass(k, n) - k.mass) / k.mass < 1e-12
+
+    @pytest.mark.parametrize("r1, r2", [
+        (1.0, 1e7), (1e-3, 1e3), (1.5, 1e-9), (1e-150, 1e-150), (1e-100, 3e-100),
+        (1e100, 1e100), (1e150, 1e150), (2.0, 3.0), (1.0, 1.0),
+    ])
+    def test_exact_at_extreme_radii_and_ratios(self, r1, r2):
+        # The tolerance of checks.mass_check.  Outer nodes lie a few ulps from
+        # the support's ends at ratio 1e-9, and the squares of 1e-150 radii are
+        # below the normal range.
+        k = ConvKernel(r1, r2)
+        assert abs(total_mass(k) - k.mass) / k.mass < 1e-10
 
     def test_zero_nodes_is_not_blamed_on_a_radius(self):
         with pytest.raises(ValueError) as exc:

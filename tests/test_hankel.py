@@ -78,8 +78,8 @@ class TestHankelOfConv:
         assert_allclose(hankel_of_conv(k, r), [hankel_of_conv(k, float(v)) for v in r], rtol=1e-13)
 
     def test_factorizes_at_small_radius_ratios(self):
-        # The outer nodes sit within ~1-100 ulps of the endpoints here, so any
-        # route that samples the density at sqrt(u_k) loses the cancellation.
+        # The outer nodes sit within ~1-100 ulps of the endpoints here, so the
+        # weight's reciprocal must be taken at the radius the density sees.
         for r1, r2 in [(1.5, 1e-9), (1.0, 3e-12)]:
             k = ConvKernel(r1, r2)
             r = np.linspace(0.0, 2.0, 9)
