@@ -38,10 +38,10 @@ print()
 
 # Same numbers by a completely different route: find the angle where the
 # two-point distance equals rho, then sum the reciprocal slopes there.
+# Both routes take the whole array of radii in one call.
 print(" rho    closed form      via roots        rel diff")
-for rho in np.linspace(1.2, 4.8, 7):
-    a = eval_conv(float(rho), r1, r2)
-    b = conv_via_roots(float(rho), r1, r2)
+rhos = np.linspace(1.2, 4.8, 7)
+for rho, a, b in zip(rhos, eval_conv(rhos, r1, r2), conv_via_roots(rhos, r1, r2)):
     print(f"{rho:5.2f}  {a:.12f}  {b:.12f}  {abs(a - b) / a:.2e}")
 
 theta = interior_root(1.0, 1.0, 1.0)

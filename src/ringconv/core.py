@@ -289,53 +289,48 @@ def phi(rho: float, theta, r1: float, r2: float):
     return rho - psi(theta, r1, r2)
 
 
-def phi_prime(theta, r1: float, r2: float):
-    """Derivative of phi in theta: ``-r1 r2 sin(theta) / psi(theta)``.
+def phi_prime(theta, r1, r2):
+    """Derivative of phi in theta, ``-r1 r2 sin(theta) / psi(theta)``, broadcast; a float for scalar input.
 
     Exactly 0.0 at the floats theta = 0, pi, and 2 pi, where sin is pinned,
     and NaN where psi vanishes (equal radii, theta = 0 or 2 pi) since the
     derivative has no limit there.
     """
-    theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    theta = np.atleast_1d(theta)
     den = psi(theta, r1, r2)
-    sin = _pinned_sin(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0.0, -r1 * r2 * sin / np.where(den > 0.0, den, 1.0), np.nan)
+        out = np.where(den > 0.0, -r1 * r2 * _pinned_sin(theta) / np.where(den > 0.0, den, 1.0), np.nan)
     # 0/0 at a vanishing-psi point is NaN even when the pinned sin is zero.
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
-def interior_root(rho: float, r1: float, r2: float) -> float:
-    """The unique zero of ``phi(rho, .)`` in (0, pi), by bracketed bisection.
+def interior_root(rho, r1, r2):
+    """The unique zero of ``phi(rho, .)`` in (0, pi), by one bisection over the broadcast arguments.
 
     psi is strictly increasing on (0, pi) from ``|r1 - r2|`` to ``r1 + r2``,
     so for interior rho the bracket [1e-12, pi - 1e-12] contains exactly one
     sign change.  Bisection avoids any use of the derivative, keeping the
-    root path independent of the slope weights it later feeds.  Raises
-    ValueError unless rho is classified INTERIOR.
+    root path independent of the slope weights it later feeds.  All brackets
+    halve in lockstep; an exact zero collapses its own.  A float for scalar
+    input.  Raises ValueError unless every ``|r1 - r2| < rho < r1 + r2``,
+    which NaN, inf and radii that are not positive all fail.
     """
-    if classify(rho, r1, r2) is not SupportClass.INTERIOR:
-        raise ValueError(f"rho={rho} is not interior to the support of ({r1}, {r2})")
-    lo, hi = 1e-12, math.pi - 1e-12
-    f_lo = phi(rho, lo, r1, r2)
-    for _ in range(200):
-        if hi - lo <= _BISECTION_TOL:
-            break
+    rho, r1, r2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (rho, r1, r2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        interior = (np.abs(r1 - r2) < rho) & (rho < r1 + r2)
+    if not np.all(interior):
+        bad = np.argmin(interior)
+        raise ValueError(f"rho={rho.flat[bad]} is not interior to the support of ({r1.flat[bad]}, {r2.flat[bad]})")
+    lo, hi = np.full(rho.shape, 1e-12), np.full(rho.shape, math.pi - 1e-12)
+    while np.any(hi - lo > _BISECTION_TOL):
         mid = 0.5 * (lo + hi)
-        f_mid = phi(rho, mid, r1, r2)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0.0) == (f_mid > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        f = phi(rho, mid, r1, r2)
+        lo, hi = np.where(f >= 0.0, mid, lo), np.where(f <= 0.0, mid, hi)
+    root = 0.5 * (lo + hi)
+    return float(root) if root.ndim == 0 else root
 
 
-def conv_via_roots(rho: float, r1: float, r2: float) -> float:
-    """Re-derive the density at an interior rho from the zeros of phi.
+def conv_via_roots(rho, r1, r2):
+    """Re-derive the density at interior radii from the zeros of phi, broadcast over all three arguments.
 
     The zero theta1 = ``interior_root(rho, ...)`` and its mirror
     ``2 pi - theta1`` carry the whole density:
@@ -343,12 +338,16 @@ def conv_via_roots(rho: float, r1: float, r2: float) -> float:
         (r1 r2 / rho) * sum over zeros of 1 / |phi_prime(zero)|
 
     which must agree with ``eval_conv`` without sharing any code with it.
-    Raises ValueError unless rho is classified INTERIOR.
+    A float for scalar input; raises ValueError where ``interior_root`` does.
     """
     theta1 = interior_root(rho, r1, r2)
-    theta2 = 2.0 * math.pi - theta1
-    slopes = np.abs(phi_prime(np.array([theta1, theta2]), r1, r2))
-    return float(r1 * r2 / rho * np.sum(1.0 / slopes))
+    # The density is scale invariant and a power-of-two scaling is exact: with the larger radius
+    # in [0.5, 1), r1 * r2 and the slopes stay in range at any radii, and ordinary radii keep their bits.
+    e = np.frexp(np.maximum(r1, r2))[1]
+    rho, r1, r2 = np.ldexp(rho, -e), np.ldexp(r1, -e), np.ldexp(r2, -e)
+    slopes = np.abs(phi_prime(np.stack([theta1, 2.0 * math.pi - theta1]), r1, r2))
+    out = r1 * r2 / rho * np.sum(1.0 / slopes, axis=0)
+    return float(out) if out.ndim == 0 else out
 
 
 def total_mass(kernel: ConvKernel, n: int = 256) -> float:

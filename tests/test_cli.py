@@ -276,6 +276,15 @@ class TestIdentityChecks:
         assert code == 0
         assert "1000 random triples" in out
 
+    @pytest.mark.parametrize("r1, r2", [
+        ("1e200", "1e200"), ("1e-200", "1e-200"), ("1e300", "1e300"), ("1e-300", "1e-300"), ("1", "1e3"),
+    ])
+    def test_roots_at_extreme_radii_and_ratio(self, r1, r2, capsys):
+        # r1 * r2 leaves the float range at the first four pairs; at the last, 1% of rho_min leaves the support.
+        code, out, err = run_main(["roots-check", "--r1", r1, "--r2", r2], capsys)
+        assert code == 0 and err == ""
+        assert out.count("PASS") == 3
+
     def test_circle_average_suite(self, capsys):
         code, out, _ = run_main(["circle-average"], capsys)
         assert code == 0

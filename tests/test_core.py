@@ -216,9 +216,37 @@ class TestRootPath:
         assert abs(conv_via_roots(math.hypot(2.0, 3.0), 2.0, 3.0) - 2.0) < 1e-12
 
     def test_rejects_non_interior(self):
-        for rho in (0.5, 1.0, 5.0, 6.0):
+        for rho in (0.5, 1.0, 5.0, 6.0, np.array([3.0, 5.0, 4.0])):
             with pytest.raises(ValueError):
                 conv_via_roots(rho, 2.0, 3.0)
+        for radius in (0.0, -1.0, math.inf, math.nan):
+            for route in (interior_root, conv_via_roots):
+                with pytest.raises(ValueError):
+                    route(3.0, radius, 3.0)
+
+    def test_array_call_matches_scalar_calls_bitwise(self):
+        rho = np.array([[1.2, 2.5, 4.8], [0.3, 1.0, 1.9]])
+        r1, r2 = np.array([[2.0], [1.0]]), np.array([[3.0], [1.0]])
+        for route in (interior_root, conv_via_roots):
+            values = route(rho, r1, r2)
+            assert values.shape == rho.shape
+            expected = [[route(float(p), float(a[0]), float(b[0])) for p in row]
+                        for row, a, b in zip(rho, r1, r2)]
+            assert np.array_equal(values, expected)
+            assert type(route(1.0, 1.0, 1.0)) is float
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(min_value=-150.0, max_value=150.0), st.floats(min_value=-3.0, max_value=3.0),
+           st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=-40, max_value=40))
+    def test_scale_free_over_the_float_range(self, exponent, log_ratio, t, k):
+        r1 = 10.0**exponent
+        r2 = r1 * 10.0**log_ratio
+        lo, hi = support_interval(r1, r2)
+        rho = lo + t * (hi - lo)
+        value = conv_via_roots(rho, r1, r2)
+        expected = eval_conv(rho, r1, r2)
+        assert abs(value - expected) / expected < 1e-9
+        assert conv_via_roots(*np.ldexp([rho, r1, r2], k)) == value
 
     @settings(deadline=None)
     @given(radii, radii, st.floats(min_value=0.05, max_value=0.95))
