@@ -108,10 +108,18 @@ class SupportClass(enum.Enum):
 
 
 def support_interval(r1: float, r2: float) -> tuple[float, float]:
-    """Endpoints ``(|r1 - r2|, r1 + r2)`` of the support annulus."""
+    """Endpoints ``(|r1 - r2|, r1 + r2)`` of the support annulus.
+
+    Raises a ``ParameterError`` naming the larger radius (``r1`` on a tie)
+    where ``r1 + r2`` overflows, since no float radius lies beyond the support.
+    """
     r1 = _check_radius(r1, "r1")
     r2 = _check_radius(r2, "r2")
-    return abs(r1 - r2), r1 + r2
+    hi = r1 + r2
+    if hi == math.inf:
+        raise ParameterError("r1" if r1 >= r2 else "r2",
+                             f"the outer support radius r1 + r2 = {r1:g} + {r2:g} overflows")
+    return abs(r1 - r2), hi
 
 
 def classify(rho: float, r1: float, r2: float) -> SupportClass:

@@ -179,8 +179,9 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
 
     The output grid keeps the input spacing but is shrunk by ``R`` on every
     side (rounded outward to whole cells) so that each averaging circle stays
-    inside the input grid; off-grid circle points are filled by the field's
-    bilinear interpolation.  Raises if the circle does not fit at all.
+    inside the input grid.  Each output point samples the field at the same
+    offsets in cells, so the operator is one fixed stencil of bilinear weights,
+    built once and applied to shifted views.  Raises if the circle does not fit.
     """
     if not isinstance(f, Field2D):
         raise ValueError("circle_average_field needs a sampled field")
@@ -191,18 +192,16 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     if out_size < 1:
         raise ValueError(f"circle of radius {r} does not fit inside the grid (extent {f.extent})")
     theta, weight = periodic_trapezoid_rule(n)
-    cos_t = r * np.cos(theta)
-    sin_t = r * np.sin(theta)
-    half = _half_width(size, f.spacing)
-    coords = -half + (cells + np.arange(out_size)) * f.spacing
-    out = np.empty((out_size, out_size))
-    # Every sample point is inside the grid by construction, but the border
-    # rows can land an ulp past it through rounding in `coords`; clamping
-    # moves those points back by that ulp without admitting real outsiders.
-    px = np.clip(coords[:, None] + cos_t, -half, half)
-    # Row at a time: rows are independent, so memory stays at O(row * n) and
-    # any row partitioning across workers would reproduce the same output.
-    for i, y in enumerate(coords):
-        py = np.clip(np.broadcast_to(y + sin_t, px.shape), -half, half)
-        out[i] = r * weight * np.sum(f(px, py), axis=-1)
-    return Field2D.from_grid(out, f.spacing)
+    # Node offsets in cells from the stencil's corner; one clipped onto the far
+    # edge has fraction 0, so the extra row and column only ever get weight 0.
+    offsets = np.clip(cells + r / f.spacing * np.stack([np.cos(theta), np.sin(theta)]), 0.0, 2 * cells)
+    (tx, ty), (j, i) = np.modf(offsets)
+    side = 2 * cells + 2
+    corner = (i * side + j).astype(int)
+    stencil = np.bincount(np.concatenate([corner, corner + 1, corner + side, corner + side + 1]),
+                          np.concatenate([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty]),
+                          minlength=side * side).reshape(side, side)
+    out = np.zeros((out_size, out_size))
+    for a, b in zip(*np.nonzero(stencil)):
+        out += stencil[a, b] * f.values[a:a + out_size, b:b + out_size]
+    return Field2D.from_grid(r * weight * out, f.spacing)

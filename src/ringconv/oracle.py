@@ -117,13 +117,14 @@ def mc_conv_histogram(
     derived from the seed, and integer counts are summed, so reruns and any
     parallel schedule of chunks give bit-identical counts.  Raises a
     ``ParameterError`` naming ``bins`` or ``sectors`` outside ``[1, 2^20]``
-    (the chunk size) before allocating; ``samples < 1`` is a ``ValueError``.
+    (the chunk size) before allocating, and one naming the larger radius
+    where ``r1 + r2`` overflows; ``samples < 1`` is a ``ValueError``.
     """
     for name, value in (("bins", bins), ("sectors", sectors)):
         if not 1 <= value <= _CHUNK:
             raise ParameterError(name, f"need 1 <= {name} <= {_CHUNK}, got {value}")
     r1, r2 = c1.radius, c2.radius
-    edges = np.linspace(0.0, r1 + r2 + margin, bins + 1)
+    edges = np.linspace(0.0, support_interval(r1, r2)[1] + margin, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     sector_counts = np.zeros(sectors, dtype=np.int64)
     width = 2.0 * math.pi / sectors
@@ -282,9 +283,10 @@ def grid_conv_check(
     the result is annularly averaged about b1 + b2 in bins of width
     2*spacing.  The reference is ``smoothed_profile`` at the bins' mean
     radii.  Raises a ``ParameterError`` naming ``spacing`` over the grid-side
-    cap, ``extent`` if the convolution support plus a 5-epsilon pad would be
-    clipped by the grid, and ``epsilon`` if no bin's mean radius falls in the
-    trimmed interval, in that order of precedence.
+    cap, the larger radius where ``r1 + r2`` overflows, ``extent`` if the
+    convolution support plus a 5-epsilon pad would be clipped by the grid,
+    and ``epsilon`` if no bin's mean radius falls in the trimmed interval, in
+    that order of precedence.
     """
     _, half = _ring_grid(extent, spacing)
     lo, hi = support_interval(c1.radius, c2.radius)

@@ -228,6 +228,12 @@ class TestCircleAverage:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag}: ")
 
+    def test_large_radius_passes(self, capsys):
+        # The linear field's rounding error, about 4e-2 here, is over the constant 1e-10 * 2 pi R.
+        code, out, _ = run_main(["circle-average", "--r1", "1e7"], capsys)
+        assert code == 0
+        assert out.count("PASS") == 5 and "FAIL" not in out
+
 
 class TestIdentityChecks:
     def test_hankel_single_pair(self, capsys):
@@ -296,8 +302,14 @@ class TestIdentityChecks:
         (["mass-check", "--r1", "1", "--r2", "1e-12"], "--r2"),
         (["mass-check", "--r1", "1e200"], "--r1"),
         (["roots-check", "--r1", "1e-300", "--r2", "1"], "--r1"),
+        # r1 + r2 overflows, so the support has no float outer end.
+        (["profile", "--r1", "1e308", "--r2", "1e308"], "--r1"),
+        (["surface", "--r1", "1e308", "--r2", "1e308"], "--r1"),
+        (["mc-check", "--r1", "1e308", "--r2", "1e308", "--samples", "1000"], "--r1"),
+        (["roots-check", "--r1", "1e308", "--r2", "1e308"], "--r1"),
     ], ids=["hankel-collapsed-support", "hankel-thin-support", "mass-thin-support",
-            "mass-squared-support-overflows", "roots-collapsed-support"])
+            "mass-squared-support-overflows", "roots-collapsed-support", "profile-outer-radius-overflows",
+            "surface-outer-radius-overflows", "mc-outer-radius-overflows", "roots-outer-radius-overflows"])
     def test_degenerate_supports_exit_2_and_name_the_flag(self, argv, flag, capsys):
         code, out, err = run_main(argv, capsys)
         assert code == 2 and out == ""

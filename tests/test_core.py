@@ -40,6 +40,11 @@ class TestSupportInterval:
         with pytest.raises(ValueError):
             support_interval(1.0, -2.0)
 
+    def test_overflowing_outer_radius_names_the_larger_radius(self):
+        with pytest.raises(ParameterError) as exc:
+            support_interval(1e308, 1.7e308)
+        assert exc.value.param == "r2"
+
 
 class TestClassify:
     def test_partition_cells(self):
@@ -124,6 +129,12 @@ class TestEvalConv:
         expected = eval_conv(rho, r1, r2)
         got = eval_conv(rho * scale, as_radius(r1 * scale), as_radius(r2 * scale))
         assert abs(got - expected) < 1e-14 * expected
+
+    def test_overflowing_outer_radius_is_rejected(self):
+        # With r1 + r2 = inf no radius lies beyond the support, so 0.0 here would be wrong.
+        with pytest.raises(ParameterError) as exc:
+            eval_conv(1.0, 1e308, 1e308)
+        assert exc.value.param == "r1"
 
     def test_density_beyond_the_float_range_is_inf(self):
         assert eval_conv(5e-324, 1.0, 1.0) == math.inf

@@ -155,11 +155,29 @@ class TestCircleAverageField:
         X, Y = np.meshgrid(coords, coords)
         return Field2D.from_grid(func(X, Y), spacing)
 
-    def test_constant_grid(self):
-        f = self.make_grid(lambda x, y: np.full_like(x, 1.5), extent=2.0, spacing=0.05)
-        out = circle_average_field(f, Circle((0.0, 0.0), 0.5), n=64)
-        assert out.values.shape == (21, 21)
-        assert_allclose(out.values, 1.5 * 2.0 * math.pi * 0.5, rtol=1e-12)
+    # At a whole R / spacing the offsets at theta = 0 and pi/2 land exactly on the stencil's edge.
+    @pytest.mark.parametrize("radius, spacing, side", [
+        (0.5, 0.05, 21),
+        (0.14, 0.02, 87),  # R / spacing is 7.000000000000001: those offsets are clipped onto the edge
+        (0.5, 0.1, 11),
+        (1e-14, 0.05, 41),  # no whole cell: the output keeps the input's shape
+    ], ids=["ten-cells", "clipped-edge", "five-cells", "zero-cells"])
+    def test_constant_grid(self, radius, spacing, side):
+        f = self.make_grid(lambda x, y: np.full_like(x, 1.5), extent=2.0, spacing=spacing)
+        out = circle_average_field(f, Circle((0.0, 0.0), radius), n=64)
+        assert out.values.shape == (side, side)
+        assert_allclose(out.values, 1.5 * 2.0 * math.pi * radius, rtol=1e-12)
+
+    def test_stencil_matches_per_point_averages(self):
+        # At 7.3 cells no circle node lies within an ulp of the grid's edge, so
+        # every point's own bilinear circle average is defined.
+        values = np.random.default_rng(11).standard_normal((41, 41))
+        f = Field2D.from_grid(values, 0.1)
+        circ = Circle((0.0, 0.0), 0.73)
+        out = circle_average_field(f, circ, n=64)
+        oc = out.grid_coords()
+        ref = np.array([[circle_average(f, circ, (x, y), 64) for x in oc] for y in oc])
+        assert np.max(np.abs(out.values - ref)) <= 1e-13 * 2.0 * math.pi * 0.73 * np.max(np.abs(values))
 
     def test_ramp_grid_is_exact(self):
         # Bilinear interpolation reproduces a linear field exactly and the
