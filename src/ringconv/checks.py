@@ -126,8 +126,8 @@ def transform_product_check(pairs, nodes: int) -> list[CheckResult]:
     for r1, r2 in pairs:
         kernel = ConvKernel(r1, r2)
         scale = kernel.mass
-        product = scale * bessel_j0(2.0 * math.pi * r1 * r) * bessel_j0(2.0 * math.pi * r2 * r)
         transform = hankel_of_conv(kernel, r, nodes)
+        product = scale * bessel_j0(2.0 * math.pi * r1 * r) * bessel_j0(2.0 * math.pi * r2 * r)
         err = np.max(np.abs(transform - product))
         results.add(f"product identity r1={r1:g} r2={r2:g}", err, 1e-8 * scale)
         square = hankel_of_circle(r1, r) * hankel_of_circle(r2, r)
@@ -155,7 +155,7 @@ def neumann_check(pairs, nodes: int) -> list[CheckResult]:
     """
     results = _Verdicts()
     for r1, r2 in pairs:
-        r_max = 50.0 / (2.0 * math.pi * (r1 + r2))
+        r_max = 50.0 / (2.0 * math.pi * support_interval(r1, r2)[1])
         worst = 0.0
         for r in np.linspace(0.0, r_max, 11):
             lhs, rhs = neumann_product_check(r1, r2, float(r), nodes)
@@ -290,8 +290,11 @@ def ring_operator_check(radius: float, center: tuple[float, float], nodes: int,
     measure = restrict_to_circle(lambda px, py: np.exp(-((px - x[0]) ** 2 + (py - x[1]) ** 2) / 3.0),
                                  circle)
     density = measure.density_values(np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
+    # A float node lies up to about eps (R + |x|) off the circle, and the field's slope in the
+    # distance is below 1 (at most 0.49), so past 1e-12 the tolerance is that rounding floor.
+    offset = np.finfo(float).eps * (radius + math.hypot(*x))
     results.add("radial restriction is constant",
-                np.max(np.abs(density - math.exp(-(radius**2) / 3.0))), 1e-12)
+                np.max(np.abs(density - math.exp(-(radius**2) / 3.0))), max(1e-12, offset))
 
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -167,6 +167,12 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _table(header: str, *columns: np.ndarray) -> str:
+    """CSV text: ``header``, then one row per index of the columns; floats by ``_fmt``, integers by ``str``."""
+    cells = (map(_fmt if c.dtype.kind == "f" else str, c.tolist()) for c in columns)
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Artifact commands.
 # ---------------------------------------------------------------------------
@@ -177,10 +183,7 @@ def _run_profile(cfg: argparse.Namespace) -> int:
     # The exact endpoint floats carry the inf rows; the collapse radius
     # carries the interior minimum value 2 exactly.
     rho = np.unique(np.concatenate([rho, [lo, hi, math.hypot(cfg.r1, cfg.r2)]]))
-    values = eval_conv(rho, cfg.r1, cfg.r2)
-    lines = ["rho,value"]
-    lines += [f"{_fmt(r)},{_fmt(v)}" for r, v in zip(rho, values)]
-    return _emit("\n".join(lines) + "\n", cfg.output)
+    return _emit(_table("rho,value", rho, eval_conv(rho, cfg.r1, cfg.r2)), cfg.output)
 
 
 def _run_surface(cfg: argparse.Namespace) -> int:
@@ -188,11 +191,8 @@ def _run_surface(cfg: argparse.Namespace) -> int:
     coords = -cfg.extent / 2.0 + np.arange(n) * cfg.spacing
     values = eval_conv_2d(coords[None, :], coords[:, None], cfg.r1, cfg.r2)
     if cfg.format == "csv":
-        lines = ["x,y,value"]
-        for i in range(n):
-            row = values[i]
-            lines += [f"{_fmt(coords[j])},{_fmt(coords[i])},{_fmt(row[j])}" for j in range(n)]
-        return _emit("\n".join(lines) + "\n", cfg.output)
+        # x runs fastest and y ascends.
+        return _emit(_table("x,y,value", np.tile(coords, n), np.repeat(coords, n), values.ravel()), cfg.output)
     finite = values[np.isfinite(values)]
     vmax = float(np.percentile(finite, 99.0)) if finite.size else 1.0
     if vmax <= 0.0:
@@ -202,7 +202,8 @@ def _run_surface(cfg: argparse.Namespace) -> int:
         f"P2\n# ringconv surface r1={_fmt(cfg.r1)} r2={_fmt(cfg.r2)} extent={_fmt(cfg.extent)}"
         f" spacing={_fmt(cfg.spacing)} clip=p99 rows=y-ascending\n{n} {n}\n255\n"
     )
-    body = "\n".join(" ".join(str(v) for v in row) for row in shades)
+    shade_text = [str(v) for v in range(256)]
+    body = "\n".join(" ".join([shade_text[v] for v in row]) for row in shades.tolist())
     return _emit(header + body + "\n", cfg.output)
 
 
@@ -221,12 +222,8 @@ def _run_mc_check(cfg: argparse.Namespace) -> int:
                                     cfg.bins, cfg.seed, cfg.margin, cfg.sectors)
     code = _report(results)
     if cfg.output is not None:
-        lines = ["rho_center,count,density"]
-        lines += [
-            f"{_fmt(c)},{int(k)},{_fmt(d)}"
-            for c, k, d in zip(hist.centers, hist.counts, hist.density())
-        ]
-        return _emit("\n".join(lines) + "\n", cfg.output) or code
+        return _emit(_table("rho_center,count,density", hist.centers, hist.counts, hist.density()),
+                     cfg.output) or code
     return code
 
 

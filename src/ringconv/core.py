@@ -297,6 +297,11 @@ def phi(rho: float, theta, r1: float, r2: float):
     return rho - psi(theta, r1, r2)
 
 
+def _scale_exponent(r1, r2):
+    """The power of two that puts the larger radius in [0.5, 1); scaling by it is exact."""
+    return np.frexp(np.maximum(r1, r2))[1]
+
+
 def phi_prime(theta, r1, r2):
     """Derivative of phi in theta, ``-r1 r2 sin(theta) / psi(theta)``, broadcast; a float for scalar input.
 
@@ -304,10 +309,15 @@ def phi_prime(theta, r1, r2):
     and NaN where psi vanishes (equal radii, theta = 0 or 2 pi) since the
     derivative has no limit there.
     """
+    # phi' is homogeneous of degree 1 in the radii: on radii scaled by a power of two (exact),
+    # r1 * r2 stays in range at any magnitude, and the result is scaled back.
+    e = _scale_exponent(r1, r2)
+    r1, r2 = np.ldexp(r1, -e), np.ldexp(r2, -e)
     den = psi(theta, r1, r2)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, -r1 * r2 * _pinned_sin(theta) / np.where(den > 0.0, den, 1.0), np.nan)
     # 0/0 at a vanishing-psi point is NaN even when the pinned sin is zero.
+    out = np.ldexp(out, e)
     return float(out) if out.ndim == 0 else out
 
 
@@ -351,7 +361,7 @@ def conv_via_roots(rho, r1, r2):
     theta1 = interior_root(rho, r1, r2)
     # The density is scale invariant and a power-of-two scaling is exact: with the larger radius
     # in [0.5, 1), r1 * r2 and the slopes stay in range at any radii, and ordinary radii keep their bits.
-    e = np.frexp(np.maximum(r1, r2))[1]
+    e = _scale_exponent(r1, r2)
     rho, r1, r2 = np.ldexp(rho, -e), np.ldexp(r1, -e), np.ldexp(r2, -e)
     slopes = np.abs(phi_prime(np.stack([theta1, 2.0 * math.pi - theta1]), r1, r2))
     out = r1 * r2 / rho * np.sum(1.0 / slopes, axis=0)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,9 @@ import pytest
 
 import ringconv
 from ringconv.cli import build_parser, main, parse_args
+from ringconv.core import Circle, eval_conv, eval_conv_2d, support_interval
+from ringconv.operators import _grid_side
+from ringconv.oracle import mc_conv_histogram
 
 
 def run_main(argv, capsys):
@@ -144,6 +148,72 @@ class TestSurface:
             assert "--spacing" in err
 
 
+def expected_artifact(argv):
+    """The artifact of ``argv``, formatted cell by cell from the library's values.
+
+    Each cell goes through an f-string on its NumPy scalar, ``int`` or ``str``,
+    so the CLI's array writers are held to the per-cell format.
+    """
+    cfg = parse_args(argv)
+    if cfg.command == "profile":
+        lo, hi = support_interval(cfg.r1, cfg.r2)
+        rho = np.linspace(0.0, hi + 1.0, cfg.points)
+        rho = np.unique(np.concatenate([rho, [lo, hi, math.hypot(cfg.r1, cfg.r2)]]))
+        rows = [f"{r:.17g},{v:.17g}" for r, v in zip(rho, eval_conv(rho, cfg.r1, cfg.r2))]
+        return "\n".join(["rho,value"] + rows) + "\n"
+    if cfg.command == "mc-check":
+        hist, _ = mc_conv_histogram(Circle(cfg.b1, cfg.r1), Circle(cfg.b2, cfg.r2), cfg.samples, cfg.bins,
+                                    cfg.seed, sectors=cfg.sectors, margin=cfg.margin)
+        rows = [f"{c:.17g},{int(k)},{d:.17g}" for c, k, d in zip(hist.centers, hist.counts, hist.density())]
+        return "\n".join(["rho_center,count,density"] + rows) + "\n"
+    n = _grid_side(cfg.extent, cfg.spacing)
+    coords = -cfg.extent / 2.0 + np.arange(n) * cfg.spacing
+    values = eval_conv_2d(coords[None, :], coords[:, None], cfg.r1, cfg.r2)
+    if cfg.format == "csv":
+        rows = [f"{coords[j]:.17g},{coords[i]:.17g},{values[i, j]:.17g}" for i in range(n) for j in range(n)]
+        return "\n".join(["x,y,value"] + rows) + "\n"
+    finite = values[np.isfinite(values)]
+    vmax = float(np.percentile(finite, 99.0)) if finite.size else 1.0
+    if vmax <= 0.0:
+        vmax = 1.0
+    shades = np.rint(np.clip(values / vmax, 0.0, 1.0) * 255.0).astype(int)
+    header = [
+        "P2",
+        f"# ringconv surface r1={cfg.r1:.17g} r2={cfg.r2:.17g} extent={cfg.extent:.17g}"
+        f" spacing={cfg.spacing:.17g} clip=p99 rows=y-ascending",
+        f"{n} {n}",
+        "255",
+    ]
+    return "\n".join(header + [" ".join(str(v) for v in row) for row in shades]) + "\n"
+
+
+class TestArtifactBytes:
+    @pytest.mark.parametrize("argv", [
+        ["profile"],
+        ["profile", "--r1", "1.7", "--r2", "3.5294117647058822", "--points", "20001"],
+        ["surface", "--extent", "6", "--spacing", "0.05"],
+        ["surface", "--extent", "6", "--spacing", "0.05", "--format", "pgm"],
+        ["surface", "--r1", "1.3", "--r2", "2.2", "--extent", "5.3", "--spacing", "0.03"],
+        ["surface", "--r1", "1.3", "--r2", "2.2", "--extent", "5.3", "--spacing", "0.013", "--format", "pgm"],
+        # At this sample count a statistical verdict fails (exit 1); only the histogram is compared.
+        ["mc-check", "--samples", "100000", "--bins", "77", "--sectors", "16", "--seed", "5"],
+    ], ids=["profile-defaults", "profile-long", "surface-csv", "surface-pgm", "surface-csv-fine",
+            "surface-pgm-fine", "mc-histogram"])
+    def test_file_matches_the_per_cell_reference(self, argv, tmp_path, capsys):
+        path = tmp_path / "artifact"
+        code, out, err = run_main(argv + ["-o", str(path)], capsys)
+        assert err == ""
+        if argv[0] != "mc-check":
+            assert code == 0 and out == ""
+        assert path.read_bytes() == expected_artifact(argv).encode()
+
+    def test_stdout_matches_the_per_cell_reference(self, capsys):
+        argv = ["profile", "--points", "101"]
+        code, out, err = run_main(argv, capsys)
+        assert code == 0 and err == ""
+        assert out == expected_artifact(argv)
+
+
 class TestMcCheck:
     ARGS = ["mc-check", "--samples", "2000000", "--bins", "100", "--sectors", "64"]
 
@@ -234,6 +304,13 @@ class TestCircleAverage:
         assert code == 0
         assert out.count("PASS") == 5 and "FAIL" not in out
 
+    @pytest.mark.parametrize("r1", ["1", "3"])
+    def test_far_centre_passes(self, r1, capsys):
+        # The float nodes lie up to eps (R + |x|), about 2e-9 here, off the circle: over the constant 1e-12.
+        code, out, err = run_main(["circle-average", "--r1", r1, "--b1", "1e7", "0"], capsys)
+        assert code == 0 and err == ""
+        assert out.count("PASS") == 5 and "FAIL" not in out
+
 
 class TestIdentityChecks:
     def test_hankel_single_pair(self, capsys):
@@ -307,9 +384,12 @@ class TestIdentityChecks:
         (["surface", "--r1", "1e308", "--r2", "1e308"], "--r1"),
         (["mc-check", "--r1", "1e308", "--r2", "1e308", "--samples", "1000"], "--r1"),
         (["roots-check", "--r1", "1e308", "--r2", "1e308"], "--r1"),
+        (["hankel-check", "--r1", "1e308", "--r2", "1e308"], "--r1"),
+        (["neumann-check", "--r1", "1e308", "--r2", "1e308"], "--r1"),
     ], ids=["hankel-collapsed-support", "hankel-thin-support", "mass-thin-support",
             "mass-squared-support-overflows", "roots-collapsed-support", "profile-outer-radius-overflows",
-            "surface-outer-radius-overflows", "mc-outer-radius-overflows", "roots-outer-radius-overflows"])
+            "surface-outer-radius-overflows", "mc-outer-radius-overflows", "roots-outer-radius-overflows",
+            "hankel-outer-radius-overflows", "neumann-outer-radius-overflows"])
     def test_degenerate_supports_exit_2_and_name_the_flag(self, argv, flag, capsys):
         code, out, err = run_main(argv, capsys)
         assert code == 2 and out == ""

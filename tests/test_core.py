@@ -215,6 +215,14 @@ class TestPsiPhi:
         assert math.isnan(phi_prime(0.0, 1.0, 1.0))
         assert math.isnan(phi_prime(2.0 * math.pi, 1.0, 1.0))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_phi_prime_in_range_at_extreme_radii(self, scale):
+        # r1 * r2 leaves the float range here; phi' is homogeneous of degree 1 in the radii.
+        theta = np.array([0.3, 1.0, 2.5])
+        assert_allclose(phi_prime(theta, 1.0 * scale, 1.5 * scale), scale * phi_prime(theta, 1.0, 1.5),
+                        rtol=1e-14)
+        assert_allclose(phi_prime(1.0, scale, scale), scale * phi_prime(1.0, 1.0, 1.0), rtol=1e-14)
+
 
 class TestRootPath:
     def test_unit_root_is_sixty_degrees(self):
