@@ -18,6 +18,8 @@ Bessel I0 of the smoothing is ``special.i0e``.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +42,11 @@ __all__ = [
 # Fixed chunk size for the counter-based sampler.  Chunk c always uses the
 # substream jumped(c) of the seeded generator, so the histogram and the
 # sector counts are sums of per-chunk integer count vectors and are
-# bit-identical however the chunks are scheduled.
+# bit-identical however the worker threads of ``mc_conv_histogram`` share
+# the chunks out.
 _CHUNK = 1 << 20
+# Samples per block of a chunk's arithmetic, so each worker's temporaries stay cache-sized.
+_BLOCK = 1 << 16
 # Nodes of the planar rule in ``smoothed_profile``.
 _SMOOTHING_NODES = 2048
 
@@ -83,20 +88,38 @@ class RadialHistogram:
         return self.counts / self.total_samples * self.mass_scale / area
 
 
-def _chunk_angles(seed: int, chunk_index: int, count: int, r1: float, r2: float):
-    """Offsets ``dx, dy`` from b1 + b2 of ``count`` summed samples from substream chunk_index.
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    theta1 is drawn before theta2.  The center offsets cancel before any
+
+def _chunk_counts(seed: int, chunk_index: int, count: int, r1: float, r2: float, edges: np.ndarray,
+                  counts: np.ndarray, sector_counts: np.ndarray) -> None:
+    """Add the radius and sector counts of ``count`` samples from substream chunk_index.
+
+    theta1 is drawn before theta2, each for the whole chunk; the arithmetic
+    then runs in blocks of ``_BLOCK`` samples, and every sample's value is the
+    same as in one whole-chunk pass.  The center offsets cancel before any
     arithmetic happens: the sampled point relative to b1 + b2 is
     ``r1 e(theta1) + r2 e(theta2)``, so shifted and concentric circles give
-    bitwise identical streams.
+    bitwise identical counts.
     """
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
     theta1 = rng.uniform(0.0, 2.0 * math.pi, count)
     theta2 = rng.uniform(0.0, 2.0 * math.pi, count)
-    dx = r1 * np.cos(theta1) + r2 * np.cos(theta2)
-    dy = r1 * np.sin(theta1) + r2 * np.sin(theta2)
-    return dx, dy
+    sectors = sector_counts.size
+    width = 2.0 * math.pi / sectors
+    for start in range(0, count, _BLOCK):
+        t1, t2 = theta1[start:start + _BLOCK], theta2[start:start + _BLOCK]
+        dx = r1 * np.cos(t1) + r2 * np.cos(t2)
+        dy = r1 * np.sin(t1) + r2 * np.sin(t2)
+        counts += np.histogram(np.hypot(dx, dy), bins=edges)[0]
+        angle = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
+        idx = np.minimum((angle / width).astype(np.int64), sectors - 1)
+        sector_counts += np.bincount(idx, minlength=sectors)
 
 
 def mc_conv_histogram(
@@ -108,32 +131,56 @@ def mc_conv_histogram(
     *,
     sectors: int,
     margin: float = 0.2,
+    workers: int | None = None,
 ) -> tuple[RadialHistogram, np.ndarray]:
     """Radius histogram and angle-sector counts of p - (b1 + b2), p a sum of uniform circle points.
 
     Bins cover ``[0, r1 + r2 + margin]`` uniformly and sectors ``[0, 2 pi)``;
     the sector counts should be flat to Poisson noise (the caller applies the
     bound).  Each chunk is drawn once for both, from a counter-based substream
-    derived from the seed, and integer counts are summed, so reruns and any
-    parallel schedule of chunks give bit-identical counts.  Raises a
-    ``ParameterError`` naming ``bins`` or ``sectors`` outside ``[1, 2^20]``
-    (the chunk size) before allocating, and one naming the larger radius
-    where ``r1 + r2`` overflows; ``samples < 1`` is a ``ValueError``.
+    derived from the seed.  ``workers`` threads (default: the cores this
+    process may use, at most one per chunk; ``1`` runs on the calling thread)
+    each take every ``workers``-th chunk and sum its integer counts into their
+    own vectors, which are then added, so reruns and every ``workers`` give
+    bit-identical counts.  Raises a ``ParameterError`` naming ``bins`` or
+    ``sectors`` outside ``[1, 2^20]`` (the chunk size) or ``workers`` below 1
+    before allocating, and one naming the larger radius where ``r1 + r2``
+    overflows; ``samples < 1`` is a ``ValueError``.  An exception in any chunk
+    reaches the caller after every thread has stopped.
     """
     for name, value in (("bins", bins), ("sectors", sectors)):
         if not 1 <= value <= _CHUNK:
             raise ParameterError(name, f"need 1 <= {name} <= {_CHUNK}, got {value}")
+    if workers is not None and workers < 1:
+        raise ParameterError("workers", f"need workers >= 1, got {workers}")
     r1, r2 = c1.radius, c2.radius
     edges = np.linspace(0.0, support_interval(r1, r2)[1] + margin, bins + 1)
-    counts = np.zeros(bins, dtype=np.int64)
-    sector_counts = np.zeros(sectors, dtype=np.int64)
-    width = 2.0 * math.pi / sectors
-    for start in range(0, samples, _CHUNK):
-        dx, dy = _chunk_angles(seed, start // _CHUNK, min(_CHUNK, samples - start), r1, r2)
-        counts += np.histogram(np.hypot(dx, dy), bins=edges)[0]
-        angle = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
-        idx = np.minimum((angle / width).astype(np.int64), sectors - 1)
-        sector_counts += np.bincount(idx, minlength=sectors)
+    chunks = -(-samples // _CHUNK)
+    workers = max(1, min(_usable_cores() if workers is None else workers, chunks))
+    totals = [(np.zeros(bins, dtype=np.int64), np.zeros(sectors, dtype=np.int64)) for _ in range(workers)]
+    errors = []
+
+    def work(k):
+        try:
+            for c in range(k, chunks, workers):
+                if errors:
+                    return
+                _chunk_counts(seed, c, min(_CHUNK, samples - c * _CHUNK), r1, r2, edges, *totals[k])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    counts = sum(c for c, _ in totals)
+    sector_counts = sum(s for _, s in totals)
     return RadialHistogram(edges, counts, samples, ConvKernel(r1, r2).mass), sector_counts
 
 

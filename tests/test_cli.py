@@ -417,3 +417,9 @@ class TestModuleEntryPoint:
     def test_import_loads_no_scipy(self):
         proc = run_child("-c", "import sys, ringconv; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+    def test_import_loads_no_thread_pool(self):
+        # The sampler's workers are plain threads: concurrent.futures (and the
+        # logging it pulls in) would add to every command's start-up time.
+        proc = run_child("-c", "import sys, ringconv; print('concurrent.futures' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout == "False\n"

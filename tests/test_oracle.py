@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
 import math
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,17 +93,111 @@ class TestMonteCarlo:
         assert np.array_equal(fine_sectors.reshape(8, 2).sum(axis=1), coarse_sectors)
 
     def test_counts_are_pinned(self):
-        # sha256 of the little-endian int64 counts: any change of substream, arithmetic or order moves them.
-        h, sector_counts = mc_conv_histogram(C1, C2, 1_572_864, 64, seed=13, sectors=16)
-        digest = [hashlib.sha256(c.astype("<i8").tobytes()).hexdigest() for c in (h.counts, sector_counts)]
-        assert digest == ["6018950d892ea5cec688ec615dac071ff241ee068ecc0e12af6a82a1931298f5",
-                          "3c849988c0e5451ed0681f15dcebda9cdc60c34065c2d9eb72d8ee0365f86280"]
+        # sha256 of the little-endian int64 counts: any change of substream, arithmetic or order moves
+        # them, and no worker count may.
+        for workers in (None, 1, 2, 3):
+            h, sector_counts = mc_conv_histogram(C1, C2, 1_572_864, 64, seed=13, sectors=16, workers=workers)
+            digest = [hashlib.sha256(c.astype("<i8").tobytes()).hexdigest() for c in (h.counts, sector_counts)]
+            assert digest == ["6018950d892ea5cec688ec615dac071ff241ee068ecc0e12af6a82a1931298f5",
+                              "3c849988c0e5451ed0681f15dcebda9cdc60c34065c2d9eb72d8ee0365f86280"], workers
+
+    @pytest.mark.parametrize("samples", [2**16 - 1, 2**16 + 1, 2**20 + 2**16 + 1, 3 * 2**20 - 7])
+    def test_blocks_and_workers_match_whole_chunk_arithmetic(self, samples):
+        # Sample counts that end inside a block and inside a chunk, against
+        # each chunk's samples computed in one pass, chunk after chunk.
+        c1, c2, seed, bins, sectors = Circle((0.5, -1.0), 2.0), Circle((0.0, 0.25), 3.0), 29, 37, 7
+        edges = np.linspace(0.0, 5.0 + 0.2, bins + 1)
+        width = 2.0 * math.pi / sectors
+        counts, sector_counts = np.zeros(bins, np.int64), np.zeros(sectors, np.int64)
+        for c, start in enumerate(range(0, samples, 2**20)):
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(c))
+            n = min(2**20, samples - start)
+            theta1, theta2 = rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n)
+            dx = 2.0 * np.cos(theta1) + 3.0 * np.cos(theta2)
+            dy = 2.0 * np.sin(theta1) + 3.0 * np.sin(theta2)
+            counts += np.histogram(np.hypot(dx, dy), bins=edges)[0]
+            angle = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
+            sector_counts += np.bincount(np.minimum((angle / width).astype(np.int64), sectors - 1),
+                                         minlength=sectors)
+        for workers in (1, 2, 3):
+            h, got_sectors = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors, workers=workers)
+            assert np.array_equal(h.counts, counts) and np.array_equal(got_sectors, sector_counts)
+
+    def test_workers_default_to_the_usable_cores(self, monkeypatch):
+        # At most one worker per chunk: 3 chunks on 8 cores run on the caller and 2 threads.
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(oracle.threading, "Thread", Recorded)
+        h, _ = mc_conv_histogram(C1, C2, 2 * 2**20 + 1, 8, seed=3, sectors=1)
+        assert len(started) == 2 and h.counts.sum() == 2 * 2**20 + 1
 
     def test_validation(self):
         # Counts above 2^20, the chunk size, are refused before anything is allocated.
         for samples, bins, sectors in ((0, 10, 1), (10, 0, 1), (10, 10, 0), (10, 2**20 + 1, 1), (10, 10, 2**20 + 1)):
             with pytest.raises(ValueError):
                 mc_conv_histogram(C1, C2, samples, bins, seed=1, sectors=sectors)
+
+
+def load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+class TestSamplerThreads:
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4, workers=3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_error_in_one_chunk_reaches_the_caller(self, monkeypatch, workers):
+        # With 2 workers, chunk 1 runs on the second thread.
+        chunk_counts = oracle._chunk_counts
+
+        def failing(seed, chunk_index, *args):
+            if chunk_index == 1:
+                raise RuntimeError("chunk 1 failed")
+            return chunk_counts(seed, chunk_index, *args)
+
+        monkeypatch.setattr(oracle, "_chunk_counts", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            mc_conv_histogram(C1, C2, 4 * 2**20, 8, seed=1, sectors=4, workers=workers)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("bins, sectors, workers, param", [
+        (0, 4, 2, "bins"), (2**20 + 1, 4, 2, "bins"), (8, 0, 2, "sectors"), (8, 2**20 + 1, 2, "sectors"),
+        (8, 4, 0, "workers"),
+    ])
+    def test_input_errors_come_before_any_thread(self, monkeypatch, bins, sectors, workers, param):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(oracle.threading, "Thread", no_threads)
+        with pytest.raises(ParameterError) as exc:
+            mc_conv_histogram(C1, C2, 3 * 2**20, bins, seed=1, sectors=sectors, workers=workers)
+        assert exc.value.param == param
+
+    def test_workers_call_no_public_function(self):
+        # A traced function called on a worker thread would record a span with
+        # no parent; the benchmark's tracer must see one sampler span per pass.
+        tracer = load_tracer()
+        tracer.install()
+        try:
+            oracle.mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4, workers=3)
+        finally:
+            tracer.uninstall()
+        spans, _ = tracer.take()
+        assert [name for _, name, _, _, parent, _, _ in spans if parent is None] == ["oracle.mc_conv_histogram"]
 
 
 class TestRadiality:
