@@ -45,7 +45,10 @@ __all__ = [
 # bit-identical however the worker threads of ``mc_conv_histogram`` share
 # the chunks out.
 _CHUNK = 1 << 20
-# Samples per block of a chunk's arithmetic, so each worker's temporaries stay cache-sized.
+# Samples per block of a chunk's draws and arithmetic.  Each worker holds one
+# block's temporaries, about 2 MB, so peak memory grows slowly with the core
+# count.  Timing mc-check on 2 cores, blocks of 2^14 to 2^20 ran equally fast
+# and 2^12 slower.
 _BLOCK = 1 << 16
 # Nodes of the planar rule in ``smoothed_profile``.
 _SMOOTHING_NODES = 2048
@@ -100,20 +103,25 @@ def _chunk_counts(seed: int, chunk_index: int, count: int, r1: float, r2: float,
                   counts: np.ndarray, sector_counts: np.ndarray) -> None:
     """Add the radius and sector counts of ``count`` samples from substream chunk_index.
 
-    theta1 is drawn before theta2, each for the whole chunk; the arithmetic
-    then runs in blocks of ``_BLOCK`` samples, and every sample's value is the
-    same as in one whole-chunk pass.  The center offsets cancel before any
-    arithmetic happens: the sampled point relative to b1 + b2 is
-    ``r1 e(theta1) + r2 e(theta2)``, so shifted and concentric circles give
-    bitwise identical counts.
+    The substream gives theta1 for the whole chunk, then theta2.  Both are
+    drawn and used in blocks of ``_BLOCK`` samples: a second copy of the
+    substream starts past theta1 (``advance`` skips whole Philox outputs of
+    four draws each, ``random_raw`` the rest), so every sample's angles and
+    arithmetic are the same as in one whole-chunk pass.  The center offsets
+    cancel before any arithmetic happens: the sampled point relative to
+    b1 + b2 is ``r1 e(theta1) + r2 e(theta2)``, so shifted and concentric
+    circles give bitwise identical counts.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
-    theta1 = rng.uniform(0.0, 2.0 * math.pi, count)
-    theta2 = rng.uniform(0.0, 2.0 * math.pi, count)
+    first = np.random.Philox(key=seed).jumped(chunk_index)
+    second = np.random.Philox(key=seed).jumped(chunk_index)
+    second.advance(count // 4)
+    second.random_raw(count % 4)
+    rng1, rng2 = np.random.Generator(first), np.random.Generator(second)
     sectors = sector_counts.size
     width = 2.0 * math.pi / sectors
     for start in range(0, count, _BLOCK):
-        t1, t2 = theta1[start:start + _BLOCK], theta2[start:start + _BLOCK]
+        n = min(_BLOCK, count - start)
+        t1, t2 = rng1.uniform(0.0, 2.0 * math.pi, n), rng2.uniform(0.0, 2.0 * math.pi, n)
         dx = r1 * np.cos(t1) + r2 * np.cos(t2)
         dy = r1 * np.sin(t1) + r2 * np.sin(t2)
         counts += np.histogram(np.hypot(dx, dy), bins=edges)[0]
@@ -131,32 +139,30 @@ def mc_conv_histogram(
     *,
     sectors: int,
     margin: float = 0.2,
-    workers: int | None = None,
 ) -> tuple[RadialHistogram, np.ndarray]:
     """Radius histogram and angle-sector counts of p - (b1 + b2), p a sum of uniform circle points.
 
     Bins cover ``[0, r1 + r2 + margin]`` uniformly and sectors ``[0, 2 pi)``;
     the sector counts should be flat to Poisson noise (the caller applies the
     bound).  Each chunk is drawn once for both, from a counter-based substream
-    derived from the seed.  ``workers`` threads (default: the cores this
-    process may use, at most one per chunk; ``1`` runs on the calling thread)
-    each take every ``workers``-th chunk and sum its integer counts into their
-    own vectors, which are then added, so reruns and every ``workers`` give
-    bit-identical counts.  Raises a ``ParameterError`` naming ``bins`` or
-    ``sectors`` outside ``[1, 2^20]`` (the chunk size) or ``workers`` below 1
+    derived from the seed.  The chunks run on one worker per core in the
+    process's affinity mask, at most one per chunk, the calling thread being
+    the first: worker k of n takes chunks k, k + n, ... and sums their integer
+    counts into its own vectors, which are then added, so reruns give
+    bit-identical counts on any number of cores.  Raises a ``ParameterError``
+    naming ``bins`` or ``sectors`` outside ``[1, 2^20]`` (the chunk size)
     before allocating, and one naming the larger radius where ``r1 + r2``
-    overflows; ``samples < 1`` is a ``ValueError``.  An exception in any chunk
-    reaches the caller after every thread has stopped.
+    overflows; ``samples < 1`` is a ``ValueError``.  An exception in any chunk,
+    or an interrupt while the caller waits, stops the other workers at their
+    next chunk and reaches the caller after every thread has stopped.
     """
     for name, value in (("bins", bins), ("sectors", sectors)):
         if not 1 <= value <= _CHUNK:
             raise ParameterError(name, f"need 1 <= {name} <= {_CHUNK}, got {value}")
-    if workers is not None and workers < 1:
-        raise ParameterError("workers", f"need workers >= 1, got {workers}")
     r1, r2 = c1.radius, c2.radius
     edges = np.linspace(0.0, support_interval(r1, r2)[1] + margin, bins + 1)
     chunks = -(-samples // _CHUNK)
-    workers = max(1, min(_usable_cores() if workers is None else workers, chunks))
+    workers = max(1, min(_usable_cores(), chunks))
     totals = [(np.zeros(bins, dtype=np.int64), np.zeros(sectors, dtype=np.int64)) for _ in range(workers)]
     errors = []
 
@@ -172,10 +178,12 @@ def mc_conv_histogram(
     threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
     for thread in threads:
         thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in threads:
+    work(0)
+    for thread in threads:
+        try:
+            thread.join()
+        except BaseException as exc:
+            errors.append(exc)
             thread.join()
     if errors:
         raise errors[0]

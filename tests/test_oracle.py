@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import math
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -92,19 +93,22 @@ class TestMonteCarlo:
         assert np.array_equal(fine.counts.reshape(32, 2).sum(axis=1), coarse.counts)
         assert np.array_equal(fine_sectors.reshape(8, 2).sum(axis=1), coarse_sectors)
 
-    def test_counts_are_pinned(self):
+    def test_counts_are_pinned(self, monkeypatch):
         # sha256 of the little-endian int64 counts: any change of substream, arithmetic or order moves
-        # them, and no worker count may.
-        for workers in (None, 1, 2, 3):
-            h, sector_counts = mc_conv_histogram(C1, C2, 1_572_864, 64, seed=13, sectors=16, workers=workers)
+        # them, and no core count may.
+        for cores in (None, 1, 2, 3):
+            if cores is not None:
+                monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+            h, sector_counts = mc_conv_histogram(C1, C2, 1_572_864, 64, seed=13, sectors=16)
             digest = [hashlib.sha256(c.astype("<i8").tobytes()).hexdigest() for c in (h.counts, sector_counts)]
             assert digest == ["6018950d892ea5cec688ec615dac071ff241ee068ecc0e12af6a82a1931298f5",
-                              "3c849988c0e5451ed0681f15dcebda9cdc60c34065c2d9eb72d8ee0365f86280"], workers
+                              "3c849988c0e5451ed0681f15dcebda9cdc60c34065c2d9eb72d8ee0365f86280"], cores
 
-    @pytest.mark.parametrize("samples", [2**16 - 1, 2**16 + 1, 2**20 + 2**16 + 1, 3 * 2**20 - 7])
-    def test_blocks_and_workers_match_whole_chunk_arithmetic(self, samples):
-        # Sample counts that end inside a block and inside a chunk, against
-        # each chunk's samples computed in one pass, chunk after chunk.
+    @pytest.mark.parametrize("samples", [2**16 - 1, 2**16 + 1, 2**16 + 2, 2**20 + 2**16 + 1, 3 * 2**20 - 7])
+    def test_blocks_and_workers_match_whole_chunk_arithmetic(self, monkeypatch, samples):
+        # Sample counts that end inside a block and inside a chunk, and leave
+        # every remainder of the four draws per Philox output, against each
+        # chunk's samples drawn and computed in one pass, chunk after chunk.
         c1, c2, seed, bins, sectors = Circle((0.5, -1.0), 2.0), Circle((0.0, 0.25), 3.0), 29, 37, 7
         edges = np.linspace(0.0, 5.0 + 0.2, bins + 1)
         width = 2.0 * math.pi / sectors
@@ -119,8 +123,9 @@ class TestMonteCarlo:
             angle = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
             sector_counts += np.bincount(np.minimum((angle / width).astype(np.int64), sectors - 1),
                                          minlength=sectors)
-        for workers in (1, 2, 3):
-            h, got_sectors = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors, workers=workers)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+            h, got_sectors = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors)
             assert np.array_equal(h.counts, counts) and np.array_equal(got_sectors, sector_counts)
 
     def test_workers_default_to_the_usable_cores(self, monkeypatch):
@@ -153,13 +158,14 @@ def load_tracer():
 
 
 class TestSamplerThreads:
-    def test_no_thread_outlives_a_call(self):
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 3)
         before = threading.active_count()
-        mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4, workers=3)
+        mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_an_error_in_one_chunk_reaches_the_caller(self, monkeypatch, workers):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_an_error_in_one_chunk_reaches_the_caller(self, monkeypatch, cores):
         # With 2 workers, chunk 1 runs on the second thread.
         chunk_counts = oracle._chunk_counts
 
@@ -169,31 +175,62 @@ class TestSamplerThreads:
             return chunk_counts(seed, chunk_index, *args)
 
         monkeypatch.setattr(oracle, "_chunk_counts", failing)
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
-            mc_conv_histogram(C1, C2, 4 * 2**20, 8, seed=1, sectors=4, workers=workers)
+            mc_conv_histogram(C1, C2, 4 * 2**20, 8, seed=1, sectors=4)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("bins, sectors, workers, param", [
-        (0, 4, 2, "bins"), (2**20 + 1, 4, 2, "bins"), (8, 0, 2, "sectors"), (8, 2**20 + 1, 2, "sectors"),
-        (8, 4, 0, "workers"),
+    def test_an_interrupted_wait_stops_the_workers(self, monkeypatch):
+        # The caller runs its chunks at once and is interrupted while joining;
+        # the other worker, at 50 ms a chunk, must stop at its next chunk
+        # rather than run all ten of its chunks.
+        caller, worker_chunks = threading.get_ident(), []
+
+        def slow_off_the_caller(seed, chunk_index, *args):
+            if threading.get_ident() != caller:
+                worker_chunks.append(chunk_index)
+                time.sleep(0.05)
+
+        class InterruptedJoin(threading.Thread):
+            interrupted = False
+
+            def join(self, timeout=None):
+                if not InterruptedJoin.interrupted:
+                    InterruptedJoin.interrupted = True
+                    raise KeyboardInterrupt
+                super().join(timeout)
+
+        monkeypatch.setattr(oracle, "_chunk_counts", slow_off_the_caller)
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(oracle.threading, "Thread", InterruptedJoin)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            mc_conv_histogram(C1, C2, 20 * 2**20, 8, seed=1, sectors=4)
+        assert threading.active_count() == before
+        assert len(worker_chunks) < 10
+
+    @pytest.mark.parametrize("bins, sectors, param", [
+        (0, 4, "bins"), (2**20 + 1, 4, "bins"), (8, 0, "sectors"), (8, 2**20 + 1, "sectors"),
     ])
-    def test_input_errors_come_before_any_thread(self, monkeypatch, bins, sectors, workers, param):
+    def test_input_errors_come_before_any_thread(self, monkeypatch, bins, sectors, param):
         def no_threads(*args, **kwargs):
             raise AssertionError("a thread was started")
 
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
         monkeypatch.setattr(oracle.threading, "Thread", no_threads)
         with pytest.raises(ParameterError) as exc:
-            mc_conv_histogram(C1, C2, 3 * 2**20, bins, seed=1, sectors=sectors, workers=workers)
+            mc_conv_histogram(C1, C2, 3 * 2**20, bins, seed=1, sectors=sectors)
         assert exc.value.param == param
 
-    def test_workers_call_no_public_function(self):
+    def test_workers_call_no_public_function(self, monkeypatch):
         # A traced function called on a worker thread would record a span with
         # no parent; the benchmark's tracer must see one sampler span per pass.
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 3)
         tracer = load_tracer()
         tracer.install()
         try:
-            oracle.mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4, workers=3)
+            oracle.mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4)
         finally:
             tracer.uninstall()
         spans, _ = tracer.take()
