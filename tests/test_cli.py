@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ringconv
-from ringconv.cli import build_parser, main, parse_args
+from ringconv.cli import _table, build_parser, main, parse_args
 from ringconv.core import Circle, eval_conv, eval_conv_2d, support_interval
 from ringconv.operators import _grid_side
 from ringconv.oracle import mc_conv_histogram
@@ -195,10 +195,16 @@ class TestArtifactBytes:
         ["surface", "--extent", "6", "--spacing", "0.05", "--format", "pgm"],
         ["surface", "--r1", "1.3", "--r2", "2.2", "--extent", "5.3", "--spacing", "0.03"],
         ["surface", "--r1", "1.3", "--r2", "2.2", "--extent", "5.3", "--spacing", "0.013", "--format", "pgm"],
+        # Grids of side 1 and 2, where the first shade of a row is also its last.
+        ["surface", "--extent", "0.5", "--spacing", "1", "--format", "pgm"],
+        ["surface", "--extent", "1", "--spacing", "1", "--format", "pgm"],
+        # Every sample lies inside the inner hole, so the density is all zeros and vmax falls back to 1.
+        ["surface", "--r1", "1", "--r2", "3", "--extent", "1", "--spacing", "0.1", "--format", "pgm"],
         # At this sample count a statistical verdict fails (exit 1); only the histogram is compared.
         ["mc-check", "--samples", "100000", "--bins", "77", "--sectors", "16", "--seed", "5"],
     ], ids=["profile-defaults", "profile-long", "surface-csv", "surface-pgm", "surface-csv-fine",
-            "surface-pgm-fine", "mc-histogram"])
+            "surface-pgm-fine", "surface-pgm-side-1", "surface-pgm-side-2", "surface-pgm-zeros",
+            "mc-histogram"])
     def test_file_matches_the_per_cell_reference(self, argv, tmp_path, capsys):
         path = tmp_path / "artifact"
         code, out, err = run_main(argv + ["-o", str(path)], capsys)
@@ -206,6 +212,18 @@ class TestArtifactBytes:
         if argv[0] != "mc-check":
             assert code == 0 and out == ""
         assert path.read_bytes() == expected_artifact(argv).encode()
+
+    def test_table_keeps_the_text_of_each_cell(self):
+        # Equal values with different bits (0.0 and -0.0, NaN payloads) must not share a text.
+        nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+                      0.1, 0.1, -0.0, 0.0, nan_payload, -np.nan, 5e-324, -1.7976931348623157e308])
+        y = x[::-1]
+        k = np.array([-7, 2**53 + 1, 2**63 - 1, -2**63, 0, -7, 2**53 + 1, 2**53, -1, 0, 9,
+                      2**63 - 1, -2**53 - 1, 3, 3], dtype=np.int64)
+        rows = [f"{a:.17g},{b:.17g},{c}" for a, b, c in zip(x, y, k)]
+        assert _table("x,y,k", x, y, k) == "\n".join(["x,y,k"] + rows) + "\n"
+        assert {"0", "-0"} <= {row.split(",")[0] for row in rows}
 
     def test_stdout_matches_the_per_cell_reference(self, capsys):
         argv = ["profile", "--points", "101"]
