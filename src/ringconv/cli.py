@@ -214,7 +214,7 @@ def _run_surface(cfg: argparse.Namespace) -> int:
         # x runs fastest and y ascends.
         return _emit(_table("x,y,value", np.tile(coords, n), np.repeat(coords, n), values.ravel()), cfg.output)
     finite = values[np.isfinite(values)]
-    vmax = float(np.percentile(finite, 99.0)) if finite.size else 1.0
+    vmax = float(np.percentile(finite, 99.0, overwrite_input=True)) if finite.size else 1.0
     del finite
     if vmax <= 0.0:
         vmax = 1.0

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +39,6 @@ __all__ = [
     "total_mass",
 ]
 
-# Smallest normal float; ``_interior_density`` falls back below it.
-_TINY = sys.float_info.min
 # Bracket width at which the root route's bisection stops.
 _BISECTION_TOL = 1e-13
 
@@ -127,9 +124,10 @@ def classify(rho: float, r1: float, r2: float) -> SupportClass:
 
     Comparisons are exact floating-point comparisons: a rho that is one ulp
     inside the support is INTERIOR, and only the exact endpoint floats are
-    endpoint-classified.  ``rho == 0`` is always ORIGIN, taking precedence
-    over LOWER_ENDPOINT in the equal-radii case where the support touches
-    the origin.
+    endpoint-classified; each rounded end is within half an ulp of the exact
+    one, so an INTERIOR float is strictly inside the exact support too.
+    ``rho == 0`` is always ORIGIN, taking precedence over LOWER_ENDPOINT in
+    the equal-radii case where the support touches the origin.
     """
     rho = float(rho)
     if rho < 0.0 or not math.isfinite(rho):
@@ -151,63 +149,65 @@ def classify(rho: float, r1: float, r2: float) -> SupportClass:
 def eval_conv(rho, r1: float, r2: float):
     """Evaluate the closed-form convolution density at radius rho.
 
-    Returns the interior formula strictly inside the support, ``0.0``
-    strictly outside, and ``+inf`` at the two endpoint radii (the density
-    has integrable inverse-square-root singularities there, so the sentinel
-    marks "finite-valued formula does not apply" rather than a limit).  At
-    ``rho == 0`` the value is 0.0 for distinct radii and ``+inf`` for equal
-    radii, where the support closure touches the origin.
+    Returns the interior formula, to a few ulps at any radii, strictly inside
+    the support, ``0.0`` strictly outside, and ``+inf`` at the two endpoint
+    radii (the density has integrable inverse-square-root singularities there,
+    so the sentinel marks "finite-valued formula does not apply" rather than a
+    limit).  At ``rho == 0`` the value is 0.0 for distinct radii and ``+inf``
+    for equal radii, where the support closure touches the origin.
 
     Accepts a scalar or an ndarray of radii; negative entries are rejected.
     """
     lo, hi = support_interval(r1, r2)
-    # Validated above; as Python floats the products below overflow to inf
-    # without a warning, even for NumPy scalar radii.
-    r1, r2 = float(r1), float(r2)
     arr = np.asarray(rho, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if not ((arr >= 0.0) & (arr < math.inf)).all():
         raise ValueError("rho values must be finite and >= 0")
 
     out = np.zeros_like(arr)
     interior = (arr > lo) & (arr < hi)
     if interior.any():
-        out[interior] = _interior_density(arr[interior], lo, hi, r1, r2)
+        out[interior] = _interior_density(arr[interior], r1, r2)
+    # For equal radii lo == 0, so this also writes +inf at the origin.
     out[(arr == lo) | (arr == hi)] = np.inf
-    # At the origin the equal-radii endpoint rule above already wrote +inf
-    # (lo == 0 exactly); for distinct radii rho = 0 lies below the support.
-    if r1 != r2:
-        out[arr == 0.0] = 0.0
     return float(out[0]) if scalar else out
 
 
-def _interior_density(p: np.ndarray, lo: float, hi: float, r1: float, r2: float) -> np.ndarray:
-    """``4 r1 r2 / sqrt((p - lo)(p + lo)(hi - p)(hi + p))`` at radii strictly inside the support.
+def _interior_density(p: np.ndarray, r1: float, r2: float) -> np.ndarray:
+    """``4 r1 r2 / sqrt((p^2 - (r1 - r2)^2)((r1 + r2)^2 - p^2))`` at radii strictly inside the support.
 
-    The radicand is factored: each difference of distinct floats is nonzero,
-    so radii even one ulp inside the support get a finite value instead of a
-    rounded-to-zero denominator.  Where the numerator or a partial product of
-    the radicand leaves the normal range, two factors ``sqrt(r1) sqrt(r2)``
-    are each divided by two of the four square roots one root at a time,
-    which keeps every intermediate in range; a density beyond the float range
-    comes out as ``inf``.  Other radii keep the plain formula's bits.
+    The density is scale invariant, so p and the radii are first scaled, exactly, by the power of two that
+    puts the larger radius in [0.5, 1).  The radicand is factored as ``(p - lo)(hi + p) (hi - p)(p + lo)``
+    with each end's rounding error put back into its difference, so the value is within a few ulps at any
+    radius ratio, and neither square root's argument leaves the float range while the density stays in it;
+    a density beyond the largest float is ``inf``.  The call holds three arrays the size of ``p``.
     """
-    numerator = 4.0 * r1 * r2
-    numerator_normal = _TINY <= numerator < math.inf
-    if numerator_normal:
-        try:
-            with np.errstate(under="raise", over="raise"):
-                return numerator / np.sqrt((p - lo) * (p + lo) * (hi - p) * (hi + p))
-        except FloatingPointError:
-            pass
-    with np.errstate(all="ignore"):
-        partial = np.cumprod([p - lo, p + lo, hi - p, hi + p], axis=0)
-        direct = numerator / np.sqrt(partial[-1])
-        g = np.sqrt(r1) * np.sqrt(r2)
-        stepwise = 4.0 * (g / np.sqrt(hi + p) / np.sqrt(p - lo)) * (g / np.sqrt(hi - p) / np.sqrt(p + lo))
-    normal = numerator_normal & np.all((partial >= _TINY) & (partial < math.inf), axis=0)
-    return np.where(normal, direct, stepwise)
+    # _scale_exponent's power of two; on Python floats math.frexp costs a tenth of np.frexp.
+    e = math.frexp(max(r1, r2))[1]
+    big, small = math.ldexp(max(r1, r2), -e), math.ldexp(min(r1, r2), -e)
+    lo, lo_err, hi, hi_err = _exact_ends(big, small)
+    p = np.ldexp(p, -e)
+    a = (p - lo) - lo_err
+    a *= hi + p
+    b = (hi - p) + hi_err
+    p += lo
+    b *= p
+    np.sqrt(a, out=a)
+    a *= np.sqrt(b, out=b)
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.divide(4.0 * big * small, a, out=a)
+
+
+def _exact_ends(r1: float, r2: float) -> tuple[float, float, float, float]:
+    """``support_interval``'s ends and their errors: ``|r1 - r2| = lo + lo_err``, ``r1 + r2 = hi + hi_err``.
+
+    Fast2Sum gives each error exactly (Dekker, Numer. Math. 18, 1971).  It is at most half an ulp of its
+    end, so every float strictly between ``lo`` and ``hi`` lies strictly inside the exact support.
+    """
+    lo, hi = support_interval(r1, r2)
+    big, small = max(r1, r2), min(r1, r2)
+    return lo, (big - lo) - small, hi, small - (hi - big)
 
 
 def eval_conv_2d(x, y, r1: float, r2: float, center: tuple[float, float] = (0.0, 0.0)):
@@ -384,15 +384,15 @@ def _planar_rule(r1: float, r2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``[lo^2, hi^2]``, where the n-node Chebyshev singular rule gives nodes ``u``.
     At ``p = sqrt(u)``, clamped one ulp inside ``(lo, hi)``, each weight is pi
     times the rule's weight, ``eval_conv(p)`` and the weight function's
-    reciprocal at ``p^2``, the float the density sees, so the endpoint
-    blow-ups cancel to rounding at any radius ratio.
+    reciprocal at ``p^2``, the float the density sees, on the same exact ends
+    as the density, so the endpoint blow-ups cancel to rounding at any radius ratio.
 
     When the squared support cannot hold n nodes strictly inside it, raises a
     ``ParameterError`` naming the radius to blame: the larger one when
     ``hi^2`` overflows, otherwise the smaller one, which is then too small
     beside the other for the support to keep a width in floats.
     """
-    lo, hi = support_interval(r1, r2)
+    lo, lo_err, hi, hi_err = _exact_ends(r1, r2)
     if not math.isfinite(hi * hi):
         raise ParameterError("r1" if r1 >= r2 else "r2",
                              f"the squared outer support radius ({hi:g})^2 overflows")
@@ -405,5 +405,5 @@ def _planar_rule(r1: float, r2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
                              f"the squared support [{lo * lo:.17g}, {hi * hi:.17g}] cannot hold"
                              f" {n} quadrature nodes strictly inside it") from exc
     p = np.clip(np.sqrt(u), np.nextafter(lo, hi), np.nextafter(hi, lo))
-    root = np.sqrt((p - lo) * (p + lo)) * np.sqrt((hi - p) * (hi + p))
+    root = np.sqrt(((p - lo) - lo_err) * (p + lo)) * np.sqrt(((hi - p) + hi_err) * (hi + p))
     return p, (math.pi * weight) * (eval_conv(p, r1, r2) * root)

@@ -100,3 +100,14 @@ def i0e_series_oracle(x: float) -> float:
     i0 = positive_series(lambda k: q * q / (4 * k * k))
     exp = positive_series(lambda k: q / k)
     return float(i0 / exp)
+
+
+def conv_density_squared(rho: float, r1: float, r2: float) -> Fraction:
+    """The square of the closed-form density, ``16 r1^2 r2^2 / ((rho^2 - (r1 - r2)^2)((r1 + r2)^2 - rho^2))``, exactly.
+
+    The floats are taken as the exact rationals they denote, so the
+    radicand's ends are the exact ``|r1 - r2|`` and ``r1 + r2``, not their
+    rounded floats.  ``rho`` must lie strictly inside that exact support.
+    """
+    p, a, b = Fraction(rho), Fraction(r1), Fraction(r2)
+    return 16 * a * a * b * b / ((p * p - (a - b) ** 2) * ((a + b) ** 2 - p * p))

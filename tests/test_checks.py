@@ -62,3 +62,10 @@ def test_nan_measurement_fails():
     results = checks.ring_operator_check(2.0, (math.nan, 0.0), 16, 1)
     assert all(math.isnan(r.measured) for r in results)
     assert not any(r.ok for r in results)
+
+
+@pytest.mark.parametrize("r1, r2", [(1e-9, 1.0), (3.0, 1e-12), (1e-12, 1e3), (1.5, 1e-9)])
+def test_interior_minimum_value_at_thin_supports(r1, r2):
+    # The support's ends round at these ratios; the density at hypot(r1, r2) is still 2 to rounding.
+    result = checks.interior_minimum_check([(r1, r2)])[0]
+    assert result.label == MINIMUM[0] and result.ok

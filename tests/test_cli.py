@@ -379,9 +379,11 @@ class TestIdentityChecks:
 
     @pytest.mark.parametrize("r1, r2", [
         ("1e200", "1e200"), ("1e-200", "1e-200"), ("1e300", "1e300"), ("1e-300", "1e-300"), ("1", "1e3"),
+        ("1e-3", "1e3"), ("1e-9", "1e-3"),
     ])
     def test_roots_at_extreme_radii_and_ratio(self, r1, r2, capsys):
-        # r1 * r2 leaves the float range at the first four pairs; at the last, 1% of rho_min leaves the support.
+        # r1 * r2 leaves the float range at the first four pairs; at (1, 1e3), 1% of rho_min leaves the
+        # support; at the last two the support's ends round, and the density must not subtract them rounded.
         code, out, err = run_main(["roots-check", "--r1", r1, "--r2", r2], capsys)
         assert code == 0 and err == ""
         assert out.count("PASS") == 3

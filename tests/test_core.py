@@ -1,8 +1,10 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ringconv.core import (
@@ -22,8 +24,40 @@ from ringconv.core import (
     support_interval,
     total_mass,
 )
+from oracles import conv_density_squared
 
 radii = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
+# Radii from 1e-150 to 1e150, at ratios up to 1e12 either way; a ratio exponent of 0 gives equal radii.
+wide_radii = st.tuples(st.floats(-138.0, 138.0), st.floats(-12.0, 12.0)).map(
+    lambda t: (10.0**t[0], 10.0**t[0] * 10.0**t[1]))
+
+
+@st.composite
+def wide_triples(draw, interior=True):
+    """``(rho, r1, r2)`` on ``wide_radii``, rho uniform on the support or 1 to 50 ulps in from either end.
+
+    With ``interior=False`` rho may also be 0, or uniform on ``[0, 1.5 (r1 + r2)]``.
+    """
+    r1, r2 = draw(wide_radii)
+    lo, hi = support_interval(r1, r2)
+    where = draw(st.sampled_from(["uniform", "lower", "upper"] + ([] if interior else ["zero", "anywhere"])))
+    if where == "uniform":
+        rho = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    elif where == "zero":
+        rho = 0.0
+    elif where == "anywhere":
+        rho = draw(st.floats(0.0, 1.5)) * hi
+    else:
+        rho, toward = (lo, hi) if where == "lower" else (hi, lo)
+        for _ in range(draw(st.integers(1, 50))):
+            rho = math.nextafter(rho, toward)
+    if interior:
+        assume(lo < rho < hi)
+    return rho, r1, r2
+
+
+# Relative error allowed against the exact density: 8 units of the float's rounding, 2^-53.
+ACCURACY = Fraction(8, 2**53)
 
 
 class TestSupportInterval:
@@ -114,7 +148,7 @@ class TestEvalConv:
 
     @pytest.mark.parametrize("rho", [1e-160, 1e-200, 1e-300])
     def test_tiny_radius_for_equal_radii_is_two_over_rho(self, rho):
-        # lo = 0, so the factored radicand rho^2 (4 - rho^2) underflows here.
+        # lo = 0, so the unscaled radicand rho^2 (4 - rho^2) is below the float range here.
         expected = 2.0 / rho
         assert abs(eval_conv(rho, 1.0, 1.0) - expected) <= 4 * np.spacing(expected)
 
@@ -139,19 +173,32 @@ class TestEvalConv:
     def test_density_beyond_the_float_range_is_inf(self):
         assert eval_conv(5e-324, 1.0, 1.0) == math.inf
 
-    @settings(max_examples=300)
-    @given(radii, radii, st.one_of(st.just(0.0), st.floats(min_value=1e-280, max_value=11.0)),
-           st.integers(min_value=-60, max_value=60))
-    def test_invariant_under_power_of_two_scaling(self, r1, r2, rho, k):
-        a = eval_conv(rho, r1, r2)
-        b = eval_conv(rho * 2.0**k, r1 * 2.0**k, r2 * 2.0**k)
-        assert (math.isinf(a) and math.isinf(b)) or abs(b - a) <= 1e-14 * a
+    @settings(max_examples=500)
+    @given(wide_triples())
+    def test_within_a_few_ulps_of_the_exact_density(self, triple):
+        # Judged against the exact rational radicand, whose ends are not rounded.
+        value = eval_conv(*triple)
+        exact_squared = conv_density_squared(*triple)
+        if math.isinf(value):
+            assert exact_squared >= (Fraction(sys.float_info.max) * (1 - ACCURACY)) ** 2
+        else:
+            assert (1 - ACCURACY) ** 2 <= Fraction(value) ** 2 / exact_squared <= (1 + ACCURACY) ** 2
 
-    @given(radii, radii, st.floats(min_value=0.0, max_value=11.0, allow_nan=False))
-    def test_symmetric_in_the_radii_bitwise(self, r1, r2, rho):
+    @settings(max_examples=500)
+    @given(wide_triples(interior=False), st.integers(min_value=-60, max_value=60))
+    def test_invariant_under_power_of_two_scaling(self, triple, k):
+        rho, r1, r2 = triple
+        # A rho a few ulps from 0 is subnormal, and scaling it down rounds.
+        assume(math.ldexp(math.ldexp(rho, k), -k) == rho)
         a = eval_conv(rho, r1, r2)
-        b = eval_conv(rho, r2, r1)
-        assert a == b or (math.isinf(a) and math.isinf(b))
+        b = eval_conv(math.ldexp(rho, k), math.ldexp(r1, k), math.ldexp(r2, k))
+        assert a == b
+
+    @settings(max_examples=500)
+    @given(wide_triples(interior=False))
+    def test_symmetric_in_the_radii_bitwise(self, triple):
+        rho, r1, r2 = triple
+        assert eval_conv(rho, r1, r2) == eval_conv(rho, r2, r1)
 
     @given(radii, radii)
     def test_interior_minimum_at_collapse_radius(self, r1, r2):
