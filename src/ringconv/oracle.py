@@ -11,8 +11,8 @@ Two independent routes to the same density:
 
 Neither route evaluates the closed form while producing its estimate, so
 agreement is evidence for the formula rather than a tautology.  Both run on
-numpy alone: the FFT convolution is ``fftconvolve`` below, and the scaled
-Bessel I0 of the smoothing is ``special.i0e``.
+numpy alone: the FFT convolution is written below on ``numpy.fft``, and the
+scaled Bessel I0 of the smoothing is ``special.i0e``.
 """
 
 from __future__ import annotations
@@ -247,16 +247,58 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
-    """The centred ``n x n`` part of the linear convolution of two ``n x n`` arrays.
+def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the spectral product ``a * b`` to ``out``, which may be ``a`` or ``b``, and return it.
 
-    Output ``[i, j]`` is the full convolution at ``[h + i, h + j]`` with
-    ``h = (n - 1) // 2``, so for odd ``n`` the result stays centred on the
-    input grid.  The circular convolution behind it uses the smallest
-    5-smooth length of at least ``2n - 1 - h``: wrap-around then only lands
-    on rows and columns outside the kept slice.  The spectral product is
-    written out in real arithmetic, so swapping the operands gives the same
-    array bit for bit.
+    The product is written out in real arithmetic with the same operations
+    for either operand order, so swapping ``a`` and ``b`` gives the same bits.
+    ``a.imag * b.imag`` goes through a temporary and the imaginary part is
+    written first, so overwriting an operand changes no bit either.
+    """
+    imag_imag = a.imag * b.imag
+    np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
+    np.subtract(a.real * b.real, imag_imag, out=out.real)
+    return out
+
+
+def _in_pair(f, x, y):
+    """``(f(x), f(y))``, with ``f(y)`` on one worker thread when two cores are usable.
+
+    numpy's FFTs release the GIL, so the two calls overlap.  The worker has
+    joined before this returns or raises; an exception from either call
+    reaches the caller.
+    """
+    if _usable_cores() < 2:
+        return f(x), f(y)
+    result, errors = [], []
+
+    def work():
+        try:
+            result.append(f(y))
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    try:
+        first = f(x)
+    finally:
+        try:
+            thread.join()
+        except BaseException:
+            thread.join()
+            raise
+    if errors:
+        raise errors[0]
+    return first, result[0]
+
+
+def _spectra(in1: np.ndarray, in2: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Padded forward spectra of two ``n x n`` arrays, with ``h = (n - 1) // 2`` and ``n``.
+
+    The padded length is the smallest 5-smooth one of at least ``2n - 1 - h``:
+    wrap-around of the circular convolution then only lands on rows and
+    columns outside the centred slice that ``_centred_inverse`` keeps.
     """
     in1, in2 = np.asarray(in1, dtype=float), np.asarray(in2, dtype=float)
     if in1.ndim != 2 or in1.shape[0] != in1.shape[1] or in1.shape != in2.shape:
@@ -264,11 +306,44 @@ def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
     n = in1.shape[0]
     h = (n - 1) // 2
     size = (_smooth_length(2 * n - 1 - h),) * 2
-    a, b = np.fft.rfft2(in1, size), np.fft.rfft2(in2, size)
-    product = np.empty_like(a)
-    np.subtract(a.real * b.real, a.imag * b.imag, out=product.real)
-    np.add(a.real * b.imag, a.imag * b.real, out=product.imag)
-    return np.fft.irfft2(product, size)[h:h + n, h:h + n]
+    a, b = _in_pair(lambda values: np.fft.rfft2(values, size), in1, in2)
+    return a, b, h, n
+
+
+def _centred_inverse(product: np.ndarray, h: int, n: int) -> np.ndarray:
+    """A copy of ``irfft2(product)[h:h + n, h:h + n]``; the first axis is transformed in ``product``."""
+    np.fft.ifft(product, axis=0, out=product)
+    return np.fft.irfft(product, product.shape[0], axis=1)[h:h + n, h:h + n].copy()
+
+
+def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+    """The centred ``n x n`` part of the linear convolution of two ``n x n`` arrays.
+
+    Output ``[i, j]`` is the full convolution at ``[h + i, h + j]`` with
+    ``h = (n - 1) // 2``, so for odd ``n`` the result stays centred on the
+    input grid.  The circular convolution behind it is padded to a 5-smooth
+    length at which wrap-around misses the kept slice.  The spectral product
+    is written out in real arithmetic, so swapping the operands gives the
+    same array bit for bit.  The two forward transforms run on two threads
+    when two cores are usable, and the result is a new array, not a view
+    into the padded one.
+    """
+    a, b, h, n = _spectra(in1, in2)
+    return _centred_inverse(_spectral_product(a, b, out=b), h, n)
+
+
+def _fftconvolve_both_orders(in1: np.ndarray, in2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fftconvolve(in1, in2)`` and ``fftconvolve(in2, in1)`` from one pair of forward spectra.
+
+    The swapped product is written over ``in2``'s spectrum and ``in1``'s is
+    released, so the two inverse transforms, run as a pair like the forward
+    ones, hold two padded spectra between them.
+    """
+    a, b, h, n = _spectra(in1, in2)
+    product = _spectral_product(a, b, out=np.empty_like(a))
+    swapped = _spectral_product(b, a, out=b)
+    del a, b
+    return _in_pair(lambda p: _centred_inverse(p, h, n), product, swapped)
 
 
 def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
@@ -306,7 +381,10 @@ class GridConvReport:
 
     The profile arrays are restricted to the trimmed interval
     ``[lo + 5 eps, hi - 5 eps]`` where both routes are finite and the
-    mollifier tails are negligible.  ``ring_values`` are the two ring grids, in order.
+    mollifier tails are negligible.  ``conv_values`` is the convolution of the
+    first ring with the second and ``swapped_values`` that of the second with
+    the first, both scaled by spacing^2; convolution commutes, so they should
+    be equal bit for bit.  Each is its own ``n x n`` array.
     """
 
     rho: np.ndarray
@@ -317,7 +395,7 @@ class GridConvReport:
     expected_mass: float
     trim: tuple[float, float]
     conv_values: np.ndarray
-    ring_values: tuple[np.ndarray, np.ndarray]
+    swapped_values: np.ndarray
 
     @property
     def mass_rel_error(self) -> float:
@@ -333,15 +411,18 @@ def grid_conv_check(
 ) -> GridConvReport:
     """FFT-convolve two mollified rings and compare profiles with the closed form.
 
-    Both rings are rasterized on the same centered grid, convolved (the
-    product of sums times spacing^2 gives the continuous normalization), and
-    the result is annularly averaged about b1 + b2 in bins of width
-    2*spacing.  The reference is ``smoothed_profile`` at the bins' mean
-    radii.  Raises a ``ParameterError`` naming ``spacing`` over the grid-side
-    cap, the larger radius where ``r1 + r2`` overflows, ``extent`` if the
-    convolution support plus a 5-epsilon pad would be clipped by the grid,
-    and ``epsilon`` if no bin's mean radius falls in the trimmed interval, in
-    that order of precedence.
+    Both rings are rasterized on the same centered grid and convolved in both
+    operand orders (the product of sums times spacing^2 gives the continuous
+    normalization).  Each ring's forward spectrum is computed once, so the
+    swap costs one inverse transform; the two forward and then the two
+    inverse transforms run as pairs on two threads when two cores are
+    usable.  The first-by-second result is annularly averaged about b1 + b2
+    in bins of width 2*spacing.  The reference is ``smoothed_profile`` at the
+    bins' mean radii.  Raises a ``ParameterError`` naming ``spacing`` over
+    the grid-side cap, the larger radius where ``r1 + r2`` overflows,
+    ``extent`` if the convolution support plus a 5-epsilon pad would be
+    clipped by the grid, and ``epsilon`` if no bin's mean radius falls in the
+    trimmed interval, in that order of precedence.
     """
     _, half = _ring_grid(extent, spacing)
     lo, hi = support_interval(c1.radius, c2.radius)
@@ -350,9 +431,11 @@ def grid_conv_check(
         raise ParameterError("extent", "grid extent clips the support of the convolution")
     g1 = build_mollified_ring(c1, extent, spacing, epsilon)
     g2 = build_mollified_ring(c2, extent, spacing, epsilon)
-    conv = fftconvolve(g1.values, g2.values) * spacing**2
-
     coords = g1.grid_coords()
+    conv, swapped = _fftconvolve_both_orders(g1.values, g2.values)
+    conv *= spacing**2
+    swapped *= spacing**2
+
     rho = np.hypot(coords[None, :] - bx, coords[:, None] - by)
     width = 2.0 * spacing
     idx = np.rint(rho / width).astype(np.int64).ravel()
@@ -377,5 +460,5 @@ def grid_conv_check(
         expected_mass=ConvKernel(c1.radius, c2.radius).mass,
         trim=(t_lo, t_hi),
         conv_values=conv,
-        ring_values=(g1.values, g2.values),
+        swapped_values=swapped,
     )

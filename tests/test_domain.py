@@ -1,8 +1,9 @@
 """The radius commands over the whole float domain: every cell exits 0 or 2, and none warns.
 
 Twelve radii from 1e-300 to 1e300 are crossed as ``--r1`` x ``--r2`` for the
-commands that take no sample count or grid.  Exit 0 means every verdict
-passed and exit 2 that an input rule named a flag.  A cell that still FAILs
+commands that take no sample count, and for ``grid-check`` on a coarse grid.
+Exit 0 means every verdict passed and exit 2 that an input rule named a flag:
+a radius flag, or for ``grid-check`` the grid's ``--extent`` or ``--epsilon``.  A cell that still FAILs
 (exit 1) is a strict xfail naming the ROADMAP item that mends it, so its mark
 must go when that item lands.
 """
@@ -14,7 +15,9 @@ from ringconv.cli import main
 pytestmark = pytest.mark.filterwarnings("error")
 
 VALUES = ["1e-300", "1e-150", "1e-12", "1e-9", "1e-3", "1", "3", "1e3", "1e7", "1e9", "1e150", "1e300"]
-ARGS = {"profile": ["--points", "50"], "mass-check": [], "roots-check": []}
+ARGS = {"profile": ["--points", "50"], "mass-check": [], "roots-check": [],
+        "grid-check": ["--extent", "16", "--spacing", "0.08", "--epsilon", "0.16"]}
+ERRORS = {"grid-check": ("error: --extent", "error: --epsilon")}
 
 # These FAIL "root-path vs closed form on a radial sweep": the root route bisects a fixed
 # bracket [1e-12, pi - 1e-12] to an absolute width of 1e-13.
@@ -52,4 +55,4 @@ def test_exits_0_or_2(command, r1, r2, capsys):
     if code == 0:
         assert "FAIL" not in out and err == ""
     else:
-        assert err.startswith("error: --r")
+        assert err.startswith(ERRORS.get(command, "error: --r"))

@@ -328,6 +328,24 @@ class TestFFTConvolve:
             with pytest.raises(ValueError):
                 fftconvolve(a, b)
 
+    @pytest.mark.parametrize("n", [9, 12, 61])
+    def test_bits_of_the_irfft2_of_the_real_arithmetic_product(self, n):
+        a, b = np.random.default_rng(n).normal(size=(2, n, n))
+        h = (n - 1) // 2
+        size = (oracle._smooth_length(2 * n - 1 - h),) * 2
+        fa, fb = np.fft.rfft2(a, size), np.fft.rfft2(b, size)
+        product = np.empty_like(fa)
+        product.real = fa.real * fb.real - fa.imag * fb.imag
+        product.imag = fa.real * fb.imag + fa.imag * fb.real
+        expected = np.fft.irfft2(product, size)[h:h + n, h:h + n]
+        assert np.array_equal(fftconvolve(a, b), expected)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_result_owns_its_memory(self, cores, monkeypatch):
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+        out = fftconvolve(np.ones((5, 5)), np.ones((5, 5)))
+        assert out.shape == (5, 5) and out.base is None and out.flags.owndata
+
 
 class TestSmoothedProfile:
     def test_tends_to_the_closed_form_off_the_endpoints(self):
@@ -383,10 +401,10 @@ class TestGridConvCheck:
         assert np.array_equal(a.conv_values, b.conv_values)
 
     def test_swap_verdict_fails_on_an_order_dependent_convolution(self, monkeypatch):
-        # This convolution leaks a trace of its first operand, so its result
-        # depends on operand order: the swap verdict must catch it.
-        exact = oracle.fftconvolve
-        monkeypatch.setattr(oracle, "fftconvolve", lambda in1, in2: exact(in1, in2) + 1e-9 * in1)
+        # This spectral product leaks a trace of its first operand, so the
+        # convolution depends on operand order: the swap verdict must catch it.
+        exact = oracle._spectral_product
+        monkeypatch.setattr(oracle, "_spectral_product", lambda a, b, out: exact(a, b, out) + 1e-9 * a)
         *_, swap = checks.grid_check(Circle((0, 0), 1.0), Circle((0, 0), 1.5), 6.0, 0.04, 0.08)
         assert swap.label == "operand swap (bitwise)"
         assert swap.measured == 1.0 and not swap.ok
@@ -408,6 +426,60 @@ class TestGridConvCheck:
             with pytest.raises(ParameterError) as exc:
                 grid_conv_check(c1, c2, extent=10.0, spacing=0.02, epsilon=0.05)
             assert isinstance(exc.value, ValueError) and exc.value.param == "extent"
+
+    def test_one_core_gives_the_bits_of_two_threads(self, monkeypatch):
+        c1, c2 = Circle((0.3, -0.2), 2.0), Circle((-0.1, 0.25), 3.0)
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
+        threaded = grid_conv_check(c1, c2, extent=12.0, spacing=0.04, epsilon=0.1)
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 1)
+        serial = grid_conv_check(c1, c2, extent=12.0, spacing=0.04, epsilon=0.1)
+        assert np.array_equal(threaded.conv_values, serial.conv_values)
+        assert np.array_equal(threaded.swapped_values, serial.swapped_values)
+
+    def test_at_most_two_threads_start_and_none_outlives_the_call(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(oracle.threading, "Thread", Counted)
+        before = set(threading.enumerate())
+        grid_conv_check(C1, C2, extent=12.0, spacing=0.04, epsilon=0.1)
+        assert 1 <= len(started) <= 2
+        assert not any(t.is_alive() for t in started)
+        assert set(threading.enumerate()) == before
+
+    def test_worker_exception_reaches_the_caller_after_the_join(self, monkeypatch):
+        started = []
+        exact = np.fft.rfft2
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def rfft2(values, size):
+            if threading.current_thread() in started:
+                time.sleep(0.05)
+                raise RuntimeError("worker transform")
+            return exact(values, size)
+
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(oracle.threading, "Thread", Recorded)
+        monkeypatch.setattr(oracle.np.fft, "rfft2", rfft2)
+        with pytest.raises(RuntimeError, match="worker transform"):
+            grid_conv_check(C1, C2, extent=12.0, spacing=0.04, epsilon=0.1)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_conv_values_own_their_memory(self):
+        rep = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
+        n = build_mollified_ring(Circle((0, 0), 1.0), 5.2, 0.02, 0.05).values.shape[0]
+        for values in (rep.conv_values, rep.swapped_values):
+            assert values.shape == (n, n) and values.size == n * n
+            assert values.base is None and values.flags.owndata
 
     def test_report_is_auditable(self):
         rep = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
