@@ -63,19 +63,20 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
     Two sampler passes, each giving a histogram and sector counts: the given
     circles, then the same radii about the origin, which must match bit for
     bit.  The first histogram is returned so a caller can export it without
-    a third pass.  Raises a ``ParameterError`` naming ``margin`` when no bin
-    centre falls in the middle 90% of the support.
+    a third pass.  Raises a ``ParameterError`` when no bin centre falls strictly
+    inside the middle 90% of the support: naming the smaller radius when no
+    float does, else ``margin``.
     """
     results = _Verdicts()
     r1, r2 = c1.radius, c2.radius
     hist, sector_counts = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors, margin=margin)
     lo, hi = support_interval(r1, r2)
-    trim = 0.05 * (hi - lo)
+    t_lo, t_hi = lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)
     centers = hist.centers
-    keep = (centers >= lo + trim) & (centers <= hi - trim)
+    keep = (centers > t_lo) & (centers < t_hi)
     if not keep.any():
-        raise ParameterError("margin", f"no bin centre falls in the trimmed support"
-                                       f" [{lo + trim:g}, {hi - trim:g}]")
+        raise ParameterError("margin" if np.nextafter(t_lo, t_hi) < t_hi else "r1" if r1 <= r2 else "r2",
+                             f"no bin centre falls strictly inside the trimmed support [{t_lo:g}, {t_hi:g}]")
     exact = eval_conv(centers[keep], r1, r2)
     rel = np.abs(hist.density()[keep] - exact) / exact
     results.add("interior histogram agreement", rel.max(), 0.02)
@@ -258,8 +259,7 @@ def ring_operator_check(radius: float, center: tuple[float, float], nodes: int,
     seeded random smooth pairs.  Raises a ``ParameterError`` when the
     expected average of the squared norm, ``2 pi R (|x|^2 + R^2)``, overflows;
     it names ``r1`` (the radius) or ``b1`` (the centre), whichever is the
-    larger of ``R`` and ``|x|``.  A NaN centre is no error: it fails every
-    verdict.
+    larger of ``R`` and ``|x|``; ``Circle`` rejects a centre that is not finite.
     """
     results = _Verdicts()
     circle = Circle(center, radius)

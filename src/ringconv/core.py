@@ -8,7 +8,8 @@ with an integrable inverse-square-root blow-up at both support endpoints:
 
 Everything else in the package either evaluates this formula, re-derives it
 along an independent route, or checks an identity it must satisfy.  Every
-integral of the density against a smooth factor runs on ``_planar_rule``.
+integral of the density against a smooth factor runs on ``_angular_rule``,
+whose weights sample ``eval_conv``, so those checks see the formula's values.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .special import chebyshev_singular_rule
 
 __all__ = [
     "Circle",
@@ -41,6 +40,8 @@ __all__ = [
 
 # Bracket width at which the root route's bisection stops.
 _BISECTION_TOL = 1e-13
+# ``_angular_rule``'s limit on the mean relative change a node's rounding makes in the density.
+_NODE_ROUNDING_LIMIT = 1e-11
 
 
 class ParameterError(ValueError):
@@ -78,6 +79,8 @@ class Circle:
 
     def __post_init__(self):
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
         _check_radius(self.radius, "radius")
 
     @property
@@ -369,41 +372,40 @@ def conv_via_roots(rho, r1, r2):
 
 
 def total_mass(kernel: ConvKernel, n: int = 256) -> float:
-    """Integrate the density over the plane: the sum of the ``n`` weights of ``_planar_rule``.
+    """Integrate the density over the plane: the sum of the ``n`` weights of ``_angular_rule``.
 
-    Nothing here assumes the closed form's algebraic shape, so agreement with
-    ``kernel.mass`` is a real check.
+    Each weight holds ``eval_conv`` at its node and ``conv(psi(theta)) sin(theta) = 2``, so the sum is the
+    analytic mass only where the closed form is right at every node; raises where the rule does.
     """
-    return float(np.sum(_planar_rule(kernel.r1, kernel.r2, n)[1]))
+    return float(np.sum(_angular_rule(kernel.r1, kernel.r2, n)[1]))
 
 
-def _planar_rule(r1: float, r2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _angular_rule(r1: float, r2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Radii ``rho`` and weights ``w``: ``sum(w * g(rho))`` integrates ``conv(|x|) g(|x|)`` over the plane.
 
-    In ``u = rho^2`` that integral is ``pi int conv(sqrt(u)) g(sqrt(u)) du`` on
-    ``[lo^2, hi^2]``, where the n-node Chebyshev singular rule gives nodes ``u``.
-    At ``p = sqrt(u)``, clamped one ulp inside ``(lo, hi)``, each weight is pi
-    times the rule's weight, ``eval_conv(p)`` and the weight function's
-    reciprocal at ``p^2``, the float the density sees, on the same exact ends
-    as the density, so the endpoint blow-ups cancel to rounding at any radius ratio.
+    On ``rho = psi(theta)`` it is ``2 pi r1 r2 int_0^pi conv(psi) g(psi) sin(theta) dtheta``, the angular
+    average of the Bessel addition theorem (Watson, *Theory of Bessel Functions*, section 11.2).  Its
+    n-point midpoint rule has nodes ``psi(theta_k)``, ``theta_k = (k + 1/2) pi / n``, and weights
+    ``(4 pi^2 r1 r2 / 2n) eval_conv(rho_k) sin(theta_k)``; it is spectral for smooth even g.
 
-    When the squared support cannot hold n nodes strictly inside it, raises a
-    ``ParameterError`` naming the radius to blame: the larger one when
-    ``hi^2`` overflows, otherwise the smaller one, which is then too small
-    beside the other for the support to keep a width in floats.
+    A node rounded by ``u rho_k`` moves the density by about ``u rho_k / 2 min(rho_k - lo, hi - rho_k)``
+    relative, growing with the radius ratio.  Raises a ``ParameterError`` naming the smaller radius where
+    that bound's mean over the nodes exceeds ``_NODE_ROUNDING_LIMIT`` (as a node on an end makes it) or
+    ``4 pi^2 r1 r2`` underflows the normal range, and the larger one where it overflows.
     """
-    lo, lo_err, hi, hi_err = _exact_ends(r1, r2)
-    if not math.isfinite(hi * hi):
-        raise ParameterError("r1" if r1 >= r2 else "r2",
-                             f"the squared outer support radius ({hi:g})^2 overflows")
-    try:
-        u, weight = chebyshev_singular_rule(lo * lo, hi * hi, n)
-    except ValueError as exc:
-        if n < 1:
-            raise
-        raise ParameterError("r1" if r1 <= r2 else "r2",
-                             f"the squared support [{lo * lo:.17g}, {hi * hi:.17g}] cannot hold"
-                             f" {n} quadrature nodes strictly inside it") from exc
-    p = np.clip(np.sqrt(u), np.nextafter(lo, hi), np.nextafter(hi, lo))
-    root = np.sqrt(((p - lo) - lo_err) * (p + lo)) * np.sqrt(((hi - p) + hi_err) * (hi + p))
-    return p, (math.pi * weight) * (eval_conv(p, r1, r2) * root)
+    if n < 1:
+        raise ValueError(f"node count must be >= 1, got {n}")
+    lo, hi = support_interval(r1, r2)
+    smaller = "r1" if r1 <= r2 else "r2"
+    mass = 4.0 * math.pi**2 * r1 * r2
+    if not np.finfo(float).tiny <= mass < math.inf:
+        raise ParameterError(("r1" if r1 >= r2 else "r2") if mass == math.inf else smaller,
+                             f"the mass 4 pi^2 r1 r2 at r1 = {r1:g}, r2 = {r2:g} leaves the normal float range")
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    rho = psi(theta, r1, r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.mean(0.25 * np.finfo(float).eps * rho / np.maximum(np.minimum(rho - lo, hi - rho), 0.0))
+    if not spread <= _NODE_ROUNDING_LIMIT:
+        raise ParameterError(smaller, f"rounding the {n} nodes of the angular rule at r1 = {r1:g}, r2 = {r2:g}"
+                                      f" may move the density by {spread:.3g} on average")
+    return rho, (mass / (2 * n)) * (eval_conv(rho, r1, r2) * np.sin(theta))

@@ -14,7 +14,8 @@ bookkeeping.
 ``hankel_transform`` takes any profile by one route, a Chebyshev rule on its
 support in rho: spectral for the kernel of distinct radii, algebraic where the
 support starts at the origin.  ``hankel_of_conv`` sums J0 against the kernel's
-planar rule ``core._planar_rule``; both end in one ``J0 @ terms`` sum.
+angular rule ``core._angular_rule``, whose weights sample ``eval_conv``; both
+end in one ``J0 @ terms`` sum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .core import ConvKernel, RadialProfile, _check_radius, _planar_rule, psi
+from .core import ConvKernel, RadialProfile, _angular_rule, _check_radius, psi
 from .special import bessel_j0, chebyshev_singular_rule, periodic_trapezoid_rule
 
 __all__ = [
@@ -61,14 +62,13 @@ def hankel_of_circle(radius: float, r):
 
 
 def hankel_of_conv(kernel: ConvKernel, r, n: int = 256):
-    """Transform of the kernel, ``sum_k w_k J0(2 pi r rho_k)`` on ``core._planar_rule``'s n-node rule.
+    """Transform of the kernel, ``sum_k w_k J0(2 pi r rho_k)`` on ``core._angular_rule``'s n-node rule.
 
-    At r = 0 this is the total mass ``(2 pi)^2 r1 r2`` to rounding.  Must agree
-    with ``hankel_of_circle(r1, r) * hankel_of_circle(r2, r)``; the two routes
-    share no quadrature code.
+    The weights sample ``eval_conv``, so agreement with the product
+    ``hankel_of_circle(r1, r) * hankel_of_circle(r2, r)`` checks the closed
+    form.  At r = 0 this is ``total_mass``; it raises where the rule does.
     """
-    rho, w = _planar_rule(kernel.r1, kernel.r2, n)
-    return _j0_sum(r, rho, w)
+    return _j0_sum(r, *_angular_rule(kernel.r1, kernel.r2, n))
 
 
 def _j0_sum(r, rho: np.ndarray, terms: np.ndarray):

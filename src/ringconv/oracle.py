@@ -10,7 +10,8 @@ Two independent routes to the same density:
   closed form smoothed by the matching Gaussian.
 
 Neither route evaluates the closed form while producing its estimate, so
-agreement is evidence for the formula rather than a tautology.  Both run on
+agreement is evidence for the formula rather than a tautology; the grid
+route's reference, ``smoothed_profile``, samples ``eval_conv``.  Both run on
 numpy alone: the FFT convolution is written below on ``numpy.fft``, and the
 scaled Bessel I0 of the smoothing is ``special.i0e``.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, ConvKernel, ParameterError, _planar_rule, support_interval
+from .core import Circle, ConvKernel, ParameterError, _angular_rule, support_interval
 from .operators import Field2D, _grid_coords, _grid_side, _half_width
 from .special import i0e
 
@@ -50,7 +51,7 @@ _CHUNK = 1 << 20
 # count.  Timing mc-check on 2 cores, blocks of 2^14 to 2^20 ran equally fast
 # and 2^12 slower.
 _BLOCK = 1 << 16
-# Nodes of the planar rule in ``smoothed_profile``.
+# Nodes of the angular rule in ``smoothed_profile``.
 _SMOOTHING_NODES = 2048
 
 
@@ -125,7 +126,8 @@ def _chunk_counts(seed: int, chunk_index: int, count: int, r1: float, r2: float,
         dx = r1 * np.cos(t1) + r2 * np.cos(t2)
         dy = r1 * np.sin(t1) + r2 * np.sin(t2)
         counts += np.histogram(np.hypot(dx, dy), bins=edges)[0]
-        angle = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
+        angle = np.arctan2(dy, dx)
+        angle = np.where(angle < 0.0, angle + 2.0 * math.pi, angle)
         idx = np.minimum((angle / width).astype(np.int64), sectors - 1)
         sector_counts += np.bincount(idx, minlength=sectors)
 
@@ -357,22 +359,17 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
                              exp(-(rho^2 + s^2) / (2 sigma^2)) ds
 
     evaluated here with the exponentially scaled I0 to avoid overflow, on the
-    kernel's planar rule ``core._planar_rule``.  The density is sampled through
-    ``eval_conv``, so this stays an independent check target for the grid
-    route rather than a copy of it.
+    kernel's angular rule ``core._angular_rule``, whose weights sample
+    ``eval_conv``, so the grid route is held to the closed form's values; it
+    raises where the rule does.
     """
     sigma2 = 2.0 * epsilon**2
-    s, w = _planar_rule(r1, r2, _SMOOTHING_NODES)
-    # The planar weights carry 2 pi s ds, which cancels the kernel's s / sigma^2 to 1 / (2 pi sigma^2).
+    s, w = _angular_rule(r1, r2, _SMOOTHING_NODES)
+    # The rule's weights carry 2 pi s ds, which cancels the kernel's s / sigma^2 to 1 / (2 pi sigma^2).
     coef = w / (2.0 * math.pi * sigma2)
-    rho = np.asarray(rho, dtype=float)
-    scalar = rho.ndim == 0
-    arr = np.atleast_1d(rho)
-    kernel = i0e(np.multiply.outer(arr, s) / sigma2) * np.exp(
-        -((arr[:, None] - s[None, :]) ** 2) / (2.0 * sigma2)
-    )
-    out = kernel @ coef
-    return float(out[0]) if scalar else out
+    arr = np.atleast_1d(np.asarray(rho, dtype=float))
+    out = (i0e(np.multiply.outer(arr, s) / sigma2) * np.exp(-((arr[:, None] - s) ** 2) / (2.0 * sigma2))) @ coef
+    return float(out[0]) if np.ndim(rho) == 0 else out
 
 
 @dataclass(frozen=True)

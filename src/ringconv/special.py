@@ -8,9 +8,9 @@ asymptotic coefficients.
 Both quadrature rules give every node the same weight, so each returns
 ``(nodes, weight)``: a node array and one float, and a rule applied to ``f``
 is ``weight * sum(f(nodes))``.  The Chebyshev singular rule serves integrals
-with inverse-square-root endpoint weight: ``hankel.hankel_transform`` and
-``core._planar_rule`` each multiply an integrand by the weight's reciprocal
-on its own support; the periodic trapezoid is the uniform angular grid.
+with inverse-square-root endpoint weight in ``hankel.hankel_transform``, and
+the periodic trapezoid is the uniform angular grid; integrals against the
+kernel's density run on neither, but on ``core._angular_rule``.
 """
 
 from __future__ import annotations

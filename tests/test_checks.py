@@ -58,8 +58,10 @@ def test_labels_counts_and_verdicts(command):
         assert r.elapsed >= 0.0
 
 
-def test_nan_measurement_fails():
-    results = checks.ring_operator_check(2.0, (math.nan, 0.0), 16, 1)
+def test_nan_measurement_fails(monkeypatch):
+    # A NaN at the first of the 11 frequencies must survive the running maximum.
+    monkeypatch.setattr(checks, "neumann_product_check", lambda r1, r2, r, n: (math.nan if r == 0.0 else r, r))
+    results = checks.neumann_check([(1.0, 2.0), (0.5, 2.5)], 16)
     assert all(math.isnan(r.measured) for r in results)
     assert not any(r.ok for r in results)
 

@@ -260,7 +260,13 @@ class TestMcCheck:
         # Rejected before allocation: a count vector never outweighs a 2^20-sample chunk.
         (["--bins", "1048577"], "--bins"),
         (["--sectors", "100000000"], "--sectors"),
-    ], ids=["no-bin-in-support", "too-many-bins", "too-many-sectors"])
+        # The support collapses to the single float 3, so no bin centre lies strictly inside it.
+        (["--r1", "1e-300", "--r2", "3", "--samples", "2000", "--bins", "40"], "--r1"),
+        (["--r1", "3", "--r2", "1e-300", "--samples", "2000", "--bins", "40"], "--r2"),
+        (["--r1", "1e-150", "--r2", "3", "--samples", "2000", "--bins", "40"], "--r1"),
+        (["--r1", "3", "--r2", "1e-150", "--samples", "2000", "--bins", "40"], "--r2"),
+    ], ids=["no-bin-in-support", "too-many-bins", "too-many-sectors", "collapsed-support-1e-300-3",
+            "collapsed-support-3-1e-300", "collapsed-support-1e-150-3", "collapsed-support-3-1e-150"])
     def test_library_input_errors_exit_2_and_name_the_flag(self, argv, flag, capsys):
         code, out, err = run_main(["mc-check"] + argv, capsys)
         assert code == 2 and out == ""
@@ -397,7 +403,8 @@ class TestIdentityChecks:
         (["hankel-check", "--r1", "1e-300"], "--r1"),
         (["hankel-check", "--r1", "1", "--r2", "1e-12"], "--r2"),
         (["mass-check", "--r1", "1", "--r2", "1e-12"], "--r2"),
-        (["mass-check", "--r1", "1e200"], "--r1"),
+        # 4 pi^2 r1 r2 overflows.
+        (["mass-check", "--r1", "1e200", "--r2", "1e200"], "--r1"),
         (["roots-check", "--r1", "1e-300", "--r2", "1"], "--r1"),
         # r1 + r2 overflows, so the support has no float outer end.
         (["profile", "--r1", "1e308", "--r2", "1e308"], "--r1"),

@@ -23,6 +23,7 @@ from ringconv.core import (
     psi,
     support_interval,
     total_mass,
+    _angular_rule,
 )
 from oracles import conv_density_squared
 
@@ -339,16 +340,35 @@ class TestTotalMass:
         k = ConvKernel(r1, r2)
         assert abs(total_mass(k, n) - k.mass) / k.mass < 1e-12
 
-    @pytest.mark.parametrize("r1, r2", [
-        (1.0, 1e7), (1e-3, 1e3), (1.5, 1e-9), (1e-150, 1e-150), (1e-100, 3e-100),
-        (1e100, 1e100), (1e150, 1e150), (2.0, 3.0), (1.0, 1.0),
-    ])
-    def test_exact_at_extreme_radii_and_ratios(self, r1, r2):
-        # The tolerance of checks.mass_check.  Outer nodes lie a few ulps from
-        # the support's ends at ratio 1e-9, and the squares of 1e-150 radii are
-        # below the normal range.
+    @pytest.mark.parametrize("r1, r2, blamed", [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in [
+        (1.0, 1e7, "r1"), (1e-3, 1e3, "r1"), (1.5, 1e-9, "r2"), (1e-150, 1e-150, None), (1e-100, 3e-100, None),
+        (1e100, 1e100, None), (1e150, 1e150, None), (2.0, 3.0, None), (1.0, 1.0, None),
+    ]])
+    def test_exact_at_extreme_radii_and_ratios(self, r1, r2, blamed):
+        # The tolerance of checks.mass_check at any magnitude.  At the three large ratios rounding the
+        # nodes near the support's ends would move the mass by far more, so the rule names the smaller radius.
         k = ConvKernel(r1, r2)
-        assert abs(total_mass(k) - k.mass) / k.mass < 1e-10
+        if blamed is None:
+            assert abs(total_mass(k) - k.mass) / k.mass < 1e-10
+        else:
+            with pytest.raises(ParameterError) as exc:
+                total_mass(k)
+            assert exc.value.param == blamed
+
+    @pytest.mark.parametrize("r1, r2, blamed", [(1e300, 1e300, "r1"), (3e200, 1e200, "r1"), (1e200, 3e200, "r2"),
+                                                (1e-300, 1e-300, "r1"), (1e-160, 3e-160, "r1")])
+    def test_mass_out_of_the_normal_range_names_a_radius(self, r1, r2, blamed):
+        with pytest.raises(ParameterError, match="normal float range") as exc:
+            total_mass(ConvKernel(r1, r2))
+        assert exc.value.param == blamed
+
+    @given(radii, radii, st.integers(min_value=1, max_value=64))
+    def test_second_moment_at_any_node_count(self, r1, r2, n):
+        # rho^2 = r1^2 + r2^2 - 2 r1 r2 cos(theta) on the nodes, and the midpoint rule in theta
+        # integrates cos(theta) to 0 at any n: the moment is mass (r1^2 + r2^2).
+        rho, w = _angular_rule(r1, r2, n)
+        k = ConvKernel(r1, r2)
+        assert abs(np.sum(w * rho**2) - k.mass * (r1**2 + r2**2)) < 1e-12 * k.mass * (r1**2 + r2**2)
 
     def test_zero_nodes_is_not_blamed_on_a_radius(self):
         with pytest.raises(ValueError) as exc:
@@ -362,6 +382,11 @@ class TestKernelTypes:
             Circle((0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             Circle((0.0, 0.0), math.inf)
+
+    @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_circle_rejects_a_centre_that_is_not_finite(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            Circle(center, 1.0)
 
     def test_circle_mass_and_points(self):
         c = Circle((1.0, -2.0), 2.0)

@@ -1,9 +1,11 @@
 """The radius commands over the whole float domain: every cell exits 0 or 2, and none warns.
 
-Twelve radii from 1e-300 to 1e300 are crossed as ``--r1`` x ``--r2`` for the
-commands that take no sample count, and for ``grid-check`` on a coarse grid.
-Exit 0 means every verdict passed and exit 2 that an input rule named a flag:
-a radius flag, or for ``grid-check`` the grid's ``--extent`` or ``--epsilon``.  A cell that still FAILs
+Twelve values from 1e-300 to 1e300 are crossed as ``--r1`` x ``--r2`` for the
+commands that take no sample count, ``surface`` and ``grid-check`` on coarse
+grids, and as ``--r1`` x ``--b1 X 0`` for ``circle-average``.  Exit 0 means
+every verdict passed and exit 2 that an input rule named a flag: a radius flag,
+for ``grid-check`` the grid's ``--extent`` or ``--epsilon``, and for
+``circle-average`` the radius or the centre ``--b1``.  A cell that still FAILs
 (exit 1) is a strict xfail naming the ROADMAP item that mends it, so its mark
 must go when that item lands.
 """
@@ -15,9 +17,13 @@ from ringconv.cli import main
 pytestmark = pytest.mark.filterwarnings("error")
 
 VALUES = ["1e-300", "1e-150", "1e-12", "1e-9", "1e-3", "1", "3", "1e3", "1e7", "1e9", "1e150", "1e300"]
-ARGS = {"profile": ["--points", "50"], "mass-check": [], "roots-check": [],
-        "grid-check": ["--extent", "16", "--spacing", "0.08", "--epsilon", "0.16"]}
-ERRORS = {"grid-check": ("error: --extent", "error: --epsilon")}
+ARGS = {"profile": ["--points", "50"], "surface": ["--spacing", "0.5"], "mass-check": [], "roots-check": [],
+        "grid-check": ["--extent", "16", "--spacing", "0.08", "--epsilon", "0.16"], "neumann-check": [],
+        "circle-average": []}
+ERRORS = {"grid-check": ("error: --extent", "error: --epsilon"), "circle-average": ("error: --r1", "error: --b1")}
+# The flag that takes the second value of a cell; circle-average has one radius, and the second value
+# is the x coordinate of its centre.
+SECOND = {"circle-average": ["--b1", "{}", "0"]}
 
 # These FAIL "root-path vs closed form on a radial sweep": the root route bisects a fixed
 # bracket [1e-12, pi - 1e-12] to an absolute width of 1e-13.
@@ -49,7 +55,8 @@ def _cells():
 
 @pytest.mark.parametrize("command, r1, r2", _cells())
 def test_exits_0_or_2(command, r1, r2, capsys):
-    code = main([command, "--r1", r1, "--r2", r2] + ARGS[command])
+    second = [arg.format(r2) for arg in SECOND.get(command, ["--r2", "{}"])]
+    code = main([command, "--r1", r1, *second] + ARGS[command])
     out, err = capsys.readouterr()
     assert code in (0, 2)
     if code == 0:

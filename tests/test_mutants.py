@@ -1,0 +1,53 @@
+"""Named defects, each one monkeypatch of a private function, and the check verdicts each must turn to FAIL.
+
+The table pins what each check sees: a verdict listed against a mutant must
+FAIL under it, and every other verdict must still PASS.  The README's
+validation section shows the same table.
+"""
+
+import pytest
+
+from ringconv import checks, core
+from ringconv.core import Circle
+
+_exact_ends, _interior_density = core._exact_ends, core._interior_density
+
+
+def _shifted_ends(r1, r2):
+    lo, lo_err, hi, hi_err = _exact_ends(r1, r2)
+    return lo, lo_err - 0.1 * lo, hi, hi_err + 0.1 * hi
+
+
+MUTANTS = {
+    # The closed form's ends moved by a tenth: eval_conv(2; 2, 3) goes from 3.024 to 2.669.
+    "exact-ends-shift": ("_exact_ends", _shifted_ends),
+    "density-scaled": ("_interior_density", lambda p, r1, r2: _interior_density(p, r1, r2) * (1.0 + 1e-6)),
+}
+
+HANKEL = [f"{kind} r1={r1:g} r2={r2:g}" for r1, r2 in checks.CHECK_PAIRS
+          for kind in ("product identity", "consistency square")]
+# Verdict -> the mutants that must turn it to FAIL.
+KILLED_BY = {
+    "mass-check (2, 3)": {"exact-ends-shift", "density-scaled"},
+    **{f"hankel-check {label}": {"exact-ends-shift", "density-scaled"} for label in HANKEL},
+    # The profile tolerance is 5%: a 1e-6 scaling is far below what the grid resolves.
+    "grid-check profile": {"exact-ends-shift"},
+}
+
+
+def _verdicts():
+    results = {"mass-check (2, 3)": checks.mass_check(2.0, 3.0, 256)[0]}
+    results.update((f"hankel-check {r.label}", r) for r in checks.transform_product_check(checks.CHECK_PAIRS, 256))
+    results["grid-check profile"] = checks.grid_check(Circle((0.0, 0.0), 2.0), Circle((0.0, 0.0), 3.0),
+                                                      12.0, 0.04, 0.1)[0]
+    return results
+
+
+@pytest.mark.parametrize("mutant", [None, *MUTANTS])
+def test_verdict_table(mutant, monkeypatch):
+    if mutant is not None:
+        monkeypatch.setattr(core, *MUTANTS[mutant])
+    results = _verdicts()
+    assert sorted(results) == sorted(KILLED_BY)
+    failed = {name for name, result in results.items() if not result.ok}
+    assert failed == {name for name, killers in KILLED_BY.items() if mutant in killers}
