@@ -40,7 +40,8 @@ __all__ = [
 
 # Bracket width at which the root route's bisection stops.
 _BISECTION_TOL = 1e-13
-# ``_angular_rule``'s limit on the mean relative change a node's rounding makes in the density.
+# The limit ``total_mass`` and ``hankel_of_conv`` pass to ``_angular_rule`` on the mean relative
+# change a node's rounding makes in the density: a tenth of ``checks.mass_check``'s tolerance.
 _NODE_ROUNDING_LIMIT = 1e-11
 
 
@@ -375,12 +376,13 @@ def total_mass(kernel: ConvKernel, n: int = 256) -> float:
     """Integrate the density over the plane: the sum of the ``n`` weights of ``_angular_rule``.
 
     Each weight holds ``eval_conv`` at its node and ``conv(psi(theta)) sin(theta) = 2``, so the sum is the
-    analytic mass only where the closed form is right at every node; raises where the rule does.
+    analytic mass only where the closed form is right at every node; raises where the rule does, at
+    ``_NODE_ROUNDING_LIMIT``, naming ``nodes`` where fewer nodes would pass.
     """
-    return float(np.sum(_angular_rule(kernel.r1, kernel.r2, n)[1]))
+    return float(np.sum(_angular_rule(kernel.r1, kernel.r2, n, _NODE_ROUNDING_LIMIT, "nodes")[1]))
 
 
-def _angular_rule(r1: float, r2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _angular_rule(r1: float, r2: float, n: int, limit: float, count: str | None) -> tuple[np.ndarray, np.ndarray]:
     """Radii ``rho`` and weights ``w``: ``sum(w * g(rho))`` integrates ``conv(|x|) g(|x|)`` over the plane.
 
     On ``rho = psi(theta)`` it is ``2 pi r1 r2 int_0^pi conv(psi) g(psi) sin(theta) dtheta``, the angular
@@ -389,9 +391,11 @@ def _angular_rule(r1: float, r2: float, n: int) -> tuple[np.ndarray, np.ndarray]
     ``(4 pi^2 r1 r2 / 2n) eval_conv(rho_k) sin(theta_k)``; it is spectral for smooth even g.
 
     A node rounded by ``u rho_k`` moves the density by about ``u rho_k / 2 min(rho_k - lo, hi - rho_k)``
-    relative, growing with the radius ratio.  Raises a ``ParameterError`` naming the smaller radius where
-    that bound's mean over the nodes exceeds ``_NODE_ROUNDING_LIMIT`` (as a node on an end makes it) or
-    ``4 pi^2 r1 r2`` underflows the normal range, and the larger one where it overflows.
+    relative; the mean over the nodes grows about as n times the radius ratio.  Where that mean exceeds
+    the caller's ``limit`` (as a node on an end makes it), raises a ``ParameterError`` naming ``count``,
+    the caller's node-count parameter, if the one-node rule would pass, and otherwise, or when ``count``
+    is None, the smaller radius.  Also raises where ``4 pi^2 r1 r2`` leaves the normal float range,
+    naming the larger radius on overflow and the smaller on underflow.
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
@@ -403,9 +407,17 @@ def _angular_rule(r1: float, r2: float, n: int) -> tuple[np.ndarray, np.ndarray]
                              f"the mass 4 pi^2 r1 r2 at r1 = {r1:g}, r2 = {r2:g} leaves the normal float range")
     theta = (np.arange(n) + 0.5) * (math.pi / n)
     rho = psi(theta, r1, r2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spread = np.mean(0.25 * np.finfo(float).eps * rho / np.maximum(np.minimum(rho - lo, hi - rho), 0.0))
-    if not spread <= _NODE_ROUNDING_LIMIT:
-        raise ParameterError(smaller, f"rounding the {n} nodes of the angular rule at r1 = {r1:g}, r2 = {r2:g}"
-                                      f" may move the density by {spread:.3g} on average")
+    spread = _rounding_spread(rho, lo, hi)
+    if not spread <= limit:
+        fewer = count is not None and _rounding_spread(psi(0.5 * math.pi, r1, r2), lo, hi) <= limit
+        raise ParameterError(count if fewer else smaller,
+                             f"rounding the {n} nodes of the angular rule at r1 = {r1:g}, r2 = {r2:g} may move"
+                             f" the density by {spread:.3g} on average, over the limit {limit:g}"
+                             + ("; fewer nodes would meet it" if fewer else ""))
     return rho, (mass / (2 * n)) * (eval_conv(rho, r1, r2) * np.sin(theta))
+
+
+def _rounding_spread(rho, lo: float, hi: float) -> float:
+    """Mean over the nodes ``rho`` of ``u rho / 2 min(rho - lo, hi - rho)``; inf when a node lies on an end."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.mean(0.25 * np.finfo(float).eps * rho / np.maximum(np.minimum(rho - lo, hi - rho), 0.0)))

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .core import ConvKernel, RadialProfile, _angular_rule, _check_radius, psi
+from .core import _NODE_ROUNDING_LIMIT, ConvKernel, RadialProfile, _angular_rule, _check_radius, psi
 from .special import bessel_j0, chebyshev_singular_rule, periodic_trapezoid_rule
 
 __all__ = [
@@ -66,9 +66,9 @@ def hankel_of_conv(kernel: ConvKernel, r, n: int = 256):
 
     The weights sample ``eval_conv``, so agreement with the product
     ``hankel_of_circle(r1, r) * hankel_of_circle(r2, r)`` checks the closed
-    form.  At r = 0 this is ``total_mass``; it raises where the rule does.
+    form.  At r = 0 this is ``total_mass``, and it raises as ``total_mass`` does.
     """
-    return _j0_sum(r, *_angular_rule(kernel.r1, kernel.r2, n))
+    return _j0_sum(r, *_angular_rule(kernel.r1, kernel.r2, n, _NODE_ROUNDING_LIMIT, "nodes"))
 
 
 def _j0_sum(r, rho: np.ndarray, terms: np.ndarray):

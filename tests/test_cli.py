@@ -139,6 +139,13 @@ class TestSurface:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_passes_at_a_radius_ratio_of_46(self, capsys):
+        # smoothed_profile's node-rounding limit is set against the profile's 5% tolerance, not the mass check's.
+        code, out, err = run_main(["grid-check", "--r1", "0.12", "--r2", "5.5", "--epsilon", "0.02",
+                                   "--spacing", "0.01", "--extent", "12"], capsys)
+        assert code == 0 and err == ""
+        assert out.count("PASS") == 3 and "FAIL" not in out
+
     def test_oversized_grid_exits_2(self, capsys):
         # The second ratio overflows to inf.
         for argv in (["surface", "--spacing", "0.001"],
@@ -303,6 +310,13 @@ class TestGridCheck:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag}: ")
 
+    def test_passes_at_a_radius_ratio_of_46(self, capsys):
+        # smoothed_profile's node-rounding limit is set against the profile's 5% tolerance, not the mass check's.
+        code, out, err = run_main(["grid-check", "--r1", "0.12", "--r2", "5.5", "--epsilon", "0.02",
+                                   "--spacing", "0.01", "--extent", "12"], capsys)
+        assert code == 0 and err == ""
+        assert out.count("PASS") == 3 and "FAIL" not in out
+
     def test_oversized_grid_exits_2(self, capsys):
         # Rejected before allocation: 12001 points per side is over 1 GB per grid.
         code, _, err = run_main(["grid-check", "--spacing", "0.001"], capsys)
@@ -421,6 +435,16 @@ class TestIdentityChecks:
         code, out, err = run_main(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["mass-check", "--r1", "1", "--r2", "1", "--nodes", "50000"],
+        ["mass-check", "--r1", "1", "--r2", "1e3"],
+        ["hankel-check", "--r1", "1e3", "--r2", "1"],
+    ], ids=["mass-equal-radii", "mass-ratio-1e3", "hankel-ratio-1e3"])
+    def test_node_rounding_that_fewer_nodes_meet_names_nodes(self, argv, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --nodes: ") and "fewer nodes would meet it" in err
 
     def test_check_lines_show_measured_vs_tolerance(self, capsys):
         _, out, _ = run_main(["mass-check", "--r1", "1", "--r2", "1"], capsys)

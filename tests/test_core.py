@@ -23,6 +23,7 @@ from ringconv.core import (
     psi,
     support_interval,
     total_mass,
+    _NODE_ROUNDING_LIMIT,
     _angular_rule,
 )
 from oracles import conv_density_squared
@@ -355,6 +356,12 @@ class TestTotalMass:
                 total_mass(k)
             assert exc.value.param == blamed
 
+    @pytest.mark.parametrize("r1, r2, n", [(1.0, 1.0, 50000), (1e3, 1.0, 256), (1.0, 1e-4, 64)])
+    def test_node_rounding_that_one_node_meets_names_nodes(self, r1, r2, n):
+        with pytest.raises(ParameterError, match="fewer nodes would meet it") as exc:
+            total_mass(ConvKernel(r1, r2), n)
+        assert exc.value.param == "nodes"
+
     @pytest.mark.parametrize("r1, r2, blamed", [(1e300, 1e300, "r1"), (3e200, 1e200, "r1"), (1e200, 3e200, "r2"),
                                                 (1e-300, 1e-300, "r1"), (1e-160, 3e-160, "r1")])
     def test_mass_out_of_the_normal_range_names_a_radius(self, r1, r2, blamed):
@@ -366,7 +373,7 @@ class TestTotalMass:
     def test_second_moment_at_any_node_count(self, r1, r2, n):
         # rho^2 = r1^2 + r2^2 - 2 r1 r2 cos(theta) on the nodes, and the midpoint rule in theta
         # integrates cos(theta) to 0 at any n: the moment is mass (r1^2 + r2^2).
-        rho, w = _angular_rule(r1, r2, n)
+        rho, w = _angular_rule(r1, r2, n, _NODE_ROUNDING_LIMIT, "nodes")
         k = ConvKernel(r1, r2)
         assert abs(np.sum(w * rho**2) - k.mass * (r1**2 + r2**2)) < 1e-12 * k.mass * (r1**2 + r2**2)
 

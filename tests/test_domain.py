@@ -4,7 +4,8 @@ Twelve values from 1e-300 to 1e300 are crossed as ``--r1`` x ``--r2`` for the
 commands that take no sample count, ``surface`` and ``grid-check`` on coarse
 grids, and as ``--r1`` x ``--b1 X 0`` for ``circle-average``.  Exit 0 means
 every verdict passed and exit 2 that an input rule named a flag: a radius flag,
-for ``grid-check`` the grid's ``--extent`` or ``--epsilon``, and for
+for ``grid-check`` the grid's ``--extent`` or ``--epsilon``, for ``mass-check``
+also ``--nodes`` where fewer nodes would meet its node-rounding limit, and for
 ``circle-average`` the radius or the centre ``--b1``.  A cell that still FAILs
 (exit 1) is a strict xfail naming the ROADMAP item that mends it, so its mark
 must go when that item lands.
@@ -20,7 +21,8 @@ VALUES = ["1e-300", "1e-150", "1e-12", "1e-9", "1e-3", "1", "3", "1e3", "1e7", "
 ARGS = {"profile": ["--points", "50"], "surface": ["--spacing", "0.5"], "mass-check": [], "roots-check": [],
         "grid-check": ["--extent", "16", "--spacing", "0.08", "--epsilon", "0.16"], "neumann-check": [],
         "circle-average": []}
-ERRORS = {"grid-check": ("error: --extent", "error: --epsilon"), "circle-average": ("error: --r1", "error: --b1")}
+ERRORS = {"grid-check": ("error: --extent", "error: --epsilon"), "circle-average": ("error: --r1", "error: --b1"),
+          "mass-check": ("error: --r", "error: --nodes")}
 # The flag that takes the second value of a cell; circle-average has one radius, and the second value
 # is the x coordinate of its centre.
 SECOND = {"circle-average": ["--b1", "{}", "0"]}

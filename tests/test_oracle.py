@@ -359,6 +359,13 @@ class TestSmoothedProfile:
         assert isinstance(out, float)
         assert abs(out - eval_conv(3.0, 2.0, 3.0)) < 0.01
 
+    @pytest.mark.parametrize("r1, r2, blamed", [(1e-7, 3.0, "r1"), (3.0, 1e-7, "r2")])
+    def test_ratio_past_the_profile_limit_names_the_smaller_radius(self, r1, r2, blamed):
+        # The node count is fixed, so the rule blames a radius even though one node would meet the limit.
+        with pytest.raises(ParameterError) as exc:
+            smoothed_profile(3.0, r1, r2, 1e-9)
+        assert exc.value.param == blamed
+
     def test_mass_preserved_under_smoothing(self):
         # Integrate the smoothed profile over the plane; mollification must
         # not create or destroy mass.
