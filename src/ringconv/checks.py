@@ -20,7 +20,7 @@ from .core import (Circle, ConvKernel, ParameterError, RadialProfile, conv_via_r
                    support_interval, total_mass)
 from .hankel import hankel_of_circle, hankel_of_conv, hankel_transform, neumann_product_check
 from .operators import RingMeasure, circle_average, pair_with_test, restrict_to_circle
-from .oracle import RadialHistogram, grid_conv_check, mc_conv_histogram
+from .oracle import _CHUNK, RadialHistogram, _in_pair, grid_conv_check, mc_conv_histogram
 from .special import bessel_j0
 
 CHECK_PAIRS = [(1.0, 1.0), (2.0, 3.0), (0.5, 2.5)]
@@ -60,12 +60,15 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
              sectors: int) -> tuple[list[CheckResult], RadialHistogram]:
     """Monte Carlo histogram vs the closed form, leakage, radiality and shift equivariance.
 
-    Two sampler passes, each giving a histogram and sector counts: the given
-    circles, then the same radii about the origin, which must match bit for
-    bit.  The first histogram is returned so a caller can export it without
-    a third pass.  Raises a ``ParameterError`` when no bin centre falls strictly
-    inside the middle 90% of the support: naming the smaller radius when no
-    float does, else ``margin``.
+    One full sampler pass gives the histogram, the leakage and the sector
+    counts, and its histogram is returned so a caller can export it without
+    another pass.  The shift verdict compares two one-chunk passes of
+    ``min(samples, 2^20)`` samples with the same seed, bins, margin and
+    sectors, on the given circles and on the same radii about the origin,
+    which must match bit for bit; the two run as a pair on two threads when
+    two cores are usable.  Raises a ``ParameterError`` when no bin centre
+    falls strictly inside the middle 90% of the support: naming the smaller
+    radius when no float does, else ``margin``.
     """
     results = _Verdicts()
     r1, r2 = c1.radius, c2.radius
@@ -89,10 +92,13 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
     results.add("sector uniformity (sigma units)",
                 np.max(np.abs(sector_counts - mean)) / math.sqrt(mean), 4.0)
 
-    concentric, concentric_sectors = mc_conv_histogram(Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2),
-                                                       samples, bins, seed, sectors=sectors, margin=margin)
-    same = (np.array_equal(hist.counts, concentric.counts)
-            and np.array_equal(sector_counts, concentric_sectors))
+    def probe(circles):
+        return mc_conv_histogram(*circles, min(samples, _CHUNK), bins, seed, sectors=sectors, margin=margin)
+
+    (shifted, shifted_sectors), (concentric, concentric_sectors) = _in_pair(
+        probe, (c1, c2), (Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2)))
+    same = (np.array_equal(shifted.counts, concentric.counts)
+            and np.array_equal(shifted_sectors, concentric_sectors))
     results.add("shift equivariance (bitwise)", 0.0 if same else 1.0, 0.0)
     return results, hist
 
@@ -165,13 +171,16 @@ def neumann_check(pairs, nodes: int) -> list[CheckResult]:
     return results
 
 
-def mass_check(r1: float, r2: float, nodes: int) -> list[CheckResult]:
-    """Relative error of the quadrature mass of one pair against ``4 pi^2 r1 r2``."""
+def mass_check(r1: float, r2: float, nodes: int) -> tuple[list[CheckResult], float]:
+    """Relative error of the quadrature mass of one pair against ``4 pi^2 r1 r2``, and that mass.
+
+    The mass is returned so a caller can print it without a second quadrature.
+    """
     results = _Verdicts()
     kernel = ConvKernel(r1, r2)
     measured = total_mass(kernel, nodes)
     results.add("quadrature mass vs analytic", abs(measured - kernel.mass) / kernel.mass, 1e-10)
-    return results
+    return results, measured
 
 
 def mass_sweep_check(seed: int) -> list[CheckResult]:

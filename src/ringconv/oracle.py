@@ -104,6 +104,45 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _on_cores(work, tasks: int) -> list:
+    """``work`` on one worker per usable core, at most one per task; worker 0 is the calling thread.
+
+    Worker k of n calls ``work`` once with an iterator over the task indices
+    k, k + n, ... below ``tasks``, and its result is entry k of the returned
+    list.  Once any worker has raised, or the caller was interrupted while it
+    waited, the other workers' iterators end before their next task.  Every
+    thread has joined before this returns or raises the first exception.
+    """
+    workers = max(1, min(_usable_cores(), tasks))
+    results, errors = [None] * workers, []
+
+    def mine(k):
+        for task in range(k, tasks, workers):
+            if errors:
+                return
+            yield task
+
+    def run(k):
+        try:
+            results[k] = work(mine(k))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        try:
+            thread.join()
+        except BaseException as exc:
+            errors.append(exc)
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _chunk_counts(seed: int, chunk_index: int, count: int, r1: float, r2: float, edges: np.ndarray,
                   counts: np.ndarray, sector_counts: np.ndarray) -> None:
     """Add the radius and sector counts of ``count`` samples from substream chunk_index.
@@ -151,11 +190,11 @@ def mc_conv_histogram(
     Bins cover ``[0, r1 + r2 + margin]`` uniformly and sectors ``[0, 2 pi)``;
     the sector counts should be flat to Poisson noise (the caller applies the
     bound).  Each chunk is drawn once for both, from a counter-based substream
-    derived from the seed.  The chunks run on one worker per core in the
-    process's affinity mask, at most one per chunk, the calling thread being
-    the first: worker k of n takes chunks k, k + n, ... and sums their integer
-    counts into its own vectors, which are then added, so reruns give
-    bit-identical counts on any number of cores.  Raises a ``ParameterError``
+    derived from the seed.  ``_on_cores`` shares the chunks out over the
+    cores in the process's affinity mask: worker k of n takes chunks k, k + n,
+    ... and sums their integer counts into its own vectors, which are then
+    added, so reruns give bit-identical counts on any number of cores.  A
+    pass of at most one chunk runs on the calling thread alone.  Raises a ``ParameterError``
     naming ``bins`` or ``sectors`` outside ``[1, 2^20]`` (the chunk size)
     before allocating, and one naming the larger radius where ``r1 + r2``
     overflows; ``samples < 1`` is a ``ValueError``.  An exception in any chunk,
@@ -168,31 +207,14 @@ def mc_conv_histogram(
     r1, r2 = c1.radius, c2.radius
     edges = np.linspace(0.0, support_interval(r1, r2)[1] + margin, bins + 1)
     chunks = -(-samples // _CHUNK)
-    workers = max(1, min(_usable_cores(), chunks))
-    totals = [(np.zeros(bins, dtype=np.int64), np.zeros(sectors, dtype=np.int64)) for _ in range(workers)]
-    errors = []
 
-    def work(k):
-        try:
-            for c in range(k, chunks, workers):
-                if errors:
-                    return
-                _chunk_counts(seed, c, min(_CHUNK, samples - c * _CHUNK), r1, r2, edges, *totals[k])
-        except BaseException as exc:
-            errors.append(exc)
+    def work(my_chunks):
+        counts, sector_counts = np.zeros(bins, dtype=np.int64), np.zeros(sectors, dtype=np.int64)
+        for c in my_chunks:
+            _chunk_counts(seed, c, min(_CHUNK, samples - c * _CHUNK), r1, r2, edges, counts, sector_counts)
+        return counts, sector_counts
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        try:
-            thread.join()
-        except BaseException as exc:
-            errors.append(exc)
-            thread.join()
-    if errors:
-        raise errors[0]
+    totals = _on_cores(work, chunks)
     counts = sum(c for c, _ in totals)
     sector_counts = sum(s for _, s in totals)
     return RadialHistogram(edges, counts, samples, ConvKernel(r1, r2).mass), sector_counts
@@ -268,35 +290,8 @@ def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
 
 
 def _in_pair(f, x, y):
-    """``(f(x), f(y))``, with ``f(y)`` on one worker thread when two cores are usable.
-
-    numpy's FFTs release the GIL, so the two calls overlap.  The worker has
-    joined before this returns or raises; an exception from either call
-    reaches the caller.
-    """
-    if _usable_cores() < 2:
-        return f(x), f(y)
-    result, errors = [], []
-
-    def work():
-        try:
-            result.append(f(y))
-        except BaseException as exc:
-            errors.append(exc)
-
-    thread = threading.Thread(target=work)
-    thread.start()
-    try:
-        first = f(x)
-    finally:
-        try:
-            thread.join()
-        except BaseException:
-            thread.join()
-            raise
-    if errors:
-        raise errors[0]
-    return first, result[0]
+    """``(f(x), f(y))``, with ``f(y)`` on a second thread when two cores are usable (``_on_cores``)."""
+    return sum(_on_cores(lambda tasks: tuple(f((x, y)[t]) for t in tasks), 2), ())
 
 
 def _spectra(in1: np.ndarray, in2: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:

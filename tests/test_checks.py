@@ -11,6 +11,7 @@ import pytest
 
 from ringconv import checks
 from ringconv.core import Circle
+from ringconv.oracle import RadialHistogram
 
 PAIRS = [("1", "1"), ("2", "3"), ("0.5", "2.5")]
 MINIMUM = ["interior minimum value 2 at sqrt(r1^2+r2^2)", "minimum strictly below 1% perturbations"]
@@ -33,7 +34,7 @@ RUNS = {
         lambda: checks.neumann_check(checks.NEUMANN_PAIRS, 64),
         [f"angular average vs product r1={a} r2={b}" for a, b in PAIRS + [("1.5", "0.7")]]),
     "mass-check": (lambda: checks.mass_sweep_check(3), ["quadrature mass, 100 random pairs"]),
-    "mass-check --r1": (lambda: checks.mass_check(1.0, 2.0, 8), ["quadrature mass vs analytic"]),
+    "mass-check --r1": (lambda: checks.mass_check(1.0, 2.0, 8)[0], ["quadrature mass vs analytic"]),
     "roots-check": (
         lambda: checks.roots_random_check(np.random.default_rng(3)) + checks.interior_minimum_check([(1.0, 2.0)]),
         ["root-path vs closed form, 1000 random triples"] + MINIMUM),
@@ -71,3 +72,42 @@ def test_interior_minimum_value_at_thin_supports(r1, r2):
     # The support's ends round at these ratios; the density at hypot(r1, r2) is still 2 to rounding.
     result = checks.interior_minimum_check([(r1, r2)])[0]
     assert result.label == MINIMUM[0] and result.ok
+
+
+@pytest.mark.parametrize("samples", [20_000, 2**20 + 1])
+def test_mc_check_runs_one_full_pass_and_a_one_chunk_pair(samples, monkeypatch):
+    # The full pass gives the histogram it returns; the shift verdict compares two one-chunk passes.
+    calls, sampler = [], checks.mc_conv_histogram
+
+    def recorded(c1, c2, samples, *args, **kwargs):
+        out = sampler(c1, c2, samples, *args, **kwargs)
+        calls.append((samples, out[0]))
+        return out
+
+    monkeypatch.setattr(checks, "mc_conv_histogram", recorded)
+    results, hist = checks.mc_check(Circle((0.5, 0.0), 2.0), Circle((0.0, -1.0), 3.0), samples, 52, 7, 0.2, 8)
+    p = min(samples, 2**20)
+    assert [n for n, _ in calls] == [samples, p, p]
+    assert hist is calls[0][1]
+    assert results[3].label == "shift equivariance (bitwise)" and results[3].ok
+
+
+def test_shift_verdict_fails_on_a_sampler_that_reads_the_centres(monkeypatch):
+    # This sampler moves one count between two interior bins unless the circles are concentric,
+    # so its counts depend on the shift while nothing leaks: only the shift verdict may catch it.
+    sampler = checks.mc_conv_histogram
+
+    def shift_dependent(c1, c2, *args, **kwargs):
+        hist, sector_counts = sampler(c1, c2, *args, **kwargs)
+        if c1.center == c2.center:
+            return hist, sector_counts
+        counts = hist.counts.copy()
+        counts[30] -= 1
+        counts[31] += 1
+        return RadialHistogram(hist.edges, counts, hist.total_samples, hist.mass_scale), sector_counts
+
+    monkeypatch.setattr(checks, "mc_conv_histogram", shift_dependent)
+    _, leakage, _, shift = checks.mc_check(Circle((0.5, 0.0), 2.0), Circle((0.0, 0.0), 3.0), 20_000, 52, 7, 0.2, 8)[0]
+    assert leakage.label == "zero leakage outside the support" and leakage.ok
+    assert shift.label == "shift equivariance (bitwise)"
+    assert shift.measured == 1.0 and not shift.ok

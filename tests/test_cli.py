@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import ringconv
+from ringconv import checks
 from ringconv.cli import _table, build_parser, main, parse_args
-from ringconv.core import Circle, eval_conv, eval_conv_2d, support_interval
+from ringconv.core import Circle, ConvKernel, eval_conv, eval_conv_2d, support_interval
 from ringconv.operators import _grid_side
 from ringconv.oracle import mc_conv_histogram
 
@@ -367,6 +368,14 @@ class TestIdentityChecks:
         assert code == 0
         assert "computed mass 39.4784176044, expected 39.4784176044" in out
         assert "PASS" in out
+
+    def test_mass_explicit_pair_runs_one_quadrature(self, monkeypatch, capsys):
+        # The printed mass is the one the verdict measured, not a second quadrature.
+        calls, total_mass = [], checks.total_mass
+        monkeypatch.setattr(checks, "total_mass", lambda kernel, n: calls.append(n) or total_mass(kernel, n))
+        code, out, _ = run_main(["mass-check", "--r1", "2", "--r2", "3", "--nodes", "64"], capsys)
+        assert code == 0 and calls == [64]
+        assert out.startswith(f"computed mass {total_mass(ConvKernel(2.0, 3.0), 64):.10f}, expected ")
 
     def test_mass_of_huge_radii_is_finite(self, capsys):
         # (2 pi r)^2 at r = 1e100 is in range; the quadrature must not overflow on the way.

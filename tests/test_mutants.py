@@ -36,7 +36,7 @@ KILLED_BY = {
 
 
 def _verdicts():
-    results = {"mass-check (2, 3)": checks.mass_check(2.0, 3.0, 256)[0]}
+    results = {"mass-check (2, 3)": checks.mass_check(2.0, 3.0, 256)[0][0]}
     results.update((f"hankel-check {r.label}", r) for r in checks.transform_product_check(checks.CHECK_PAIRS, 256))
     results["grid-check profile"] = checks.grid_check(Circle((0.0, 0.0), 2.0), Circle((0.0, 0.0), 3.0),
                                                       12.0, 0.04, 0.1)[0]

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import math
+import sys
 import threading
 import time
 from pathlib import Path
@@ -209,6 +210,28 @@ class TestSamplerThreads:
             mc_conv_histogram(C1, C2, 20 * 2**20, 8, seed=1, sectors=4)
         assert threading.active_count() == before
         assert len(worker_chunks) < 10
+
+    def test_each_task_runs_once_on_its_worker(self, monkeypatch):
+        # More workers than cores, switching threads as often as the interpreter allows.
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = oracle._on_cores(lambda tasks: [(t, threading.get_ident()) for t in tasks], 50)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [[t for t, _ in r] for r in results] == [list(range(k, 50, 8)) for k in range(8)]
+        # A finished thread's ident may be reused, so only the caller's is distinct.
+        callers = [{ident == threading.get_ident() for _, ident in r} for r in results]
+        assert callers == [{True}] + [{False}] * 7
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_pair_keeps_its_order(self, monkeypatch, cores):
+        # On one core both calls run on the caller; on two the second runs on its own thread.
+        monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+        (x, on_x), (y, on_y) = oracle._in_pair(lambda v: (v, threading.get_ident()), "x", "y")
+        assert (x, y) == ("x", "y") and on_x == threading.get_ident()
+        assert (on_y == on_x) == (cores == 1)
 
     @pytest.mark.parametrize("bins, sectors, param", [
         (0, 4, "bins"), (2**20 + 1, 4, "bins"), (8, 0, "sectors"), (8, 2**20 + 1, "sectors"),
