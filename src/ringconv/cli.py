@@ -289,7 +289,7 @@ def _run_roots_check(cfg: argparse.Namespace) -> int:
         # The minimum's pairs continue the stream the random triples came from.
         rng = np.random.default_rng(cfg.seed)
         results = checks.roots_random_check(rng)
-        pairs = [tuple(rng.uniform(0.1, 5.0, 2)) for _ in range(100)]
+        pairs = rng.uniform(0.1, 5.0, (100, 2))
     return _report(results + checks.interior_minimum_check(pairs))
 
 

@@ -53,11 +53,12 @@ class ParameterError(ValueError):
         self.param = param
 
 
-def _check_radius(radius: float, label: str) -> float:
-    radius = float(radius)
-    if not radius > 0.0 or not math.isfinite(radius):
-        raise ValueError(f"{label} must be a finite positive number, got {radius}")
-    return radius
+def _check_radius(radius, label: str):
+    radius = np.asarray(radius, dtype=float)
+    ok = (radius > 0.0) & (radius < math.inf)
+    if not ok.all():
+        raise ValueError(f"{label} must be a finite positive number, got {radius.flat[np.argmin(ok)]}")
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def _values_of_shape(vals, shape: tuple) -> np.ndarray:
@@ -82,7 +83,7 @@ class Circle:
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         if not all(map(math.isfinite, self.center)):
             raise ValueError(f"center must be finite, got {self.center}")
-        _check_radius(self.radius, "radius")
+        _check_radius(float(self.radius), "radius")
 
     @property
     def mass(self) -> float:
@@ -108,16 +109,18 @@ class SupportClass(enum.Enum):
     ABOVE_SUPPORT = "above_support"
 
 
-def support_interval(r1: float, r2: float) -> tuple[float, float]:
-    """Endpoints ``(|r1 - r2|, r1 + r2)`` of the support annulus.
+def support_interval(r1, r2):
+    """Endpoints ``(|r1 - r2|, r1 + r2)`` of the support annulus, broadcast; floats for scalar radii.
 
-    Raises a ``ParameterError`` naming the larger radius (``r1`` on a tie)
-    where ``r1 + r2`` overflows, since no float radius lies beyond the support.
+    Raises a ``ParameterError`` naming the larger radius (``r1`` on a tie) of the first pair where
+    ``r1 + r2`` overflows, since no float radius lies beyond that support.
     """
     r1 = _check_radius(r1, "r1")
     r2 = _check_radius(r2, "r2")
-    hi = r1 + r2
-    if hi == math.inf:
+    with np.errstate(over="ignore"):
+        hi = r1 + r2
+    if np.isinf(hi).any():
+        r1, r2 = (np.broadcast_to(r, np.shape(hi)).flat[np.argmax(hi)] for r in (r1, r2))
         raise ParameterError("r1" if r1 >= r2 else "r2",
                              f"the outer support radius r1 + r2 = {r1:g} + {r2:g} overflows")
     return abs(r1 - r2), hi
@@ -150,8 +153,8 @@ def classify(rho: float, r1: float, r2: float) -> SupportClass:
     return SupportClass.ABOVE_SUPPORT
 
 
-def eval_conv(rho, r1: float, r2: float):
-    """Evaluate the closed-form convolution density at radius rho.
+def eval_conv(rho, r1, r2):
+    """Evaluate the closed-form convolution density at radius rho, broadcast over all three arguments.
 
     Returns the interior formula, to a few ulps at any radii, strictly inside
     the support, ``0.0`` strictly outside, and ``+inf`` at the two endpoint
@@ -160,36 +163,37 @@ def eval_conv(rho, r1: float, r2: float):
     limit).  At ``rho == 0`` the value is 0.0 for distinct radii and ``+inf``
     for equal radii, where the support closure touches the origin.
 
-    Accepts a scalar or an ndarray of radii; negative entries are rejected.
+    Every entry has the bits of its own scalar call, and a bad entry raises as
+    that call would; a float when all three arguments are scalars.
     """
+    rho, r1, r2 = (np.asarray(v, dtype=float) for v in (rho, r1, r2))
     lo, hi = support_interval(r1, r2)
-    arr = np.asarray(rho, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not ((arr >= 0.0) & (arr < math.inf)).all():
+    if not ((rho >= 0.0) & (rho < math.inf)).all():
         raise ValueError("rho values must be finite and >= 0")
 
-    out = np.zeros_like(arr)
-    interior = (arr > lo) & (arr < hi)
+    interior = (rho > lo) & (rho < hi)
+    out = np.zeros(interior.shape)
     if interior.any():
-        out[interior] = _interior_density(arr[interior], r1, r2)
+        # Scalar radii stay scalars, so no radius array the size of the interior is built.
+        out[interior] = _interior_density(np.broadcast_to(rho, interior.shape)[interior],
+                                          *(np.broadcast_to(r, interior.shape)[interior] if r.ndim else r
+                                            for r in (r1, r2)))
     # For equal radii lo == 0, so this also writes +inf at the origin.
-    out[(arr == lo) | (arr == hi)] = np.inf
-    return float(out[0]) if scalar else out
+    out[(rho == lo) | (rho == hi)] = np.inf
+    return float(out) if out.ndim == 0 else out
 
 
-def _interior_density(p: np.ndarray, r1: float, r2: float) -> np.ndarray:
+def _interior_density(p: np.ndarray, r1, r2) -> np.ndarray:
     """``4 r1 r2 / sqrt((p^2 - (r1 - r2)^2)((r1 + r2)^2 - p^2))`` at radii strictly inside the support.
 
-    The density is scale invariant, so p and the radii are first scaled, exactly, by the power of two that
-    puts the larger radius in [0.5, 1).  The radicand is factored as ``(p - lo)(hi + p) (hi - p)(p + lo)``
-    with each end's rounding error put back into its difference, so the value is within a few ulps at any
-    radius ratio, and neither square root's argument leaves the float range while the density stays in it;
-    a density beyond the largest float is ``inf``.  The call holds three arrays the size of ``p``.
+    The density is scale invariant, so p and the radii (scalars or arrays like p) are first scaled, exactly,
+    by ``_scale_exponent``.  The radicand is factored as ``(p - lo)(hi + p) (hi - p)(p + lo)`` with each
+    end's rounding error put back into its difference, so the value is within a few ulps at any radius
+    ratio, and neither square root's argument leaves the float range while the density stays in it; a
+    density beyond the largest float is ``inf``.  Scalar radii keep it to three arrays the size of ``p``.
     """
-    # _scale_exponent's power of two; on Python floats math.frexp costs a tenth of np.frexp.
-    e = math.frexp(max(r1, r2))[1]
-    big, small = math.ldexp(max(r1, r2), -e), math.ldexp(min(r1, r2), -e)
+    e = _scale_exponent(r1, r2)
+    big, small = np.ldexp(np.maximum(r1, r2), -e), np.ldexp(np.minimum(r1, r2), -e)
     lo, lo_err, hi, hi_err = _exact_ends(big, small)
     p = np.ldexp(p, -e)
     a = (p - lo) - lo_err
@@ -203,14 +207,14 @@ def _interior_density(p: np.ndarray, r1: float, r2: float) -> np.ndarray:
         return np.divide(4.0 * big * small, a, out=a)
 
 
-def _exact_ends(r1: float, r2: float) -> tuple[float, float, float, float]:
+def _exact_ends(r1, r2):
     """``support_interval``'s ends and their errors: ``|r1 - r2| = lo + lo_err``, ``r1 + r2 = hi + hi_err``.
 
-    Fast2Sum gives each error exactly (Dekker, Numer. Math. 18, 1971).  It is at most half an ulp of its
-    end, so every float strictly between ``lo`` and ``hi`` lies strictly inside the exact support.
+    Fast2Sum gives each error exactly, elementwise (Dekker, Numer. Math. 18, 1971).  It is at most half an
+    ulp of its end, so every float strictly between ``lo`` and ``hi`` lies strictly inside the exact support.
     """
-    lo, hi = support_interval(r1, r2)
-    big, small = max(r1, r2), min(r1, r2)
+    big, small = np.maximum(r1, r2), np.minimum(r1, r2)
+    lo, hi = big - small, big + small
     return lo, (big - lo) - small, hi, small - (hi - big)
 
 
@@ -257,8 +261,8 @@ class ConvKernel:
     r2: float
 
     def __post_init__(self):
-        _check_radius(self.r1, "r1")
-        _check_radius(self.r2, "r2")
+        _check_radius(float(self.r1), "r1")
+        _check_radius(float(self.r2), "r2")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -394,27 +398,32 @@ def _angular_rule(r1: float, r2: float, n: int, limit: float, count: str | None)
     relative; the mean over the nodes grows about as n times the radius ratio.  Where that mean exceeds
     the caller's ``limit`` (as a node on an end makes it), raises a ``ParameterError`` naming ``count``,
     the caller's node-count parameter, if the one-node rule would pass, and otherwise, or when ``count``
-    is None, the smaller radius.  Also raises where ``4 pi^2 r1 r2`` leaves the normal float range,
-    naming the larger radius on overflow and the smaller on underflow.
+    is None, the smaller radius.  Also raises where ``_normal_mass`` does.
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     lo, hi = support_interval(r1, r2)
-    smaller = "r1" if r1 <= r2 else "r2"
-    mass = 4.0 * math.pi**2 * r1 * r2
-    if not np.finfo(float).tiny <= mass < math.inf:
-        raise ParameterError(("r1" if r1 >= r2 else "r2") if mass == math.inf else smaller,
-                             f"the mass 4 pi^2 r1 r2 at r1 = {r1:g}, r2 = {r2:g} leaves the normal float range")
+    mass = _normal_mass(r1, r2)
     theta = (np.arange(n) + 0.5) * (math.pi / n)
     rho = psi(theta, r1, r2)
     spread = _rounding_spread(rho, lo, hi)
     if not spread <= limit:
         fewer = count is not None and _rounding_spread(psi(0.5 * math.pi, r1, r2), lo, hi) <= limit
-        raise ParameterError(count if fewer else smaller,
+        raise ParameterError(count if fewer else "r1" if r1 <= r2 else "r2",
                              f"rounding the {n} nodes of the angular rule at r1 = {r1:g}, r2 = {r2:g} may move"
                              f" the density by {spread:.3g} on average, over the limit {limit:g}"
                              + ("; fewer nodes would meet it" if fewer else ""))
     return rho, (mass / (2 * n)) * (eval_conv(rho, r1, r2) * np.sin(theta))
+
+
+def _normal_mass(r1: float, r2: float) -> float:
+    """The mass ``4 pi^2 r1 r2``; a ``ParameterError`` where it leaves the normal float range names the
+    larger radius on overflow and the smaller on underflow (``r1`` on a tie)."""
+    mass = 4.0 * math.pi**2 * r1 * r2
+    if not np.finfo(float).tiny <= mass < math.inf:
+        raise ParameterError("r1" if (r1 >= r2 if mass == math.inf else r1 <= r2) else "r2",
+                             f"the mass 4 pi^2 r1 r2 at r1 = {r1:g}, r2 = {r2:g} leaves the normal float range")
+    return mass
 
 
 def _rounding_spread(rho, lo: float, hi: float) -> float:

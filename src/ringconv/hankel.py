@@ -57,7 +57,7 @@ def hankel_transform(profile: RadialProfile, r, n: int):
 
 def hankel_of_circle(radius: float, r):
     """Transform of one circle impulse, ``2 pi R J0(2 pi r R)`` in closed form; a float or an ndarray like r."""
-    radius = _check_radius(radius, "radius")
+    radius = _check_radius(float(radius), "radius")
     return 2.0 * math.pi * radius * bessel_j0(2.0 * math.pi * np.asarray(r, dtype=float) * radius)
 
 
@@ -78,19 +78,21 @@ def _j0_sum(r, rho: np.ndarray, terms: np.ndarray):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def neumann_product_check(r1: float, r2: float, r: float, n: int = 4096) -> tuple[float, float]:
-    """Angular average of J0 over the two-circle distance versus the product.
+def neumann_product_check(r1: float, r2: float, r, n: int = 4096):
+    """Angular average of J0 over the two-circle distance versus the product, at each frequency radius r.
 
     Returns ``(lhs, rhs)`` where
 
         lhs = (1 / 2 pi) * trapezoid over theta of J0(2 pi r psi(theta))
         rhs = J0(2 pi r1 r) * J0(2 pi r2 r)
 
-    The equality of the two is the addition-formula identity that powers the
-    product form of the kernel's transform; the caller asserts the tolerance.
+    as floats for a scalar r, else arrays like r, each entry with the bits of its
+    scalar call.  Their equality is the addition-formula identity behind the
+    kernel transform's product form; the caller asserts the tolerance.
     """
+    r = np.asarray(r, dtype=float)
     theta, weight = periodic_trapezoid_rule(n)
-    values = bessel_j0(2.0 * math.pi * float(r) * psi(theta, r1, r2))
-    lhs = float(np.sum(weight * values)) / (2.0 * math.pi)
-    rhs = float(bessel_j0(2.0 * math.pi * r1 * r) * bessel_j0(2.0 * math.pi * r2 * r))
-    return lhs, rhs
+    values = bessel_j0(np.multiply.outer(2.0 * math.pi * r, psi(theta, r1, r2)))
+    lhs = np.sum(weight * values, axis=-1) / (2.0 * math.pi)
+    rhs = bessel_j0(2.0 * math.pi * r1 * r) * bessel_j0(2.0 * math.pi * r2 * r)
+    return (float(lhs), float(rhs)) if r.ndim == 0 else (lhs, rhs)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, ConvKernel, ParameterError, _angular_rule, support_interval
+from .core import Circle, ConvKernel, ParameterError, _angular_rule, _normal_mass, support_interval
 from .operators import Field2D, _grid_coords, _grid_side, _half_width
 from .special import i0e
 
@@ -196,8 +196,8 @@ def mc_conv_histogram(
     added, so reruns give bit-identical counts on any number of cores.  A
     pass of at most one chunk runs on the calling thread alone.  Raises a ``ParameterError``
     naming ``bins`` or ``sectors`` outside ``[1, 2^20]`` (the chunk size)
-    before allocating, and one naming the larger radius where ``r1 + r2``
-    overflows; ``samples < 1`` is a ``ValueError``.  An exception in any chunk,
+    before allocating, then where ``r1 + r2`` overflows or ``_normal_mass``
+    refuses the mass; ``samples < 1`` is a ``ValueError``.  An exception in any chunk,
     or an interrupt while the caller waits, stops the other workers at their
     next chunk and reaches the caller after every thread has stopped.
     """
@@ -206,6 +206,7 @@ def mc_conv_histogram(
             raise ParameterError(name, f"need 1 <= {name} <= {_CHUNK}, got {value}")
     r1, r2 = c1.radius, c2.radius
     edges = np.linspace(0.0, support_interval(r1, r2)[1] + margin, bins + 1)
+    mass = _normal_mass(r1, r2)
     chunks = -(-samples // _CHUNK)
 
     def work(my_chunks):
@@ -217,7 +218,7 @@ def mc_conv_histogram(
     totals = _on_cores(work, chunks)
     counts = sum(c for c, _ in totals)
     sector_counts = sum(s for _, s in totals)
-    return RadialHistogram(edges, counts, samples, ConvKernel(r1, r2).mass), sector_counts
+    return RadialHistogram(edges, counts, samples, mass), sector_counts
 
 
 def mc_radiality_check(c1: Circle, c2: Circle, samples: int, sectors: int, seed: int) -> np.ndarray:

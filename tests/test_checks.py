@@ -61,7 +61,7 @@ def test_labels_counts_and_verdicts(command):
 
 def test_nan_measurement_fails(monkeypatch):
     # A NaN at the first of the 11 frequencies must survive the running maximum.
-    monkeypatch.setattr(checks, "neumann_product_check", lambda r1, r2, r, n: (math.nan if r == 0.0 else r, r))
+    monkeypatch.setattr(checks, "neumann_product_check", lambda r1, r2, r, n: (np.where(r == 0.0, math.nan, r), r))
     results = checks.neumann_check([(1.0, 2.0), (0.5, 2.5)], 16)
     assert all(math.isnan(r.measured) for r in results)
     assert not any(r.ok for r in results)
@@ -72,6 +72,35 @@ def test_interior_minimum_value_at_thin_supports(r1, r2):
     # The support's ends round at these ratios; the density at hypot(r1, r2) is still 2 to rounding.
     result = checks.interior_minimum_check([(r1, r2)])[0]
     assert result.label == MINIMUM[0] and result.ok
+
+
+@pytest.mark.parametrize("r1, r2", [(1e-12, 1e3), (1e3, 1e-12)])
+def test_interior_minimum_probes_a_support_a_few_ulps_wide(r1, r2):
+    # The support is about 18 ulps wide, so 1% of it rounds to 0; the step is floored at one ulp of
+    # hypot(r1, r2), where the probes read 2.0130513 against a centre of 2.0000000000000004.
+    value, below = checks.interior_minimum_check([(r1, r2)])
+    assert value.ok and below.label == MINIMUM[1] and below.ok
+
+
+def test_the_routes_meet_in_one_call_per_check_or_pair(monkeypatch):
+    calls = {"eval_conv": 0, "neumann_product_check": 0}
+
+    def counted(name):
+        original = getattr(checks, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(checks, name, counted(name))
+    rng = np.random.default_rng(1)
+    checks.roots_random_check(rng)
+    checks.interior_minimum_check(rng.uniform(0.1, 5.0, (100, 2)))
+    assert calls["eval_conv"] == 2
+    checks.neumann_check(checks.NEUMANN_PAIRS, 64)
+    assert calls["neumann_product_check"] == len(checks.NEUMANN_PAIRS)
 
 
 @pytest.mark.parametrize("samples", [20_000, 2**20 + 1])

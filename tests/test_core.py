@@ -58,6 +58,21 @@ def wide_triples(draw, interior=True):
     return rho, r1, r2
 
 
+@st.composite
+def triple_lists(draw):
+    """One to eight ``wide_triples``, some moved onto an end of their support or onto the origin at equal radii."""
+    triples = []
+    for rho, r1, r2 in draw(st.lists(wide_triples(interior=False), min_size=1, max_size=8)):
+        lo, hi = support_interval(r1, r2)
+        where = draw(st.sampled_from(["as drawn", "lower end", "upper end", "origin at equal radii"]))
+        if where == "origin at equal radii":
+            rho, r2 = 0.0, r1
+        elif where != "as drawn":
+            rho = lo if where == "lower end" else hi
+        triples.append((rho, r1, r2))
+    return triples
+
+
 # Relative error allowed against the exact density: 8 units of the float's rounding, 2^-53.
 ACCURACY = Fraction(8, 2**53)
 
@@ -201,6 +216,37 @@ class TestEvalConv:
     def test_symmetric_in_the_radii_bitwise(self, triple):
         rho, r1, r2 = triple
         assert eval_conv(rho, r1, r2) == eval_conv(rho, r2, r1)
+
+    @settings(max_examples=300)
+    @given(triple_lists())
+    def test_broadcast_entries_have_the_bits_of_scalar_calls(self, triples):
+        rho, r1, r2 = np.array(triples).T
+        scalar = np.array([eval_conv(*triple) for triple in triples])
+        assert eval_conv(rho, r1, r2).tobytes() == scalar.tobytes()
+        # A column of radius pairs against a row of rho: every cell is its own scalar call.
+        table = np.array([[eval_conv(p, a, b) for p in rho] for a, b in zip(r1, r2)])
+        assert eval_conv(rho, r1[:, None], r2[:, None]).tobytes() == table.tobytes()
+        assert eval_conv(rho[0], r1, r2).tobytes() == table[:, 0].tobytes()
+
+    @given(st.lists(wide_radii, min_size=1, max_size=6), st.data())
+    def test_broadcast_rejects_the_first_bad_pair_as_its_scalar_call_does(self, pairs, data):
+        r1, r2 = np.array(pairs).T
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        bad = data.draw(st.sampled_from(["non-positive r1", "non-positive r2", "overflow"]))
+        if bad == "overflow":
+            # Every pair from k on overflows r1 + r2; the first names its larger radius.
+            r1[k:] = data.draw(st.lists(st.floats(1e308, 1.7e308), min_size=len(pairs) - k, max_size=len(pairs) - k))
+            r2[k:] = data.draw(st.lists(st.floats(1e308, 1.7e308), min_size=len(pairs) - k, max_size=len(pairs) - k))
+            with pytest.raises(ParameterError) as scalar:
+                eval_conv(1.0, r1[k], r2[k])
+            with pytest.raises(ParameterError) as broadcast:
+                eval_conv(1.0, r1, r2)
+            assert broadcast.value.param == scalar.value.param == ("r1" if r1[k] >= r2[k] else "r2")
+            assert str(broadcast.value) == str(scalar.value)
+        else:
+            (r1 if bad == "non-positive r1" else r2)[k] = data.draw(st.sampled_from([0.0, -0.0, -1.0, -1e-300]))
+            with pytest.raises(ValueError, match=bad.split()[1] + " must be a finite positive number"):
+                eval_conv(np.ones(len(pairs)), r1, r2)
 
     @given(radii, radii)
     def test_interior_minimum_at_collapse_radius(self, r1, r2):
@@ -389,6 +435,13 @@ class TestKernelTypes:
             Circle((0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             Circle((0.0, 0.0), math.inf)
+
+    @pytest.mark.parametrize("make", [lambda r: Circle((0.0, 0.0), r), lambda r: ConvKernel(r, 1.0),
+                                      lambda r: ConvKernel(1.0, r)])
+    def test_one_object_takes_one_radius(self, make):
+        # support_interval broadcasts over radius arrays; a Circle or a ConvKernel does not.
+        with pytest.raises(TypeError):
+            make(np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
     def test_circle_rejects_a_centre_that_is_not_finite(self, center):

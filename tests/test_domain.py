@@ -35,24 +35,15 @@ SECOND = {"circle-average": ["--b1", "{}", "0"]}
 # bracket [1e-12, pi - 1e-12] to an absolute width of 1e-13.
 ROOT_BISECTION = "ROADMAP item 3: the root route's bisection is not endpoint-adaptive"
 ROOT_BISECTION_CELLS = [
-    ("1e-12", "1e-3"), ("1e-12", "1"), ("1e-12", "3"),
+    ("1e-12", "1e-3"), ("1e-12", "1"), ("1e-12", "3"), ("1e-12", "1e3"),
     ("1e-9", "1"), ("1e-9", "3"), ("1e-9", "1e3"),
     ("1e-3", "1e-12"), ("1e-3", "1e7"), ("1e-3", "1e9"),
     ("1", "1e-12"), ("1", "1e-9"), ("1", "1e7"), ("1", "1e9"),
     ("3", "1e-12"), ("3", "1e-9"), ("3", "1e7"), ("3", "1e9"),
-    ("1e3", "1e-9"), ("1e7", "1e-3"), ("1e7", "1"),
+    ("1e3", "1e-12"), ("1e3", "1e-9"), ("1e7", "1e-3"), ("1e7", "1"),
     ("1e9", "1e-3"), ("1e9", "1"), ("1e9", "3"),
 ]
-# These also FAIL "minimum strictly below 1% perturbations": the support is about 18 ulps wide,
-# so 1% of it rounds away.
-THIN_PROBE = ROOT_BISECTION + "; ROADMAP item 5: the interior-minimum probe of a support a few ulps wide"
-THIN_PROBE_CELLS = [("1e-12", "1e3"), ("1e3", "1e-12")]
-# This raises "RuntimeWarning: overflow encountered in square": the histogram's edges reach 2e300.
-ANNULUS_AREA = "ROADMAP item 3: RadialHistogram.density forms the annulus area from edges**2"
-XFAILS = {
-    "roots-check": dict.fromkeys(ROOT_BISECTION_CELLS, ROOT_BISECTION) | dict.fromkeys(THIN_PROBE_CELLS, THIN_PROBE),
-    "mc-check": {("1e300", "1e300"): ANNULUS_AREA},
-}
+XFAILS = {"roots-check": dict.fromkeys(ROOT_BISECTION_CELLS, ROOT_BISECTION)}
 
 
 def _cells():

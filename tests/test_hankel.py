@@ -137,6 +137,14 @@ class TestNeumannProduct:
         assert abs(lhs - rhs) < 1e-9
         assert abs(rhs - bessel_j0(2.0 * math.pi * 0.6)) < 1e-8
 
+    @pytest.mark.parametrize("r1, r2", [(2.0, 3.0), (1.0, 1.0), (1.5, 1e-9)])
+    def test_array_frequencies_have_the_bits_of_scalar_calls(self, r1, r2):
+        # Up to r = 3 the J0 arguments run past the series/asymptotic split at 12.
+        r = np.linspace(0.0, 3.0, 11)
+        lhs, rhs = neumann_product_check(r1, r2, r, 512)
+        scalar = np.array([neumann_product_check(r1, r2, float(x), 512) for x in r])
+        assert lhs.tobytes() == scalar[:, 0].tobytes() and rhs.tobytes() == scalar[:, 1].tobytes()
+
     def test_holds_across_pairs_and_frequencies(self):
         for r1, r2 in PAIRS + [(1.5, 0.7)]:
             for r in (0.1, 0.55, 1.3):

@@ -5,6 +5,7 @@ FAIL under it, and every other verdict must still PASS.  The README's
 validation section shows the same table.
 """
 
+import numpy as np
 import pytest
 
 from ringconv import checks, core
@@ -32,6 +33,10 @@ KILLED_BY = {
     **{f"hankel-check {label}": {"exact-ends-shift", "density-scaled"} for label in HANKEL},
     # The profile tolerance is 5%: a 1e-6 scaling is far below what the grid resolves.
     "grid-check profile": {"exact-ends-shift"},
+    "roots-check root-path vs closed form, 1000 random triples": {"exact-ends-shift", "density-scaled"},
+    "roots-check interior minimum value 2 at sqrt(r1^2+r2^2)": {"exact-ends-shift", "density-scaled"},
+    # A constant factor keeps the minimum below its neighbours.
+    "roots-check minimum strictly below 1% perturbations": {"exact-ends-shift"},
 }
 
 
@@ -40,6 +45,10 @@ def _verdicts():
     results.update((f"hankel-check {r.label}", r) for r in checks.transform_product_check(checks.CHECK_PAIRS, 256))
     results["grid-check profile"] = checks.grid_check(Circle((0.0, 0.0), 2.0), Circle((0.0, 0.0), 3.0),
                                                       12.0, 0.04, 0.1)[0]
+    # roots-check at its default seed: the minimum's pairs continue the triples' stream.
+    rng = np.random.default_rng(12345)
+    roots = checks.roots_random_check(rng) + checks.interior_minimum_check(rng.uniform(0.1, 5.0, (100, 2)))
+    results.update((f"roots-check {r.label}", r) for r in roots)
     return results
 
 

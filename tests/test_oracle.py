@@ -246,6 +246,17 @@ class TestSamplerThreads:
             mc_conv_histogram(C1, C2, 3 * 2**20, bins, seed=1, sectors=sectors)
         assert exc.value.param == param
 
+    @pytest.mark.parametrize("r1, r2, blamed", [(1e300, 1e300, "r1"), (1e-300, 1e-12, "r1"), (1e-12, 1e-300, "r2")])
+    def test_mass_out_of_the_normal_range_is_refused_before_sampling(self, monkeypatch, r1, r2, blamed):
+        # At (1e300, 1e300) the mass is inf, and the density estimate would be inf / inf.
+        def no_chunks(*args):
+            raise AssertionError("a chunk was sampled")
+
+        monkeypatch.setattr(oracle, "_chunk_counts", no_chunks)
+        with pytest.raises(ParameterError, match="normal float range") as exc:
+            mc_conv_histogram(Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2), 1000, 8, seed=1, sectors=4)
+        assert exc.value.param == blamed
+
     def test_workers_call_no_public_function(self, monkeypatch):
         # A traced function called on a worker thread would record a span with
         # no parent; the benchmark's tracer must see one sampler span per pass.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from ringconv import special
 from ringconv.special import (
     bessel_j0,
     chebyshev_singular_rule,
@@ -69,6 +70,21 @@ class TestBesselJ0:
     def test_array_matches_scalar_map(self):
         xs = np.array([0.0, 0.5, 3.0, 11.9, 12.1, 30.0])
         assert_allclose(bessel_j0(xs), [bessel_j0(float(x)) for x in xs], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("f, split", [(bessel_j0, 12.0), (i0e, 25.0)])
+    def test_batched_values_have_the_bits_of_scalar_calls(self, f, split):
+        # The series runs the same terms at every argument, so no value depends on its neighbours.
+        # A series that stopped on the batch's largest term changed 12 of these J0 values.
+        xs = np.linspace(0.01, split, 2000)
+        assert f(xs).tobytes() == np.array([f(float(x)) for x in xs]).tobytes()
+
+    @pytest.mark.parametrize("split, sign, terms", [(12.0, -1.0, special._J0_TERMS), (25.0, 1.0, special._I0E_TERMS)])
+    def test_term_count_is_the_first_below_1e_17_at_the_split(self, split, sign, terms):
+        z, term, magnitudes = sign * split * split / 4.0, 1.0, []
+        for k in range(1, terms + 1):
+            term = term * z / (k * k)
+            magnitudes.append(abs(term))
+        assert magnitudes[-1] < 1e-17 <= magnitudes[-2]
 
     @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
     def test_even_by_construction(self, x):
