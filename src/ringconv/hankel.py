@@ -34,18 +34,22 @@ __all__ = [
     "neumann_product_check",
 ]
 
+# Entries per J0 block in ``_j0_sum``: at 2^15 (256 KB) a block's temporaries stay in cache.  On the
+# Gaussian round trip 2^14 to 2^16 timed alike, 2^12 2x and the whole matrix 1.6x slower (60.8 MB peak).
+_BLOCK = 2**15
+
 
 def hankel_transform(profile: RadialProfile, r, n: int):
     """Quadrature approximation of ``2 pi int f(rho) J0(2 pi r rho) rho d rho``.
 
     The ``n``-node Chebyshev singular rule on the profile's support
     ``[lo, hi]`` is applied to the integrand times ``sqrt((rho - lo)(hi - rho))``,
-    the reciprocal of its weight.  That is spectral where the product is
-    smooth, as for the kernel of distinct radii (256 nodes meet the J0
-    product to ~2e-13 of the mass).  At ``lo = 0`` the Jacobian leaves a
-    fractional power of rho: the Gaussian ``exp(-pi rho^2)`` on [0, 4]
-    converges as n^-4 (8e-12 at 1024 nodes), and the equal-radii kernel as
-    n^-2 (2e-6 of the mass at 256 nodes).
+    the reciprocal of its weight.  That is spectral where the product is smooth,
+    as for the kernel of distinct radii (256 nodes meet the J0 product on [0, 2]
+    to 1.2e-16 of the mass at (2, 3), 4.9e-14 at (1.5, 0.7)).  At ``lo = 0`` the
+    Jacobian leaves a fractional power of rho: the Gaussian ``exp(-pi rho^2)`` on
+    [0, 4] converges as n^-4 (8e-12 at 1024 nodes), and the equal-radii kernel
+    as n^-2 (2e-6 of the mass at 256 nodes).
 
     ``r`` may be a scalar or an ndarray of frequency radii.
     """
@@ -72,10 +76,12 @@ def hankel_of_conv(kernel: ConvKernel, r, n: int = 256):
 
 
 def _j0_sum(r, rho: np.ndarray, terms: np.ndarray):
-    """``sum_k terms_k J0(2 pi r rho_k)`` at each frequency radius; a float for a scalar r."""
+    """``sum_k terms_k J0(2 pi r rho_k)`` per frequency radius (a float for a scalar r), in row blocks of ~``_BLOCK`` J0s."""
     arr = np.asarray(r, dtype=float)
-    out = bessel_j0(2.0 * np.pi * np.multiply.outer(np.atleast_1d(arr), rho)) @ terms
-    return float(out[0]) if arr.ndim == 0 else out
+    out, step = np.empty(arr.size), max(1, _BLOCK // rho.size)
+    for i in range(0, arr.size, step):
+        out[i:i + step] = bessel_j0(2.0 * np.pi * np.multiply.outer(arr.flat[i:i + step], rho)) @ terms
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def neumann_product_check(r1: float, r2: float, r, n: int = 4096):

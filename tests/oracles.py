@@ -18,14 +18,20 @@ def j0_series_oracle(x: float, terms: int = 40) -> float:
     the first omitted term once the terms start shrinking.  40 terms cover
     ``|x| <= 8`` to far below float resolution; pass more for larger
     arguments (160 is ample through ``|x| = 50``).
+
+    The sum is kept in integers over the common denominator
+    ``d^n (n!)^2`` of its ``n + 1 = terms`` terms, where ``q = -x^2/4 = p/d``:
+    term k is ``p^k d^(n-k) (n!/k!)^2``, and each step from term k - 1 divides
+    exactly.  That is the same rational as a ``Fraction`` sum, without a gcd
+    per term.
     """
     q = -Fraction(x) ** 2 / 4
-    term = Fraction(1)
-    total = Fraction(1)
+    p, d, n = q.numerator, q.denominator, terms - 1
+    term = total = den = d**n * math.factorial(n) ** 2
     for k in range(1, terms):
-        term *= q / (k * k)
+        term = term * p // (d * k * k)
         total += term
-    return float(total)
+    return float(Fraction(total, den))
 
 
 def j0_series_term(x: float, k: int) -> float:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ringconv import checks
 from ringconv.core import _NODE_ROUNDING_LIMIT, ConvKernel, ParameterError, RadialProfile
 from ringconv.hankel import (
     hankel_of_circle,
@@ -116,6 +118,16 @@ class TestHankelTransform:
         twice = hankel_transform(once, s, 1024)
         assert np.max(np.abs(twice - np.exp(-math.pi * s * s))) < 1e-9
 
+    def test_round_trip_check_sums_its_j0_matrix_in_blocks(self):
+        # Formed whole, the inner transform's 1024 x 1024 J0 matrix and its temporaries peaked at 60.8 MB.
+        tracemalloc.start()
+        try:
+            checks.gauss_roundtrip_check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestNeumannProduct:
     def test_zero_frequency_is_exact(self):
@@ -139,7 +151,7 @@ class TestNeumannProduct:
 
     @pytest.mark.parametrize("r1, r2", [(2.0, 3.0), (1.0, 1.0), (1.5, 1e-9)])
     def test_array_frequencies_have_the_bits_of_scalar_calls(self, r1, r2):
-        # Up to r = 3 the J0 arguments run past the series/asymptotic split at 12.
+        # Up to r = 3 the J0 arguments run through every piece and past the asymptotic switch at 25.
         r = np.linspace(0.0, 3.0, 11)
         lhs, rhs = neumann_product_check(r1, r2, r, 512)
         scalar = np.array([neumann_product_check(r1, r2, float(x), 512) for x in r])

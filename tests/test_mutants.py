@@ -8,10 +8,10 @@ validation section shows the same table.
 import numpy as np
 import pytest
 
-from ringconv import checks, core
+from ringconv import checks, core, special
 from ringconv.core import Circle
 
-_exact_ends, _interior_density = core._exact_ends, core._interior_density
+_exact_ends, _interior_density, _j0_piece = core._exact_ends, core._interior_density, special._j0_piece
 
 
 def _shifted_ends(r1, r2):
@@ -21,8 +21,10 @@ def _shifted_ends(r1, r2):
 
 MUTANTS = {
     # The closed form's ends moved by a tenth: eval_conv(2; 2, 3) goes from 3.024 to 2.669.
-    "exact-ends-shift": ("_exact_ends", _shifted_ends),
-    "density-scaled": ("_interior_density", lambda p, r1, r2: _interior_density(p, r1, r2) * (1.0 + 1e-6)),
+    "exact-ends-shift": (core, "_exact_ends", _shifted_ends),
+    "density-scaled": (core, "_interior_density", lambda p, r1, r2: _interior_density(p, r1, r2) * (1.0 + 1e-6)),
+    # Every J0 piece evaluated at x + 1e-9, the Hankel expansion's phase off by 1e-9.
+    "j0-phase": (special, "_j0_piece", lambda k, x: _j0_piece(k, x + 1e-9)),
 }
 
 HANKEL = [f"{kind} r1={r1:g} r2={r2:g}" for r1, r2 in checks.CHECK_PAIRS
@@ -30,7 +32,12 @@ HANKEL = [f"{kind} r1={r1:g} r2={r2:g}" for r1, r2 in checks.CHECK_PAIRS
 # Verdict -> the mutants that must turn it to FAIL.
 KILLED_BY = {
     "mass-check (2, 3)": {"exact-ends-shift", "density-scaled"},
+    # Both sides of the transform identities move with J0: they differ by 2.2e-10 of the mass against 1e-8.
     **{f"hankel-check {label}": {"exact-ends-shift", "density-scaled"} for label in HANKEL},
+    "hankel-check gaussian self-inverse round trip": set(),
+    # 1.4e-10 to 2.2e-10 against 1e-10: the average of J0(x + 1e-9) is not the product of two shifted J0s.
+    **{f"neumann-check angular average vs product r1={r1:g} r2={r2:g}": {"j0-phase"}
+       for r1, r2 in checks.NEUMANN_PAIRS},
     # The profile tolerance is 5%: a 1e-6 scaling is far below what the grid resolves.
     "grid-check profile": {"exact-ends-shift"},
     "roots-check root-path vs closed form, 1000 random triples": {"exact-ends-shift", "density-scaled"},
@@ -42,7 +49,9 @@ KILLED_BY = {
 
 def _verdicts():
     results = {"mass-check (2, 3)": checks.mass_check(2.0, 3.0, 256)[0][0]}
-    results.update((f"hankel-check {r.label}", r) for r in checks.transform_product_check(checks.CHECK_PAIRS, 256))
+    results.update((f"hankel-check {r.label}", r)
+                   for r in checks.transform_product_check(checks.CHECK_PAIRS, 256) + checks.gauss_roundtrip_check())
+    results.update((f"neumann-check {r.label}", r) for r in checks.neumann_check(checks.NEUMANN_PAIRS, 4096))
     results["grid-check profile"] = checks.grid_check(Circle((0.0, 0.0), 2.0), Circle((0.0, 0.0), 3.0),
                                                       12.0, 0.04, 0.1)[0]
     # roots-check at its default seed: the minimum's pairs continue the triples' stream.
@@ -55,7 +64,7 @@ def _verdicts():
 @pytest.mark.parametrize("mutant", [None, *MUTANTS])
 def test_verdict_table(mutant, monkeypatch):
     if mutant is not None:
-        monkeypatch.setattr(core, *MUTANTS[mutant])
+        monkeypatch.setattr(*MUTANTS[mutant])
     results = _verdicts()
     assert sorted(results) == sorted(KILLED_BY)
     failed = {name for name, result in results.items() if not result.ok}
