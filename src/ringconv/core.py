@@ -391,11 +391,11 @@ def _angular_rule(r1: float, r2: float, n: int, limit: float, count: str | None)
 
     On ``rho = psi(theta)`` it is ``2 pi r1 r2 int_0^pi conv(psi) g(psi) sin(theta) dtheta``, the angular
     average of the Bessel addition theorem (Watson, *Theory of Bessel Functions*, section 11.2).  Its
-    n-point midpoint rule has nodes ``psi(theta_k)``, ``theta_k = (k + 1/2) pi / n``, and weights
-    ``(4 pi^2 r1 r2 / 2n) eval_conv(rho_k) sin(theta_k)``; it is spectral for smooth even g.
+    n-point midpoint rule has nodes ``rho_k = psi(theta_k)`` from ``_node_radii``, ``theta_k = (k + 1/2) pi
+    / n``, and weights ``(4 pi^2 r1 r2 / 2n) eval_conv(rho_k) sin(theta_k)``; it is spectral for smooth even g.
 
-    A node rounded by ``u rho_k`` moves the density by about ``u rho_k / 2 min(rho_k - lo, hi - rho_k)``
-    relative; the mean over the nodes grows about as n times the radius ratio.  Where that mean exceeds
+    A node rounded once, by ``u rho_k``, moves the density by about ``u rho_k / 2 min(rho_k - lo, hi -
+    rho_k)`` relative; the mean over the nodes grows about as n times the radius ratio.  Where that mean exceeds
     the caller's ``limit`` (as a node on an end makes it), raises a ``ParameterError`` naming ``count``,
     the caller's node-count parameter, if the one-node rule would pass, and otherwise, or when ``count``
     is None, the smaller radius.  Also raises where ``_normal_mass`` does.
@@ -405,7 +405,7 @@ def _angular_rule(r1: float, r2: float, n: int, limit: float, count: str | None)
     lo, hi = support_interval(r1, r2)
     mass = _normal_mass(r1, r2)
     theta = (np.arange(n) + 0.5) * (math.pi / n)
-    rho = psi(theta, r1, r2)
+    rho = _node_radii(theta, r1, r2)
     spread = _rounding_spread(rho, lo, hi)
     if not spread <= limit:
         fewer = count is not None and _rounding_spread(psi(0.5 * math.pi, r1, r2), lo, hi) <= limit
@@ -414,6 +414,27 @@ def _angular_rule(r1: float, r2: float, n: int, limit: float, count: str | None)
                              f" the density by {spread:.3g} on average, over the limit {limit:g}"
                              + ("; fewer nodes would meet it" if fewer else ""))
     return rho, (mass / (2 * n)) * (eval_conv(rho, r1, r2) * np.sin(theta))
+
+
+def _node_radii(theta: np.ndarray, r1: float, r2: float) -> np.ndarray:
+    """``psi(theta)`` for theta in (0, pi), rounded about once where it nears an end ``lo, hi`` of the support.
+
+    There psi's hypot is off by an ulp or two, which the density, sensitive to the offset from the end,
+    magnifies.  So where that offset is under a quarter of psi it is formed without cancellation, from
+    ``psi^2 - lo^2 = m^2``, ``m = g sin(theta/2)``, or ``hi^2 - psi^2 = c^2``, ``c = g cos(theta/2)``,
+    ``g = 2 sqrt(r1 r2)``: psi is ``lo + m^2 / (psi + lo)`` or ``hi - c^2 / (hi + psi)``, the offset exact to
+    a few ulps of itself, plus the end's rounding error.  Fast2Sum gives that error as in ``_exact_ends``,
+    but apart from it, so the rule's nodes share no code with the closed form its weights sample.
+    """
+    rough = psi(theta, r1, r2)
+    big, small = max(r1, r2), min(r1, r2)
+    lo, hi = big - small, big + small
+    lo_err, hi_err = (big - lo) - small, small - (hi - big)
+    g = 2.0 * math.sqrt(r1) * math.sqrt(r2)
+    m, c = g * np.sin(0.5 * theta), g * np.cos(0.5 * theta)
+    above_lo, below_hi = m * (m / (rough + lo)), c * (c / (hi + rough))
+    near = np.where(above_lo <= below_hi, lo + (lo_err + above_lo), hi + (hi_err - below_hi))
+    return np.where(np.minimum(above_lo, below_hi) < 0.25 * rough, near, rough)
 
 
 def _normal_mass(r1: float, r2: float) -> float:
