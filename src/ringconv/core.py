@@ -38,8 +38,6 @@ __all__ = [
     "total_mass",
 ]
 
-# Bracket width at which the root route's bisection stops.
-_BISECTION_TOL = 1e-13
 # The limit ``total_mass`` and ``hankel_of_conv`` pass to ``_angular_rule`` on the mean relative
 # change a node's rounding makes in the density: a tenth of ``checks.mass_check``'s tolerance.
 _NODE_ROUNDING_LIMIT = 1e-11
@@ -301,8 +299,32 @@ def psi(theta, r1: float, r2: float):
 
 
 def phi(rho: float, theta, r1: float, r2: float):
-    """Level function ``rho - psi(theta)`` whose zeros locate the density mass."""
-    return rho - psi(theta, r1, r2)
+    """Level function ``rho - psi(theta)`` whose zeros locate the density mass; a NumPy float for scalar input.
+
+    Within a quarter of psi of a support end it is ``((rho - end) - err) - offset`` from ``_end_offsets``,
+    which does not cancel there.
+    """
+    rough, end, err, offset = _end_offsets(theta, r1, r2)
+    return np.where(np.abs(offset) < 0.25 * rough, ((rho - end) - err) - offset, rho - rough)[()]
+
+
+def _end_offsets(theta, r1, r2):
+    """``rough = psi(theta)``, the nearer support end, its Fast2Sum error ``err`` and ``offset = psi - end``.
+
+    ``err`` is formed as in ``_exact_ends`` but apart from it, so the root route and the angular rule share no
+    code with the closed form.  ``offset`` is ``m^2 / (psi + lo)``, ``m = g sin(theta/2)``, or ``-c^2 / (hi +
+    psi)``, ``c = g cos(theta/2)``, ``g = 2 sqrt(r1 r2)``: a few ulps of itself where psi's hypot cancels.
+    """
+    rough = psi(theta, r1, r2)
+    big, small = np.maximum(r1, r2), np.minimum(r1, r2)
+    lo, hi = big - small, big + small
+    g = 2.0 * np.sqrt(r1) * np.sqrt(r2)
+    m, c = g * np.sin(0.5 * theta), g * np.cos(0.5 * theta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # psi + lo is 0 at theta = 0 for equal radii
+        above_lo, below_hi = m * (m / (rough + lo)), c * (c / (hi + rough))
+    near_lo = above_lo <= below_hi
+    return (rough, np.where(near_lo, lo, hi), np.where(near_lo, (big - lo) - small, small - (hi - big)),
+            np.where(near_lo, above_lo, -below_hi))
 
 
 def _scale_exponent(r1, r2):
@@ -332,13 +354,11 @@ def phi_prime(theta, r1, r2):
 def interior_root(rho, r1, r2):
     """The unique zero of ``phi(rho, .)`` in (0, pi), by one bisection over the broadcast arguments.
 
-    psi is strictly increasing on (0, pi) from ``|r1 - r2|`` to ``r1 + r2``,
-    so for interior rho the bracket [1e-12, pi - 1e-12] contains exactly one
-    sign change.  Bisection avoids any use of the derivative, keeping the
-    root path independent of the slope weights it later feeds.  All brackets
-    halve in lockstep; an exact zero collapses its own.  A float for scalar
-    input.  Raises ValueError unless every ``|r1 - r2| < rho < r1 + r2``,
-    which NaN, inf and radii that are not positive all fail.
+    psi rises on (0, pi) from ``|r1 - r2|`` to ``r1 + r2``, so phi changes sign once there.  The bisection
+    halves theta's bits, from the least positive float to the float below pi, to two adjacent floats, on
+    radii scaled by ``_scale_exponent``; it uses no derivative, so the root is independent of the slope it
+    feeds.  An exact zero collapses its bracket.  A float for scalar input.  Raises ValueError unless every
+    ``|r1 - r2| < rho < r1 + r2``, which NaN, inf and radii that are not positive all fail.
     """
     rho, r1, r2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (rho, r1, r2)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -346,33 +366,31 @@ def interior_root(rho, r1, r2):
     if not np.all(interior):
         bad = np.argmin(interior)
         raise ValueError(f"rho={rho.flat[bad]} is not interior to the support of ({r1.flat[bad]}, {r2.flat[bad]})")
-    lo, hi = np.full(rho.shape, 1e-12), np.full(rho.shape, math.pi - 1e-12)
-    while np.any(hi - lo > _BISECTION_TOL):
-        mid = 0.5 * (lo + hi)
-        f = phi(rho, mid, r1, r2)
+    e = _scale_exponent(r1, r2)
+    rho, r1, r2 = np.ldexp(rho, -e), np.ldexp(r1, -e), np.ldexp(r2, -e)
+    lo, hi = np.ones(rho.shape, np.int64), np.full(rho.shape, np.float64(math.pi).view(np.int64) - 1)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2  # (lo + hi) // 2 overflows int64 near pi
+        f = phi(rho, mid.view(float), r1, r2)
         lo, hi = np.where(f >= 0.0, mid, lo), np.where(f <= 0.0, mid, hi)
-    root = 0.5 * (lo + hi)
+    root = hi.view(float)
     return float(root) if root.ndim == 0 else root
 
 
 def conv_via_roots(rho, r1, r2):
     """Re-derive the density at interior radii from the zeros of phi, broadcast over all three arguments.
 
-    The zero theta1 = ``interior_root(rho, ...)`` and its mirror
-    ``2 pi - theta1`` carry the whole density:
-
-        (r1 r2 / rho) * sum over zeros of 1 / |phi_prime(zero)|
-
-    which must agree with ``eval_conv`` without sharing any code with it.
-    A float for scalar input; raises ValueError where ``interior_root`` does.
+    The zero theta1 = ``interior_root(rho, ...)`` and its mirror ``2 pi - theta1``, of equal slope, carry the
+    whole density ``(r1 r2 / rho) sum 1 / |phi_prime|`` = ``2 r1 r2 / (rho |phi_prime(theta1)|)``, which must
+    agree with ``eval_conv`` without sharing any code with it.  A float for scalar input; raises ValueError
+    where ``interior_root`` does.
     """
     theta1 = interior_root(rho, r1, r2)
     # The density is scale invariant and a power-of-two scaling is exact: with the larger radius
-    # in [0.5, 1), r1 * r2 and the slopes stay in range at any radii, and ordinary radii keep their bits.
+    # in [0.5, 1), r1 * r2 and the slope stay in range at any radii, and ordinary radii keep their bits.
     e = _scale_exponent(r1, r2)
     rho, r1, r2 = np.ldexp(rho, -e), np.ldexp(r1, -e), np.ldexp(r2, -e)
-    slopes = np.abs(phi_prime(np.stack([theta1, 2.0 * math.pi - theta1]), r1, r2))
-    out = r1 * r2 / rho * np.sum(1.0 / slopes, axis=0)
+    out = 2.0 * r1 * r2 / (rho * np.abs(phi_prime(theta1, r1, r2)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -391,8 +409,9 @@ def _angular_rule(r1: float, r2: float, n: int, limit: float, count: str | None)
 
     On ``rho = psi(theta)`` it is ``2 pi r1 r2 int_0^pi conv(psi) g(psi) sin(theta) dtheta``, the angular
     average of the Bessel addition theorem (Watson, *Theory of Bessel Functions*, section 11.2).  Its
-    n-point midpoint rule has nodes ``rho_k = psi(theta_k)`` from ``_node_radii``, ``theta_k = (k + 1/2) pi
-    / n``, and weights ``(4 pi^2 r1 r2 / 2n) eval_conv(rho_k) sin(theta_k)``; it is spectral for smooth even g.
+    n-point midpoint rule has nodes ``rho_k = psi(theta_k)``, ``theta_k = (k + 1/2) pi / n`` (near an end
+    ``end + (err + offset)`` from ``_end_offsets``, rounded about once), and weights ``(4 pi^2 r1 r2 / 2n)
+    eval_conv(rho_k) sin(theta_k)``; it is spectral for smooth even g.
 
     A node rounded once, by ``u rho_k``, moves the density by about ``u rho_k / 2 min(rho_k - lo, hi -
     rho_k)`` relative; the mean over the nodes grows about as n times the radius ratio.  Where that mean exceeds
@@ -405,7 +424,8 @@ def _angular_rule(r1: float, r2: float, n: int, limit: float, count: str | None)
     lo, hi = support_interval(r1, r2)
     mass = _normal_mass(r1, r2)
     theta = (np.arange(n) + 0.5) * (math.pi / n)
-    rho = _node_radii(theta, r1, r2)
+    rough, end, err, offset = _end_offsets(theta, r1, r2)
+    rho = np.where(np.abs(offset) < 0.25 * rough, end + (err + offset), rough)
     spread = _rounding_spread(rho, lo, hi)
     if not spread <= limit:
         fewer = count is not None and _rounding_spread(psi(0.5 * math.pi, r1, r2), lo, hi) <= limit
@@ -414,27 +434,6 @@ def _angular_rule(r1: float, r2: float, n: int, limit: float, count: str | None)
                              f" the density by {spread:.3g} on average, over the limit {limit:g}"
                              + ("; fewer nodes would meet it" if fewer else ""))
     return rho, (mass / (2 * n)) * (eval_conv(rho, r1, r2) * np.sin(theta))
-
-
-def _node_radii(theta: np.ndarray, r1: float, r2: float) -> np.ndarray:
-    """``psi(theta)`` for theta in (0, pi), rounded about once where it nears an end ``lo, hi`` of the support.
-
-    There psi's hypot is off by an ulp or two, which the density, sensitive to the offset from the end,
-    magnifies.  So where that offset is under a quarter of psi it is formed without cancellation, from
-    ``psi^2 - lo^2 = m^2``, ``m = g sin(theta/2)``, or ``hi^2 - psi^2 = c^2``, ``c = g cos(theta/2)``,
-    ``g = 2 sqrt(r1 r2)``: psi is ``lo + m^2 / (psi + lo)`` or ``hi - c^2 / (hi + psi)``, the offset exact to
-    a few ulps of itself, plus the end's rounding error.  Fast2Sum gives that error as in ``_exact_ends``,
-    but apart from it, so the rule's nodes share no code with the closed form its weights sample.
-    """
-    rough = psi(theta, r1, r2)
-    big, small = max(r1, r2), min(r1, r2)
-    lo, hi = big - small, big + small
-    lo_err, hi_err = (big - lo) - small, small - (hi - big)
-    g = 2.0 * math.sqrt(r1) * math.sqrt(r2)
-    m, c = g * np.sin(0.5 * theta), g * np.cos(0.5 * theta)
-    above_lo, below_hi = m * (m / (rough + lo)), c * (c / (hi + rough))
-    near = np.where(above_lo <= below_hi, lo + (lo_err + above_lo), hi + (hi_err - below_hi))
-    return np.where(np.minimum(above_lo, below_hi) < 0.25 * rough, near, rough)
 
 
 def _normal_mass(r1: float, r2: float) -> float:

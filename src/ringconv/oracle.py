@@ -91,8 +91,8 @@ class RadialHistogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def density(self) -> np.ndarray:
-        """Planar density estimate per bin: mass fraction over annulus area."""
-        area = math.pi * (self.edges[1:] ** 2 - self.edges[:-1] ** 2)
+        """Planar density estimate per bin: mass fraction over annulus area ``pi (e1 - e0)(e1 + e0)``, no square."""
+        area = math.pi * (self.edges[1:] - self.edges[:-1]) * (self.edges[1:] + self.edges[:-1])
         return self.counts / self.total_samples * self.mass_scale / area
 
 

@@ -33,6 +33,14 @@ radii = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
 wide_radii = st.tuples(st.floats(-138.0, 138.0), st.floats(-12.0, 12.0)).map(
     lambda t: (10.0**t[0], 10.0**t[0] * 10.0**t[1]))
 
+# Radius pairs at ratios from 1e3 to 1e12, where roots-check's sweep radii put psi near a support end.
+SWEEP_PAIRS = [
+    (1e-12, 1e-3), (1e-12, 1.0), (1e-12, 3.0), (1e-12, 1e3), (1e-9, 1.0), (1e-9, 3.0), (1e-9, 1e3),
+    (1e-3, 1e-12), (1e-3, 1e7), (1e-3, 1e9), (1.0, 1e-12), (1.0, 1e-9), (1.0, 1e7), (1.0, 1e9),
+    (3.0, 1e-12), (3.0, 1e-9), (3.0, 1e7), (3.0, 1e9), (1e3, 1e-12), (1e3, 1e-9), (1e7, 1e-3), (1e7, 1.0),
+    (1e9, 1e-3), (1e9, 1.0), (1e9, 3.0),
+]
+
 
 @st.composite
 def wide_triples(draw, interior=True):
@@ -321,7 +329,7 @@ class TestPsiPhi:
 
 class TestRootPath:
     def test_unit_root_is_sixty_degrees(self):
-        assert abs(interior_root(1.0, 1.0, 1.0) - math.pi / 3.0) < 1e-12
+        assert abs(interior_root(1.0, 1.0, 1.0) - math.pi / 3.0) <= math.ulp(math.pi / 3.0)
 
     def test_unit_value(self):
         assert abs(conv_via_roots(1.0, 1.0, 1.0) - 4.0 / math.sqrt(3.0)) < 1e-12
@@ -348,6 +356,21 @@ class TestRootPath:
                         for row, a, b in zip(rho, r1, r2)]
             assert np.array_equal(values, expected)
             assert type(route(1.0, 1.0, 1.0)) is float
+        # Angles near both ends of (0, pi), so both of phi's branches run.
+        theta = np.array([[1e-9, 1.3, 3.1], [0.4, 2.0, math.pi - 1e-9]])
+        values = phi(rho, theta, r1, r2)
+        expected = [[phi(float(p), float(t), float(a[0]), float(b[0])) for p, t in zip(prow, trow)]
+                    for prow, trow, a, b in zip(rho, theta, r1, r2)]
+        assert np.array_equal(values, expected)
+        assert type(phi(1.0, 1.0, 1.0, 1.0)) is np.float64
+
+    @pytest.mark.parametrize("r1, r2", SWEEP_PAIRS)
+    def test_sweep_radii_within_a_few_ulps_of_the_exact_density(self, r1, r2):
+        lo, hi = support_interval(r1, r2)
+        rhos = lo + np.linspace(0.05, 0.95, 19) * (hi - lo)
+        for rho, value in zip(rhos, conv_via_roots(rhos, r1, r2)):
+            ratio = Fraction(float(value)) ** 2 / conv_density_squared(float(rho), r1, r2)
+            assert (1 - 4e-15) ** 2 <= ratio <= (1 + 4e-15) ** 2
 
     @settings(deadline=None, max_examples=200)
     @given(st.floats(min_value=-150.0, max_value=150.0), st.floats(min_value=-3.0, max_value=3.0),

@@ -9,8 +9,10 @@ rule named a flag: a radius flag, for ``grid-check`` the grid's ``--extent`` or
 its node-rounding limit, for ``mc-check`` also ``--margin``, and for
 ``circle-average`` the radius or the centre ``--b1``.  ``mc-check`` may exit 1
 when every FAIL is one of its two statistical verdicts, which fail by design
-at 2000 samples.  Any other cell that FAILs is a strict xfail naming the
-ROADMAP item that mends it, so its mark must go when that item lands.
+at 2000 samples.  No cell is an expected failure: the root route bisects
+theta to adjacent floats on a ``phi`` that does not cancel near the support's
+ends, so every ``roots-check`` cell passes.  ``EXTRA`` adds cells the crossing
+misses.
 """
 
 import pytest
@@ -31,34 +33,19 @@ STATISTICAL = {"mc-check": ("FAIL interior histogram agreement:", "FAIL sector u
 # is the x coordinate of its centre.
 SECOND = {"circle-average": ["--b1", "{}", "0"]}
 
-# These FAIL "root-path vs closed form on a radial sweep": the root route bisects a fixed
-# bracket [1e-12, pi - 1e-12] to an absolute width of 1e-13.
-ROOT_BISECTION = "ROADMAP item 3: the root route's bisection is not endpoint-adaptive"
-ROOT_BISECTION_CELLS = [
-    ("1e-12", "1e-3"), ("1e-12", "1"), ("1e-12", "3"), ("1e-12", "1e3"),
-    ("1e-9", "1"), ("1e-9", "3"), ("1e-9", "1e3"),
-    ("1e-3", "1e-12"), ("1e-3", "1e7"), ("1e-3", "1e9"),
-    ("1", "1e-12"), ("1", "1e-9"), ("1", "1e7"), ("1", "1e9"),
-    ("3", "1e-12"), ("3", "1e-9"), ("3", "1e7"), ("3", "1e9"),
-    ("1e3", "1e-12"), ("1e3", "1e-9"), ("1e7", "1e-3"), ("1e7", "1"),
-    ("1e9", "1e-3"), ("1e9", "1"), ("1e9", "3"),
-]
-XFAILS = {"roots-check": dict.fromkeys(ROOT_BISECTION_CELLS, ROOT_BISECTION)}
+# Cells beyond the crossing of VALUES: an mc-check annulus edge past 1.34e154, whose square overflows.
+EXTRA = [("mc-check", "1.35e154", "5e151", ["--samples", "20000", "--bins", "2000"])]
 
 
 def _cells():
-    for command in ARGS:
-        for r1 in VALUES:
-            for r2 in VALUES:
-                reason = XFAILS.get(command, {}).get((r1, r2))
-                marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
-                yield pytest.param(command, r1, r2, marks=marks, id=f"{command}-{r1}-{r2}")
+    cells = [(command, r1, r2, ARGS[command]) for command in ARGS for r1 in VALUES for r2 in VALUES] + EXTRA
+    return [pytest.param(*cell, id="-".join(cell[:3])) for cell in cells]
 
 
-@pytest.mark.parametrize("command, r1, r2", _cells())
-def test_exits_0_or_2(command, r1, r2, capsys):
+@pytest.mark.parametrize("command, r1, r2, args", _cells())
+def test_exits_0_or_2(command, r1, r2, args, capsys):
     second = [arg.format(r2) for arg in SECOND.get(command, ["--r2", "{}"])]
-    code = main([command, "--r1", r1, *second] + ARGS[command])
+    code = main([command, "--r1", r1, *second] + args)
     out, err = capsys.readouterr()
     if code == 2:
         assert err.startswith(ERRORS.get(command, "error: --r"))

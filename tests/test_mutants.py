@@ -1,5 +1,8 @@
 """Named defects, each one monkeypatch of a private function, and the check verdicts each must turn to FAIL.
 
+The private functions are the closed form's ends and density, J0's pieces, and
+the root route's end offsets, which only a sweep at a wide radius ratio sees.
+
 The table pins what each check sees: a verdict listed against a mutant must
 FAIL under it, and every other verdict must still PASS.  The README's
 validation section shows the same table.
@@ -12,11 +15,17 @@ from ringconv import checks, core, special
 from ringconv.core import Circle
 
 _exact_ends, _interior_density, _j0_piece = core._exact_ends, core._interior_density, special._j0_piece
+_end_offsets = core._end_offsets
 
 
 def _shifted_ends(r1, r2):
     lo, lo_err, hi, hi_err = _exact_ends(r1, r2)
     return lo, lo_err - 0.1 * lo, hi, hi_err + 0.1 * hi
+
+
+def _cancelling_offsets(theta, r1, r2):
+    rough, end, err, _ = _end_offsets(theta, r1, r2)
+    return rough, end, err, (rough - end) - err
 
 
 MUTANTS = {
@@ -25,6 +34,8 @@ MUTANTS = {
     "density-scaled": (core, "_interior_density", lambda p, r1, r2: _interior_density(p, r1, r2) * (1.0 + 1e-6)),
     # Every J0 piece evaluated at x + 1e-9, the Hankel expansion's phase off by 1e-9.
     "j0-phase": (special, "_j0_piece", lambda k, x: _j0_piece(k, x + 1e-9)),
+    # psi's offset from the nearer support end taken from psi's hypot, which cancels there.
+    "end-offset-cancels": (core, "_end_offsets", _cancelling_offsets),
 }
 
 HANKEL = [f"{kind} r1={r1:g} r2={r2:g}" for r1, r2 in checks.CHECK_PAIRS
@@ -44,6 +55,8 @@ KILLED_BY = {
     "roots-check interior minimum value 2 at sqrt(r1^2+r2^2)": {"exact-ends-shift", "density-scaled"},
     # A constant factor keeps the minimum below its neighbours.
     "roots-check minimum strictly below 1% perturbations": {"exact-ends-shift"},
+    # At a radius ratio of 1e9 the sweep radii put psi within a few ulps of its plateau near an end.
+    "roots-check radial sweep (1, 1e-9)": {"exact-ends-shift", "density-scaled", "end-offset-cancels"},
 }
 
 
@@ -58,6 +71,7 @@ def _verdicts():
     rng = np.random.default_rng(12345)
     roots = checks.roots_random_check(rng) + checks.interior_minimum_check(rng.uniform(0.1, 5.0, (100, 2)))
     results.update((f"roots-check {r.label}", r) for r in roots)
+    results["roots-check radial sweep (1, 1e-9)"] = checks.roots_sweep_check(1.0, 1e-9)[0]
     return results
 
 
