@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Circle, ConvKernel, ParameterError, RadialProfile, conv_via_roots, eval_conv,
+from .core import (Circle, ConvKernel, ParameterError, RadialProfile, _in_pair, conv_via_roots, eval_conv,
                    support_interval, total_mass)
 from .hankel import hankel_of_circle, hankel_of_conv, hankel_transform, neumann_product_check
 from .operators import RingMeasure, circle_average, pair_with_test, restrict_to_circle
-from .oracle import _CHUNK, RadialHistogram, _in_pair, grid_conv_check, mc_conv_histogram
+from .oracle import _CHUNK, RadialHistogram, grid_conv_check, mc_conv_histogram
 from .special import bessel_j0
 
 CHECK_PAIRS = [(1.0, 1.0), (2.0, 3.0), (0.5, 2.5)]

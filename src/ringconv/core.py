@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,8 @@ __all__ = [
 # The limit ``total_mass`` and ``hankel_of_conv`` pass to ``_angular_rule`` on the mean relative
 # change a node's rounding makes in the density: a tenth of ``checks.mass_check``'s tolerance.
 _NODE_ROUNDING_LIMIT = 1e-11
+# Entries in one row block of a full-grid stage, so each worker's temporaries stay near 2^16 floats.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class ParameterError(ValueError):
@@ -65,6 +69,83 @@ def _values_of_shape(vals, shape: tuple) -> np.ndarray:
     if vals.shape != shape:
         vals = np.broadcast_to(vals, shape).copy()
     return vals
+
+
+# ---------------------------------------------------------------------------
+# The package's one thread driver.
+# ---------------------------------------------------------------------------
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _on_cores(work, tasks: int) -> list:
+    """``work`` on one worker per usable core, at most one per task; worker 0 is the calling thread.
+
+    Worker k of n calls ``work`` once with an iterator over the task indices
+    k, k + n, ... below ``tasks``, and its result is entry k of the returned
+    list.  Once any worker has raised, or the caller was interrupted while it
+    waited, the other workers' iterators end before their next task.  Every
+    thread has joined before this returns or raises the first exception.
+    The driver only schedules calls and does no arithmetic, so an oracle that
+    runs on it shares no computation with the closed form it checks.
+    """
+    workers = max(1, min(_usable_cores(), tasks))
+    results, errors = [None] * workers, []
+
+    def mine(k):
+        for task in range(k, tasks, workers):
+            if errors:
+                return
+            yield task
+
+    def run(k):
+        try:
+            results[k] = work(mine(k))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        try:
+            thread.join()
+        except BaseException as exc:
+            errors.append(exc)
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _in_pair(f, x, y):
+    """``(f(x), f(y))``, with ``f(y)`` on a second thread when two cores are usable (``_on_cores``)."""
+    return sum(_on_cores(lambda tasks: tuple(f((x, y)[t]) for t in tasks), 2), ())
+
+
+def _row_blocks(shape: tuple, bands: int | None = None) -> list[slice]:
+    """Slices of whole rows, the first axis of ``shape``: ``bands`` near-equal bands, or by default
+    blocks of about ``_BLOCK_ENTRIES`` entries (one row at least)."""
+    rows = shape[0]
+    step = max(1, -(-rows // bands) if bands else _BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def _on_row_blocks(work, shape: tuple, *, bands: bool = False) -> None:
+    """``work(s)`` for every slice ``s`` of ``_row_blocks(shape)``, or of one band per usable core,
+    the slices shared out by ``_on_cores``.
+
+    Each call must write only rows ``s`` of its outputs, so the result does not depend on the core
+    count.  One block starts no thread.
+    """
+    blocks = _row_blocks(shape, _usable_cores() if bands else None)
+    _on_cores(lambda tasks: [work(blocks[t]) for t in tasks], len(blocks))
 
 
 @dataclass(frozen=True)
@@ -223,10 +304,28 @@ def eval_conv_2d(x, y, r1: float, r2: float, center: tuple[float, float] = (0.0,
     by exact coordinate subtraction before anything else, so shifting the
     configuration and shifting the evaluation point give bitwise identical
     values.
+
+    The radii are checked first; then ``eval_conv`` runs on row blocks of
+    the broadcast shape, shared out over the usable cores, so only the output
+    and each worker's block temporaries are held.  Every entry keeps the bits
+    of ``eval_conv(np.hypot(dx, dy), r1, r2)`` on any number of cores, and a
+    bad coordinate raises as that call would.  A float for scalar input.
     """
     dx = np.asarray(x, dtype=float) - center[0]
     dy = np.asarray(y, dtype=float) - center[1]
-    return eval_conv(np.hypot(dx, dy), r1, r2)
+    support_interval(r1, r2)
+    args = [dx, dy, np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    if not shape:
+        return eval_conv(np.hypot(dx, dy), r1, r2)
+    out = np.empty(shape)
+
+    def rows(s):
+        dxs, dys, r1s, r2s = (np.broadcast_to(a, shape)[s] if a.ndim else a for a in args)
+        out[s] = eval_conv(np.hypot(dxs, dys), r1s, r2s)
+
+    _on_row_blocks(rows, shape)
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, ParameterError, _values_of_shape
+from .core import Circle, ParameterError, _on_row_blocks, _values_of_shape
 from .special import periodic_trapezoid_rule
 
 __all__ = [
@@ -181,7 +181,10 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     side (rounded outward to whole cells) so that each averaging circle stays
     inside the input grid.  Each output point samples the field at the same
     offsets in cells, so the operator is one fixed stencil of bilinear weights,
-    built once and applied to shifted views.  Raises if the circle does not fit.
+    built once and applied to shifted views.  The output rows are split into
+    one band per usable core, and each band adds the taps in one fixed order,
+    so the values have the same bits on any number of cores.  Raises if the
+    circle does not fit.
     """
     if not isinstance(f, Field2D):
         raise ValueError("circle_average_field needs a sampled field")
@@ -201,7 +204,14 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     stencil = np.bincount(np.concatenate([corner, corner + 1, corner + side, corner + side + 1]),
                           np.concatenate([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty]),
                           minlength=side * side).reshape(side, side)
+    taps = list(zip(*np.nonzero(stencil)))
     out = np.zeros((out_size, out_size))
-    for a, b in zip(*np.nonzero(stencil)):
-        out += stencil[a, b] * f.values[a:a + out_size, b:b + out_size]
-    return Field2D.from_grid(r * weight * out, f.spacing)
+
+    def band(s):
+        rows = out[s]
+        for a, b in taps:
+            rows += stencil[a, b] * f.values[a + s.start:a + s.stop, b:b + out_size]
+        rows *= r * weight
+
+    _on_row_blocks(band, out.shape, bands=True)
+    return Field2D.from_grid(out, f.spacing)

@@ -19,13 +19,12 @@ scaled Bessel I0 of the smoothing is ``special.i0e``.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, ConvKernel, ParameterError, _angular_rule, _normal_mass, support_interval
+from .core import (Circle, ConvKernel, ParameterError, _angular_rule, _in_pair, _normal_mass, _on_cores,
+                   _on_row_blocks, _row_blocks, support_interval)
 from .operators import Field2D, _grid_coords, _grid_side, _half_width
 from .special import i0e
 
@@ -94,53 +93,6 @@ class RadialHistogram:
         """Planar density estimate per bin: mass fraction over annulus area ``pi (e1 - e0)(e1 + e0)``, no square."""
         area = math.pi * (self.edges[1:] - self.edges[:-1]) * (self.edges[1:] + self.edges[:-1])
         return self.counts / self.total_samples * self.mass_scale / area
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _on_cores(work, tasks: int) -> list:
-    """``work`` on one worker per usable core, at most one per task; worker 0 is the calling thread.
-
-    Worker k of n calls ``work`` once with an iterator over the task indices
-    k, k + n, ... below ``tasks``, and its result is entry k of the returned
-    list.  Once any worker has raised, or the caller was interrupted while it
-    waited, the other workers' iterators end before their next task.  Every
-    thread has joined before this returns or raises the first exception.
-    """
-    workers = max(1, min(_usable_cores(), tasks))
-    results, errors = [None] * workers, []
-
-    def mine(k):
-        for task in range(k, tasks, workers):
-            if errors:
-                return
-            yield task
-
-    def run(k):
-        try:
-            results[k] = work(mine(k))
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        try:
-            thread.join()
-        except BaseException as exc:
-            errors.append(exc)
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
 
 
 def _chunk_counts(seed: int, chunk_index: int, count: int, r1: float, r2: float, edges: np.ndarray,
@@ -238,18 +190,8 @@ def _ring_grid(extent: float, spacing: float) -> tuple[int, float]:
     return n, _half_width(n, spacing)
 
 
-def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: float) -> Field2D:
-    """Rasterize a ring as a unit-mass Gaussian slice across the circle.
-
-    values(x) = exp(-(|x - b| - R)^2 / (2 eps^2)) / (sqrt(2 pi) eps), which
-    integrates to 1 across the ring's normal direction, so the grid mass is
-    2 pi R up to a curvature bias of relative size O(eps^2 / R^2) and the
-    far Gaussian tails.  The side is odd, so ``fftconvolve`` of two rings
-    stays centred on the grid.  Raises a ``ParameterError``
-    naming ``spacing`` over the grid-side cap, ``epsilon`` if the mollifier
-    is under-resolved, or ``extent`` if the ring plus a 5-epsilon pad
-    overflows the grid that is built.
-    """
+def _ring_side(c: Circle, extent: float, spacing: float, epsilon: float) -> int:
+    """The side of ``build_mollified_ring``'s grid, once the ring has passed its rules in their order."""
     n, half = _ring_grid(extent, spacing)
     if epsilon < 2.0 * spacing:
         raise ParameterError("epsilon",
@@ -258,9 +200,29 @@ def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: floa
     if reach > half:
         raise ParameterError("extent",
                              f"grid extent {extent} too small: ring needs {2.0 * reach:g} with padding")
+    return n
+
+
+def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: float) -> Field2D:
+    """Rasterize a ring as a unit-mass Gaussian slice across the circle.
+
+    values(x) = exp(-(|x - b| - R)^2 / (2 eps^2)) / (sqrt(2 pi) eps), which
+    integrates to 1 across the ring's normal direction, so the grid mass is
+    2 pi R up to a curvature bias of relative size O(eps^2 / R^2) and the
+    far Gaussian tails.  The side is odd, so ``fftconvolve`` of two rings
+    stays centred on the grid.  The values are formed on the calling thread
+    in row blocks of about 2^16 entries, so the distance and the Gaussian
+    leave no full-grid temporary.  Raises a ``ParameterError``
+    naming ``spacing`` over the grid-side cap, ``epsilon`` if the mollifier
+    is under-resolved, or ``extent`` if the ring plus a 5-epsilon pad
+    overflows the grid that is built.
+    """
+    n = _ring_side(c, extent, spacing, epsilon)
     coords = _grid_coords(n, spacing)
-    dist = np.hypot(coords[None, :] - c.center[0], coords[:, None] - c.center[1])
-    values = np.exp(-((dist - c.radius) ** 2) / (2.0 * epsilon**2)) / (math.sqrt(2.0 * math.pi) * epsilon)
+    values = np.empty((n, n))
+    for s in _row_blocks(values.shape):
+        dist = np.hypot(coords[None, :] - c.center[0], coords[s, None] - c.center[1])
+        values[s] = np.exp(-((dist - c.radius) ** 2) / (2.0 * epsilon**2)) / (math.sqrt(2.0 * math.pi) * epsilon)
     return Field2D.from_grid(values, spacing)
 
 
@@ -276,13 +238,26 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
+def _padding(n: int) -> tuple[int, tuple[int, int]]:
+    """``h = (n - 1) // 2`` and the padded shape of the transforms that convolve two ``n x n`` arrays.
+
+    The padded side is the smallest 5-smooth one of at least ``2n - 1 - h``:
+    wrap-around of the circular convolution then only lands on rows and
+    columns outside the centred slice that ``_centred_inverse`` keeps.
+    """
+    h = (n - 1) // 2
+    return h, (_smooth_length(2 * n - 1 - h),) * 2
+
+
 def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the spectral product ``a * b`` to ``out``, which may be ``a`` or ``b``, and return it.
 
     The product is written out in real arithmetic with the same operations
     for either operand order, so swapping ``a`` and ``b`` gives the same bits.
     ``a.imag * b.imag`` goes through a temporary and the imaginary part is
-    written first, so overwriting an operand changes no bit either.
+    written first, so overwriting an operand changes no bit either.  Every
+    entry depends on its own operands alone, so the callers form it a row
+    block at a time on the usable cores.
     """
     imag_imag = a.imag * b.imag
     np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
@@ -290,32 +265,18 @@ def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _in_pair(f, x, y):
-    """``(f(x), f(y))``, with ``f(y)`` on a second thread when two cores are usable (``_on_cores``)."""
-    return sum(_on_cores(lambda tasks: tuple(f((x, y)[t]) for t in tasks), 2), ())
+def _centred_inverse(product: np.ndarray, h: int, n: int, scale: float = 1.0) -> np.ndarray:
+    """``irfft2(product)[h:h + n, h:h + n] * scale`` as a new array; ``product`` is overwritten.
 
-
-def _spectra(in1: np.ndarray, in2: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Padded forward spectra of two ``n x n`` arrays, with ``h = (n - 1) // 2`` and ``n``.
-
-    The padded length is the smallest 5-smooth one of at least ``2n - 1 - h``:
-    wrap-around of the circular convolution then only lands on rows and
-    columns outside the centred slice that ``_centred_inverse`` keeps.
+    The first axis is transformed in ``product``; the second only on the kept
+    rows, a row block at a time, so no full padded real grid is made.
     """
-    in1, in2 = np.asarray(in1, dtype=float), np.asarray(in2, dtype=float)
-    if in1.ndim != 2 or in1.shape[0] != in1.shape[1] or in1.shape != in2.shape:
-        raise ValueError(f"need two square arrays of one shape, got {in1.shape} and {in2.shape}")
-    n = in1.shape[0]
-    h = (n - 1) // 2
-    size = (_smooth_length(2 * n - 1 - h),) * 2
-    a, b = _in_pair(lambda values: np.fft.rfft2(values, size), in1, in2)
-    return a, b, h, n
-
-
-def _centred_inverse(product: np.ndarray, h: int, n: int) -> np.ndarray:
-    """A copy of ``irfft2(product)[h:h + n, h:h + n]``; the first axis is transformed in ``product``."""
+    side = product.shape[0]
     np.fft.ifft(product, axis=0, out=product)
-    return np.fft.irfft(product, product.shape[0], axis=1)[h:h + n, h:h + n].copy()
+    out = np.empty((n, n))
+    for s in _row_blocks((n, side)):
+        np.multiply(np.fft.irfft(product[h + s.start:h + s.stop], side, axis=1)[:, h:h + n], scale, out=out[s])
+    return out
 
 
 def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
@@ -327,25 +288,20 @@ def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
     length at which wrap-around misses the kept slice.  The spectral product
     is written out in real arithmetic, so swapping the operands gives the
     same array bit for bit.  The two forward transforms run on two threads
-    when two cores are usable, and the result is a new array, not a view
-    into the padded one.
+    when two cores are usable, the product in row blocks on the usable
+    cores, and the result is a new array, not a view into the padded one.
     """
-    a, b, h, n = _spectra(in1, in2)
-    return _centred_inverse(_spectral_product(a, b, out=b), h, n)
+    in1, in2 = np.asarray(in1, dtype=float), np.asarray(in2, dtype=float)
+    if in1.ndim != 2 or in1.shape[0] != in1.shape[1] or in1.shape != in2.shape:
+        raise ValueError(f"need two square arrays of one shape, got {in1.shape} and {in2.shape}")
+    h, size = _padding(in1.shape[0])
+    a, b = _in_pair(lambda values: np.fft.rfft2(values, size), in1, in2)
 
+    def product(s):
+        b[s] = _spectral_product(a[s], b[s], out=b[s])
 
-def _fftconvolve_both_orders(in1: np.ndarray, in2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``fftconvolve(in1, in2)`` and ``fftconvolve(in2, in1)`` from one pair of forward spectra.
-
-    The swapped product is written over ``in2``'s spectrum and ``in1``'s is
-    released, so the two inverse transforms, run as a pair like the forward
-    ones, hold two padded spectra between them.
-    """
-    a, b, h, n = _spectra(in1, in2)
-    product = _spectral_product(a, b, out=np.empty_like(a))
-    swapped = _spectral_product(b, a, out=b)
-    del a, b
-    return _in_pair(lambda p: _centred_inverse(p, h, n), product, swapped)
+    _on_row_blocks(product, b.shape)
+    return _centred_inverse(b, h, in1.shape[0])
 
 
 def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
@@ -361,8 +317,10 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
     evaluated here with the exponentially scaled I0 to avoid overflow, on the
     kernel's angular rule ``core._angular_rule``, whose weights sample
     ``eval_conv``, so the grid route is held to the closed form's values.
-    Raises where the rule does at ``_PROFILE_ROUNDING_LIMIT``, naming the
-    smaller radius.
+    The kernel's rows, one per radius, are filled in row blocks on the usable
+    cores; the one product with the weights stays whole, so the result has
+    the same bits on any number of cores.  Raises where the rule does at
+    ``_PROFILE_ROUNDING_LIMIT``, naming the smaller radius.
     """
     sigma2 = 2.0 * epsilon**2
     s, w = _angular_rule(r1, r2, _SMOOTHING_NODES, _PROFILE_ROUNDING_LIMIT, None)
@@ -371,9 +329,14 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
     rho = np.asarray(rho, dtype=float)
     scalar = rho.ndim == 0
     arr = np.atleast_1d(rho)
-    kernel = i0e(np.multiply.outer(arr, s) / sigma2) * np.exp(
-        -((arr[:, None] - s[None, :]) ** 2) / (2.0 * sigma2)
-    )
+    kernel = np.empty((arr.shape[0], s.size))
+
+    def rows(b):
+        kernel[b] = i0e(np.multiply.outer(arr[b], s) / sigma2) * np.exp(
+            -((arr[b, None] - s[None, :]) ** 2) / (2.0 * sigma2)
+        )
+
+    _on_row_blocks(rows, kernel.shape)
     out = kernel @ coef
     return float(out[0]) if scalar else out
 
@@ -416,32 +379,54 @@ def grid_conv_check(
 
     Both rings are rasterized on the same centered grid and convolved in both
     operand orders (the product of sums times spacing^2 gives the continuous
-    normalization).  Each ring's forward spectrum is computed once, so the
-    swap costs one inverse transform; the two forward and then the two
-    inverse transforms run as pairs on two threads when two cores are
-    usable.  The first-by-second result is annularly averaged about b1 + b2
-    in bins of width 2*spacing.  The reference is ``smoothed_profile`` at the
-    bins' mean radii.  Raises a ``ParameterError`` naming ``spacing`` over
-    the grid-side cap, the larger radius where ``r1 + r2`` overflows,
-    ``extent`` if the convolution support plus a 5-epsilon pad would be
-    clipped by the grid, and ``epsilon`` if no bin's mean radius falls in the
-    trimmed interval, in that order of precedence.
+    normalization).  Every input rule is checked before any thread starts.
+    Each ring is built and forward-transformed on its own thread of a pair
+    when two cores are usable, so no ring outlives its spectrum.  Both
+    spectral products are formed a row block at a time on the usable cores,
+    the product over the first spectrum and the swap over the second, so the
+    swap costs one inverse transform; the two inverse transforms run as a
+    pair.  The first-by-second result is annularly averaged about b1 + b2 in
+    bins of width 2*spacing, the distances and bin indices filled in row
+    blocks on the usable cores and each bin summed whole, in one order.  The
+    reference is ``smoothed_profile`` at the bins' mean radii.  Every array of
+    the report has the same bits on any number of cores.  Raises a
+    ``ParameterError`` naming ``spacing`` over the grid-side cap, the larger
+    radius where ``r1 + r2`` overflows, ``extent`` if the convolution support
+    plus a 5-epsilon pad would be clipped by the grid, then each ring's rule
+    of ``build_mollified_ring`` (the first ring's first), and ``epsilon`` if
+    no bin's mean radius falls in the trimmed interval, in that order of
+    precedence.
     """
-    _, half = _ring_grid(extent, spacing)
+    n, half = _ring_grid(extent, spacing)
     lo, hi = support_interval(c1.radius, c2.radius)
     bx, by = c1.center[0] + c2.center[0], c1.center[1] + c2.center[1]
     if max(abs(bx), abs(by)) + hi + 5.0 * epsilon > half:
         raise ParameterError("extent", "grid extent clips the support of the convolution")
-    g1 = build_mollified_ring(c1, extent, spacing, epsilon)
-    g2 = build_mollified_ring(c2, extent, spacing, epsilon)
-    coords = g1.grid_coords()
-    conv, swapped = _fftconvolve_both_orders(g1.values, g2.values)
-    conv *= spacing**2
-    swapped *= spacing**2
+    for c in (c1, c2):
+        _ring_side(c, extent, spacing, epsilon)
+    h, size = _padding(n)
+    a, b = _in_pair(lambda c: np.fft.rfft2(build_mollified_ring(c, extent, spacing, epsilon).values, size),
+                    c1, c2)
 
-    rho = np.hypot(coords[None, :] - bx, coords[:, None] - by)
+    def products(s):
+        product = _spectral_product(a[s], b[s], out=np.empty_like(a[s]))
+        b[s] = _spectral_product(b[s], a[s], out=b[s])
+        a[s] = product
+
+    _on_row_blocks(products, a.shape)
+    conv, swapped = _in_pair(lambda p: _centred_inverse(p, h, n, spacing**2), a, b)
+    del a, b
+
+    coords = _grid_coords(n, spacing)
     width = 2.0 * spacing
-    idx = np.rint(rho / width).astype(np.int64).ravel()
+    rho, idx = np.empty((n, n)), np.empty((n, n), dtype=np.int64)
+
+    def distances(s):
+        np.hypot(coords[None, :] - bx, coords[s, None] - by, out=rho[s])
+        idx[s] = np.rint(rho[s] / width)
+
+    _on_row_blocks(distances, rho.shape)
+    idx = idx.ravel()
     nbins = int(idx.max()) + 1
     hits = np.maximum(np.bincount(idx, minlength=nbins), 1)
     mean_rho = np.bincount(idx, weights=rho.ravel(), minlength=nbins) / hits

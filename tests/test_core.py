@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from ringconv import core
 from ringconv.core import (
     Circle,
     ConvKernel,
@@ -281,6 +284,81 @@ class TestEvalConv2d:
         shifted = eval_conv_2d(xs, xs[::-1], 2.0, 3.0, center=(0.75, -1.25))
         concentric = eval_conv_2d(xs - 0.75, xs[::-1] + 1.25, 2.0, 3.0)
         assert np.array_equal(shifted, concentric)
+
+    @pytest.mark.parametrize("x, y, r1", [
+        # 500 rows of 300 go in blocks of 218 rows, the last one short.
+        (np.linspace(-6.0, 6.0, 300)[None, :], np.linspace(-5.0, 5.0, 500)[:, None], 2.0),
+        (np.linspace(-6.0, 6.0, 2 * 2**16 + 5), 0.5, 2.0),
+        (np.full((3, 4), 1.5), np.arange(4.0), np.linspace(1.0, 3.0, 4)),
+        (1.5, -2.0, 2.0),
+    ], ids=["column-by-row", "1-d", "full-2-d-and-radius-row", "0-d"])
+    def test_blocks_and_cores_keep_the_bits_of_one_call(self, monkeypatch, x, y, r1):
+        center = (0.25, -0.5)
+        whole = eval_conv(np.hypot(np.asarray(x) - center[0], np.asarray(y) - center[1]), r1, 3.0)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            got = eval_conv_2d(x, y, r1, 3.0, center)
+            assert type(got) is type(whole) and np.shape(got) == np.shape(whole)
+            assert np.array_equal(got, whole)
+
+    def test_a_bad_point_in_the_last_block_raises_as_one_call_would(self, monkeypatch):
+        x, y = np.linspace(-6.0, 6.0, 300), np.linspace(-5.0, 5.0, 500)
+        y[-1] = np.nan
+        with pytest.raises(ValueError) as whole:
+            eval_conv(np.hypot(x[None, :], y[:, None]), 2.0, 3.0)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            before = threading.active_count()
+            with pytest.raises(ValueError) as exc:
+                eval_conv_2d(x[None, :], y[:, None], 2.0, 3.0)
+            assert type(exc.value) is type(whole.value) and str(exc.value) == str(whole.value)
+            assert threading.active_count() == before
+
+    def test_radii_are_checked_before_any_thread(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(core, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(core.threading, "Thread", no_threads)
+        c = np.linspace(-6.0, 6.0, 601)
+        with pytest.raises(ParameterError) as exc:
+            eval_conv_2d(c[None, :], c[:, None], 1e308, 1e308)
+        assert exc.value.param == "r1"
+        with pytest.raises(ValueError, match="r2 must be a finite positive number"):
+            eval_conv_2d(c[None, :], c[:, None], 2.0, -1.0)
+
+    def test_a_2401_grid_holds_little_beyond_its_output(self):
+        # The output is 46 MB; full-grid temporaries once took the peak to 185 MB.
+        c = -6.0 + np.arange(2401) * 0.005
+        tracemalloc.start()
+        try:
+            eval_conv_2d(c[None, :], c[:, None], 2.0, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70e6
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("shape, bands", [
+        ((500, 300), False), ((2 * 2**16 + 5,), False), ((5, 0), False), ((0, 4), False),
+        ((87, 87), True), ((2, 9), True),
+    ])
+    def test_every_row_is_written_once(self, monkeypatch, shape, bands):
+        # More workers than cores, switching threads as often as the interpreter allows.
+        monkeypatch.setattr(core, "_usable_cores", lambda: 8)
+        visits = np.zeros(shape[0], dtype=np.int64)
+
+        def visit(s):
+            visits[s] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            core._on_row_blocks(visit, shape, bands=bands)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(visits, np.ones(shape[0], dtype=np.int64))
 
 
 class TestPsiPhi:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from ringconv import core
 from ringconv.core import Circle
 from ringconv.operators import (
     Field2D,
@@ -198,6 +199,18 @@ class TestCircleAverageField:
             for j in (0, 40, 100):
                 ref = circle_average(analytic, circ, (float(oc[j]), float(oc[i])), n=4096)
                 assert abs(out.values[i, j] - ref) < 1e-4
+
+    def test_bands_keep_the_bits_of_one_pass(self, monkeypatch):
+        # One core adds every tap over the whole output in one band; 87 output
+        # rows split 44 + 43 on two cores and 29 + 29 + 29 on three.
+        f = Field2D.from_grid(np.random.default_rng(5).standard_normal((101, 101)), 0.02)
+        circ = Circle((0.0, 0.0), 0.14)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 1)
+        serial = circle_average_field(f, circ, n=64).values
+        assert serial.shape == (87, 87)
+        for cores in (2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            assert np.array_equal(circle_average_field(f, circ, n=64).values, serial)
 
     def test_circle_must_fit(self):
         f = self.make_grid(lambda x, y: x + y, extent=1.0, spacing=0.1)

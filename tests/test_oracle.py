@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ringconv import checks, oracle
+from ringconv import checks, core, oracle
 from ringconv.core import Circle, ParameterError, eval_conv
 from ringconv.oracle import (
     GridConvReport,
@@ -99,7 +99,7 @@ class TestMonteCarlo:
         # them, and no core count may.
         for cores in (None, 1, 2, 3):
             if cores is not None:
-                monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+                monkeypatch.setattr(core, "_usable_cores", lambda: cores)
             h, sector_counts = mc_conv_histogram(C1, C2, 1_572_864, 64, seed=13, sectors=16)
             digest = [hashlib.sha256(c.astype("<i8").tobytes()).hexdigest() for c in (h.counts, sector_counts)]
             assert digest == ["6018950d892ea5cec688ec615dac071ff241ee068ecc0e12af6a82a1931298f5",
@@ -125,7 +125,7 @@ class TestMonteCarlo:
             sector_counts += np.bincount(np.minimum((angle / width).astype(np.int64), sectors - 1),
                                          minlength=sectors)
         for cores in (1, 2, 3):
-            monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
             h, got_sectors = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors)
             assert np.array_equal(h.counts, counts) and np.array_equal(got_sectors, sector_counts)
 
@@ -138,8 +138,8 @@ class TestMonteCarlo:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 8)
-        monkeypatch.setattr(oracle.threading, "Thread", Recorded)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(core.threading, "Thread", Recorded)
         h, _ = mc_conv_histogram(C1, C2, 2 * 2**20 + 1, 8, seed=3, sectors=1)
         assert len(started) == 2 and h.counts.sum() == 2 * 2**20 + 1
 
@@ -160,7 +160,7 @@ def load_tracer():
 
 class TestSamplerThreads:
     def test_no_thread_outlives_a_call(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 3)
         before = threading.active_count()
         mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4)
         assert threading.active_count() == before
@@ -176,7 +176,7 @@ class TestSamplerThreads:
             return chunk_counts(seed, chunk_index, *args)
 
         monkeypatch.setattr(oracle, "_chunk_counts", failing)
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(core, "_usable_cores", lambda: cores)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
             mc_conv_histogram(C1, C2, 4 * 2**20, 8, seed=1, sectors=4)
@@ -203,8 +203,8 @@ class TestSamplerThreads:
                 super().join(timeout)
 
         monkeypatch.setattr(oracle, "_chunk_counts", slow_off_the_caller)
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(oracle.threading, "Thread", InterruptedJoin)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(core.threading, "Thread", InterruptedJoin)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             mc_conv_histogram(C1, C2, 20 * 2**20, 8, seed=1, sectors=4)
@@ -213,11 +213,11 @@ class TestSamplerThreads:
 
     def test_each_task_runs_once_on_its_worker(self, monkeypatch):
         # More workers than cores, switching threads as often as the interpreter allows.
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = oracle._on_cores(lambda tasks: [(t, threading.get_ident()) for t in tasks], 50)
+            results = core._on_cores(lambda tasks: [(t, threading.get_ident()) for t in tasks], 50)
         finally:
             sys.setswitchinterval(interval)
         assert [[t for t, _ in r] for r in results] == [list(range(k, 50, 8)) for k in range(8)]
@@ -228,8 +228,8 @@ class TestSamplerThreads:
     @pytest.mark.parametrize("cores", [1, 2])
     def test_a_pair_keeps_its_order(self, monkeypatch, cores):
         # On one core both calls run on the caller; on two the second runs on its own thread.
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
-        (x, on_x), (y, on_y) = oracle._in_pair(lambda v: (v, threading.get_ident()), "x", "y")
+        monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+        (x, on_x), (y, on_y) = core._in_pair(lambda v: (v, threading.get_ident()), "x", "y")
         assert (x, y) == ("x", "y") and on_x == threading.get_ident()
         assert (on_y == on_x) == (cores == 1)
 
@@ -240,8 +240,8 @@ class TestSamplerThreads:
         def no_threads(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(oracle.threading, "Thread", no_threads)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(core.threading, "Thread", no_threads)
         with pytest.raises(ParameterError) as exc:
             mc_conv_histogram(C1, C2, 3 * 2**20, bins, seed=1, sectors=sectors)
         assert exc.value.param == param
@@ -260,7 +260,7 @@ class TestSamplerThreads:
     def test_workers_call_no_public_function(self, monkeypatch):
         # A traced function called on a worker thread would record a span with
         # no parent; the benchmark's tracer must see one sampler span per pass.
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 3)
         tracer = load_tracer()
         tracer.install()
         try:
@@ -376,7 +376,7 @@ class TestFFTConvolve:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_result_owns_its_memory(self, cores, monkeypatch):
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(core, "_usable_cores", lambda: cores)
         out = fftconvolve(np.ones((5, 5)), np.ones((5, 5)))
         assert out.shape == (5, 5) and out.base is None and out.flags.owndata
 
@@ -399,6 +399,19 @@ class TestSmoothedProfile:
         with pytest.raises(ParameterError) as exc:
             smoothed_profile(3.0, r1, r2, 1e-9)
         assert exc.value.param == blamed
+
+    def test_blocks_and_cores_keep_the_bits_of_one_kernel(self, monkeypatch):
+        # 101 radii fill 2048-node kernel rows in blocks of 32 rows, the last one short.
+        rho = np.linspace(1.2, 4.8, 101)
+        s, w = oracle._angular_rule(2.0, 3.0, oracle._SMOOTHING_NODES, oracle._PROFILE_ROUNDING_LIMIT, None)
+        sigma2 = 2.0 * 0.05**2
+        kernel = oracle.i0e(np.multiply.outer(rho, s) / sigma2) * np.exp(
+            -((rho[:, None] - s[None, :]) ** 2) / (2.0 * sigma2))
+        whole = kernel @ (w / (2.0 * math.pi * sigma2))
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            assert np.array_equal(smoothed_profile(rho, 2.0, 3.0, 0.05), whole)
+            assert smoothed_profile(rho[7], 2.0, 3.0, 0.05) == smoothed_profile(rho[7:8], 2.0, 3.0, 0.05)[0]
 
     def test_mass_preserved_under_smoothing(self):
         # Integrate the smoothed profile over the plane; mollification must
@@ -461,37 +474,61 @@ class TestGridConvCheck:
         centroid = (np.sum(w.sum(axis=0) * coords) / w.sum(), np.sum(w.sum(axis=1) * coords) / w.sum())
         assert_allclose(centroid, (0.2, 0.05), rtol=0, atol=1e-9)
 
-    def test_support_clipping_rejected(self):
+    def test_support_clipping_rejected(self, monkeypatch):
         # The second pair's summed centre fits, but each ring leaves the grid.
         for c1, c2 in ((C1, C2), (Circle((5.5, 0.0), 1.0), Circle((-5.5, 0.0), 1.0))):
             with pytest.raises(ParameterError) as exc:
                 grid_conv_check(c1, c2, extent=10.0, spacing=0.02, epsilon=0.05)
             assert isinstance(exc.value, ValueError) and exc.value.param == "extent"
 
+        # Both rings leave the grid, each by its own amount.  The first ring's
+        # error is raised before any thread starts, on any number of cores.
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(core.threading, "Thread", no_threads)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            with pytest.raises(ParameterError) as exc:
+                grid_conv_check(Circle((5.5, 0.0), 1.0), Circle((-5.0, 0.0), 1.2), 10.0, 0.02, 0.05)
+            assert exc.value.param == "extent"
+            assert str(exc.value) == "grid extent 10.0 too small: ring needs 13.5 with padding"
+
     def test_one_core_gives_the_bits_of_two_threads(self, monkeypatch):
+        # At spacing 0.02 every stage on the cores has at least three row
+        # blocks of unequal sizes, so three workers split them unevenly.
         c1, c2 = Circle((0.3, -0.2), 2.0), Circle((-0.1, 0.25), 3.0)
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
-        threaded = grid_conv_check(c1, c2, extent=12.0, spacing=0.04, epsilon=0.1)
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 1)
-        serial = grid_conv_check(c1, c2, extent=12.0, spacing=0.04, epsilon=0.1)
-        assert np.array_equal(threaded.conv_values, serial.conv_values)
-        assert np.array_equal(threaded.swapped_values, serial.swapped_values)
+        reports = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            reports.append(grid_conv_check(c1, c2, extent=12.0, spacing=0.02, epsilon=0.1))
+        serial = reports[0]
+        for threaded in reports[1:]:
+            for name in ("conv_values", "swapped_values", "rho", "grid_profile", "oracle_profile"):
+                assert np.array_equal(getattr(threaded, name), getattr(serial, name)), name
+            assert (threaded.mass, threaded.max_rel_error) == (serial.mass, serial.max_rel_error)
 
-    def test_at_most_two_threads_start_and_none_outlives_the_call(self, monkeypatch):
-        started = []
+    def test_at_most_usable_minus_one_workers_run_at_once_and_none_outlives_the_call(self, monkeypatch):
+        # Each stage starts its own workers and joins them before the next, so
+        # the caller and at most cores - 1 workers ever run together.  A start
+        # counts the workers still alive, so a worker that ends early can only
+        # raise the count.
+        for cores in (2, 3):
+            started, at_once = [], []
 
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+            class Counted(threading.Thread):
+                def start(self):
+                    at_once.append(1 + sum(t.is_alive() for t in started))
+                    started.append(self)
+                    super().start()
 
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(oracle.threading, "Thread", Counted)
-        before = set(threading.enumerate())
-        grid_conv_check(C1, C2, extent=12.0, spacing=0.04, epsilon=0.1)
-        assert 1 <= len(started) <= 2
-        assert not any(t.is_alive() for t in started)
-        assert set(threading.enumerate()) == before
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(core.threading, "Thread", Counted)
+            before = set(threading.enumerate())
+            grid_conv_check(C1, C2, extent=12.0, spacing=0.04, epsilon=0.1)
+            assert 1 <= max(at_once) <= cores - 1, cores
+            assert not any(t.is_alive() for t in started)
+            assert set(threading.enumerate()) == before
 
     def test_worker_exception_reaches_the_caller_after_the_join(self, monkeypatch):
         started = []
@@ -508,8 +545,8 @@ class TestGridConvCheck:
                 raise RuntimeError("worker transform")
             return exact(values, size)
 
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(oracle.threading, "Thread", Recorded)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(core.threading, "Thread", Recorded)
         monkeypatch.setattr(oracle.np.fft, "rfft2", rfft2)
         with pytest.raises(RuntimeError, match="worker transform"):
             grid_conv_check(C1, C2, extent=12.0, spacing=0.04, epsilon=0.1)
