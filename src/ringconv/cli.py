@@ -6,8 +6,9 @@ Commands either write an artifact (``profile``, ``surface``, and optionally
 when everything passed, 1 when any check failed, and 2 for a configuration
 error whose message names the offending flag: argparse rejects bad flags, and
 ``run`` reports a ``ParameterError`` from the library the same way.  Artifacts
-are assembled in memory and written in one shot, so a failing run never leaves
-a partial file, and identical configurations produce byte-identical output.
+are assembled in memory before the output file is opened, so a failing run
+never leaves a partial file, and identical configurations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import checks
 from .checks import CheckResult
-from .core import Circle, ConvKernel, ParameterError, eval_conv, eval_conv_2d, support_interval
+from .core import Circle, ConvKernel, ParameterError, _on_row_blocks, eval_conv, eval_conv_2d, support_interval
 from .operators import _grid_side
 
 __all__ = ["build_parser", "parse_args", "run", "main"]
@@ -151,12 +151,14 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def _emit(text: str, output: str | None) -> int:
+def _emit(chunks: list, output: str | None) -> int:
+    """Write the byte chunks of an artifact, all formed before anything is written."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(b"".join(chunks).decode("ascii"))
         return 0
     try:
-        Path(output).write_text(text)
+        with open(output, "wb") as f:
+            f.writelines(chunks)
     except OSError as exc:
         print(f"error: --output: cannot write {output!r}: {exc}", file=sys.stderr)
         return 2
@@ -167,26 +169,139 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """The text of each cell of ``column``, formatting each distinct value once.
+# A cell's text is at most 24 bytes ("-2.2250738585072014e-308"), NUL-padded.
+_WIDTH = 24
+# The bytes of each 4-digit group 0000 to 9999, one uint32 word per group.
+_QUADS = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
 
-    Float64 values are told apart by their bits, so ``0.0`` and ``-0.0`` (and
-    NaN payloads) each keep the text of their own value.
+
+def _split_int(p: int) -> tuple[float, float]:
+    """``p`` as a head of at most 26 significant bits plus the tail that makes it exact."""
+    drop = max(0, p.bit_length() - 26)
+    return float(p >> drop << drop), float(p & ((1 << drop) - 1))
+
+
+# 10**e for e = 16 - k, where k in [-4, 15] is a fixed-notation value's decimal exponent.  Every such
+# power is an exact double (5**20 < 2**53), so head + tail is 10**e exactly.
+_POWERS = np.array([_split_int(10**e) for e in range(21)])
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**(16 - k)`` exactly, as ``hi + lo`` (Dekker's two-product against ``_POWERS``)."""
+    head, tail = _POWERS[16 - k].T
+    hi = a * (head + tail)
+    c = 134217729.0 * a  # 2**27 + 1: Veltkamp's split of a into two halves of at most 26 bits
+    ah = c - (c - a)
+    al = a - ah
+    return hi, ((ah * head - hi) + ah * tail + al * head) + al * tail
+
+
+def _text_cells(texts: list[str]) -> np.ndarray:
+    return np.array(texts, dtype=f"S{_WIDTH}").view(np.uint8).reshape(len(texts), _WIDTH)
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """The ``'%.17g'`` text of each of ``values`` as an ``(n, 24)`` NUL-padded byte matrix.
+
+    Values with ``1e-4 <= |x| < 1e16`` are printed in fixed notation from the 17 digits of the
+    nearest integer to ``|x| * 10**(16 - k)``, ``k`` being the value's decimal exponent; that
+    product is exact, so the rounding is exact too.  Zeros are written directly.  Every other
+    value, and any whose product lies within 1e-9 of a tie, goes through ``_fmt``.  Runs of equal
+    ``k`` are laid out by slices, so the kernel is fastest on sorted input such as ``np.unique``'s.
+    """
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e16)
+    zero = a == 0.0
+    a = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
+    hi, lo = _scaled(a, k)
+    # log10 can miss k by one next to a power of ten; y = hi + lo must lie in [1e16, 1e17).
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    redo = np.flatnonzero(high | (hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+    k[redo] += np.where(high[redo], 1, -1)
+    hi[redo], lo[redo] = _scaled(a[redo], k[redo])
+    # hi is a whole number (y >= 1e16 > 2**53), so y rounds to hi + rint(lo).  That is below 10**17:
+    # 10**(k + 1) is a double for k >= -1, and no double lies below 1e-3, 1e-2 or 1e-1 by a relative
+    # 5e-18 or less, so no value in range rounds up into the next decimal exponent.
+    whole = np.rint(lo)
+    slow = ~(fast | zero) | (np.abs(np.abs(lo - whole) - 0.5) <= 1e-9)  # exact ties round half-even
+    n = hi.astype(np.int64) + whole.astype(np.int64)
+
+    digits = np.empty((len(n), 17), np.uint8)
+    digits[:, 0] = n // 10**16 + ord("0")
+    n %= 10**16
+    quads = np.stack([n // 10**12, n // 10**8 % 10**4, n // 10**4 % 10**4, n % 10**4], axis=1)
+    digits[:, 1:] = _QUADS[quads].view(np.uint8)
+    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # the last nonzero digit
+    digits[np.arange(17) > np.maximum(last, k)[:, None]] = 0  # trailing fraction zeros
+    dot = np.where(last > k, ord("."), 0).astype(np.uint8)  # no point when no fraction digit is left
+
+    cells = np.zeros((len(values), _WIDTH), np.uint8)
+    cells[:, 0] = np.where(np.signbit(values), ord("-"), 0)
+    bounds = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        r, e = slice(start, stop), int(k[start])
+        if e >= 0:  # 1 + e integer digits, the point, 16 - e fraction digits
+            cells[r, 1:e + 2] = digits[r, :e + 1]
+            cells[r, e + 2] = dot[r]
+            cells[r, e + 3:19] = digits[r, e + 1:]
+        else:  # "0.", -1 - e zeros, the 17 digits
+            cells[r, 1:2 - e] = ord("0")
+            cells[r, 2] = ord(".")
+            cells[r, 2 - e:19 - e] = digits[r]
+    cells[zero, 1] = ord("0")  # over the one digit of the placeholder 1
+    cells[slow] = _text_cells(list(map(_fmt, values[slow].tolist())))
+    return cells
+
+
+def _cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each distinct value of ``column`` as NUL-padded byte rows, and each cell's row.
+
+    Float64 values are told apart by their bits, so ``0.0`` and ``-0.0`` (and NaN payloads) each
+    keep the text of their own value; integers read as ``str`` gives them.
     """
     floats = column.dtype.kind == "f"
     distinct, inverse = np.unique(column.view(np.int64) if floats else column, return_inverse=True)
-    text = np.array(list(map(_fmt if floats else str, distinct.view(column.dtype).tolist())), dtype=object)
-    return text[inverse].tolist()
+    if floats:
+        return _float_cells(distinct.view(np.float64)), inverse
+    return _text_cells(list(map(str, distinct.tolist()))), inverse
 
 
-def _table(header: str, *columns: np.ndarray) -> str:
-    """CSV text: ``header``, then one row per index of the columns.
+def _in_row_blocks(text_of, shape: tuple) -> list:
+    """Views of one buffer holding ``text_of(s)``, a uint8 array of at most one byte per entry, for
+    the row blocks ``s`` of ``shape`` in order, formed on every core.  The buffer is allocated here,
+    so no worker thread's heap keeps the artifact's bytes."""
+    rows, width = shape
+    buf = np.empty(rows * width, np.uint8)
+    sizes = {}
 
-    Every float cell reads as ``_fmt`` gives it and every integer cell as
-    ``str`` does; each distinct value of a column is formatted once and its
-    text repeated.
+    def work(s):
+        text = text_of(s)
+        buf[s.start * width:s.start * width + text.size] = text
+        sizes[s.start] = text.size
+
+    _on_row_blocks(work, shape)
+    return [buf[start * width:start * width + size] for start, size in sorted(sizes.items())]
+
+
+def _table(header: str, *columns) -> list:
+    """CSV chunks: ``header``, then one row per index of the columns.
+
+    Each column is an array or a ``(cells, index)`` pair from ``_cells``.  Every float cell reads
+    as ``_fmt`` gives it and every integer cell as ``str`` does.
     """
-    return "\n".join([header, *map(",".join, zip(*map(_cells, columns)))]) + "\n"
+    columns = [c if isinstance(c, tuple) else _cells(c) for c in columns]
+
+    def rows(s):
+        out = np.empty((s.stop - s.start, len(columns), _WIDTH + 1), np.uint8)
+        for j, (cells, index) in enumerate(columns):
+            out[:, j, :_WIDTH] = cells[index[s]]
+        out[:, :, _WIDTH] = ord(",")
+        out[:, -1, _WIDTH] = ord("\n")
+        out = out.ravel()
+        return out[out != 0]
+
+    return [f"{header}\n".encode(), *_in_row_blocks(rows, (len(columns[0][1]), len(columns) * (_WIDTH + 1)))]
 
 
 # ---------------------------------------------------------------------------
@@ -211,31 +326,36 @@ def _run_surface(cfg: argparse.Namespace) -> int:
     coords = -cfg.extent / 2.0 + np.arange(n) * cfg.spacing
     values = eval_conv_2d(coords[None, :], coords[:, None], cfg.r1, cfg.r2)
     if cfg.format == "csv":
-        # x runs fastest and y ascends.
-        return _emit(_table("x,y,value", np.tile(coords, n), np.repeat(coords, n), values.ravel()), cfg.output)
+        # x runs fastest and y ascends; the coordinates' text is formed once for both columns.
+        text, index = _cells(coords)
+        return _emit(_table("x,y,value", (text, np.tile(index, n)), (text, np.repeat(index, n)), values.ravel()),
+                     cfg.output)
     finite = values[np.isfinite(values)]
     vmax = float(np.percentile(finite, 99.0, overwrite_input=True)) if finite.size else 1.0
     del finite
     if vmax <= 0.0:
         vmax = 1.0
-    # rint(clip(values / vmax, 0, 1) * 255), shaded in the values' own storage.
-    values /= vmax
-    np.clip(values, 0.0, 1.0, out=values)
-    values *= 255.0
-    np.rint(values, out=values)
-    shades = values.astype(np.uint8)
     header = (
         f"P2\n# ringconv surface r1={_fmt(cfg.r1)} r2={_fmt(cfg.r2)} extent={_fmt(cfg.extent)}"
         f" spacing={_fmt(cfg.spacing)} clip=p99 rows=y-ascending\n{n} {n}\n255\n"
     )
-    # Each shade's 4 bytes are taken as one word, which NumPy gathers several
-    # times faster than 4 single bytes.  A row's last shade ends in a newline.
-    cells = _SHADE_BYTES.view(np.uint32)[shades].view(np.uint8)
-    ends = cells[:, -1]
-    ends[ends == ord(" ")] = ord("\n")
-    cells = cells.ravel()
-    body = cells[cells != 0].tobytes().decode("ascii")
-    return _emit(header + body, cfg.output)
+
+    def rows(s):
+        # rint(clip(values / vmax, 0, 1) * 255), shaded in the values' own storage.
+        block = values[s]
+        block /= vmax
+        np.clip(block, 0.0, 1.0, out=block)
+        block *= 255.0
+        np.rint(block, out=block)
+        # Each shade's 4 bytes are taken as one word, which NumPy gathers several
+        # times faster than 4 single bytes.  A row's last shade ends in a newline.
+        cells = _SHADE_BYTES.view(np.uint32)[block.astype(np.uint8)].view(np.uint8)
+        ends = cells[:, -1]
+        ends[ends == ord(" ")] = ord("\n")
+        cells = cells.ravel()
+        return cells[cells != 0]
+
+    return _emit([header.encode(), *_in_row_blocks(rows, (n, 4 * n))], cfg.output)
 
 
 # ---------------------------------------------------------------------------

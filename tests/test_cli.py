@@ -2,13 +2,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ringconv
-from ringconv import checks
+from ringconv import checks, cli, core
 from ringconv.cli import _table, build_parser, main, parse_args
 from ringconv.core import Circle, ConvKernel, eval_conv, eval_conv_2d, support_interval
 from ringconv.operators import _grid_side
@@ -210,16 +213,35 @@ class TestArtifactBytes:
         ["surface", "--r1", "1", "--r2", "3", "--extent", "1", "--spacing", "0.1", "--format", "pgm"],
         # At this sample count a statistical verdict fails (exit 1); only the histogram is compared.
         ["mc-check", "--samples", "100000", "--bins", "77", "--sectors", "16", "--seed", "5"],
+        # The benchmark's profile and surface CSV sizes.
+        ["profile", "--r1", "1.9", "--r2", "3.1578947368421053", "--points", "200001"],
+        ["surface", "--r1", "1.9", "--r2", "3.1578947368421053", "--extent", "12", "--spacing", "0.02"],
     ], ids=["profile-defaults", "profile-long", "surface-csv", "surface-pgm", "surface-csv-fine",
             "surface-pgm-fine", "surface-pgm-side-1", "surface-pgm-side-2", "surface-pgm-zeros",
-            "mc-histogram"])
-    def test_file_matches_the_per_cell_reference(self, argv, tmp_path, capsys):
+            "mc-histogram", "profile-200001", "surface-csv-601"])
+    def test_file_matches_the_per_cell_reference(self, argv, tmp_path, capsys, monkeypatch):
+        expected = expected_artifact(argv).encode()
         path = tmp_path / "artifact"
-        code, out, err = run_main(argv + ["-o", str(path)], capsys)
-        assert err == ""
-        if argv[0] != "mc-check":
-            assert code == 0 and out == ""
-        assert path.read_bytes() == expected_artifact(argv).encode()
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            code, out, err = run_main(argv + ["-o", str(path)], capsys)
+            assert err == ""
+            if argv[0] != "mc-check":
+                assert code == 0 and out == ""
+            assert path.read_bytes() == expected, f"on {cores} cores"
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--points", "2001"],
+        ["surface", "--extent", "6", "--spacing", "0.1"],
+        ["surface", "--extent", "6", "--spacing", "0.1", "--format", "pgm"],
+        ["mc-check", "--samples", "20000", "--bins", "40", "--sectors", "8"],
+    ], ids=["profile", "surface-csv", "surface-pgm", "mc-histogram"])
+    def test_exports_warn_nothing(self, argv, tmp_path, capsys):
+        # A warning would print once per process, so a run's stderr would depend on the runs before it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_main(argv + ["-o", str(tmp_path / "artifact")], capsys)
+        assert err == "" and code in (0, 1)
 
     def test_table_keeps_the_text_of_each_cell(self):
         # Equal values with different bits (0.0 and -0.0, NaN payloads) must not share a text.
@@ -230,7 +252,7 @@ class TestArtifactBytes:
         k = np.array([-7, 2**53 + 1, 2**63 - 1, -2**63, 0, -7, 2**53 + 1, 2**53, -1, 0, 9,
                       2**63 - 1, -2**53 - 1, 3, 3], dtype=np.int64)
         rows = [f"{a:.17g},{b:.17g},{c}" for a, b, c in zip(x, y, k)]
-        assert _table("x,y,k", x, y, k) == "\n".join(["x,y,k"] + rows) + "\n"
+        assert b"".join(_table("x,y,k", x, y, k)) == ("\n".join(["x,y,k"] + rows) + "\n").encode()
         assert {"0", "-0"} <= {row.split(",")[0] for row in rows}
 
     def test_stdout_matches_the_per_cell_reference(self, capsys):
@@ -238,6 +260,68 @@ class TestArtifactBytes:
         code, out, err = run_main(argv, capsys)
         assert code == 0 and err == ""
         assert out == expected_artifact(argv)
+
+
+def percent_text(values):
+    return "\n".join(["x"] + ["%.17g" % v for v in values.tolist()] + [""]).encode()
+
+
+class TestCellText:
+    """The float cell kernel against Python's '%.17g' formatting, with which it shares no code."""
+
+    @pytest.fixture(scope="class")
+    def column(self):
+        rng = np.random.default_rng(20261019)
+        # Random bit patterns: every exponent, then the binades of 7.6e-6 to 7.2e16 around fixed notation.
+        bits = rng.integers(-2**63, 2**63, 2**20, dtype=np.int64, endpoint=False)
+        bits[2**16:] &= ~(0x7FF << 52)
+        bits[2**16:] |= rng.integers(1023 - 17, 1023 + 57, 2**20 - 2**16) << 52
+        # Powers of ten, the ends of the fixed-notation range, and each one's neighbours.
+        powers = np.array([10.0**j for j in range(-30, 31)] + [float(f"1e{j}") for j in range(-323, 309)])
+        powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        special = np.array([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.5e-310,
+                            1.7976931348623157e308, np.inf, np.nan])
+        payloads = np.array([0x7FF0000000000001, 0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF], np.int64)
+        column = np.concatenate([powers, special, payloads.view(float)])
+        column = np.concatenate([bits.view(float), column, -column])
+        return cli._cells(column), percent_text(column)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_matches_percent_format(self, column, cores, monkeypatch):
+        cells, expected = column
+        monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+        assert b"".join(_table("x", cells)) == expected
+
+    def test_ties_round_half_even_through_the_fallback(self, monkeypatch):
+        # m / 2**(17 - k) for odd m lies halfway between two 17-digit decimals of exponent k.
+        rng = np.random.default_rng(7)
+        ties = [2.0**49 + j / 8 for j in range(1, 64, 2)]
+        for k in range(-4, 16):
+            lo, hi = (math.ceil(Fraction(10)**j * 2**(17 - k)) for j in (k, k + 1))
+            ties += [float(m) / 2**(17 - k) for m in rng.integers(lo, min(hi, 2**53), 50) | 1]
+        ties = np.array(ties)
+        seen = []
+        monkeypatch.setattr(cli, "_fmt", lambda v: seen.append(v) or format(v, ".17g"))
+        text = b"".join(_table("x", ties))
+        assert text == percent_text(ties)
+        assert set(ties.tolist()) <= set(seen)
+        assert b"\n562949953421312.12\n" in text and b"\n562949953421312.38\n" in text
+
+    def test_only_ties_in_fixed_notation_reach_the_fallback(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_fmt", lambda v: seen.append(v) or format(v, ".17g"))
+        values = np.geomspace(1e-4, 9.999e15, 100_001)
+        assert b"".join(_table("x", values)) == percent_text(values)
+        # Exactly the ties reach it: values whose 18th and last significant digit is a 5.
+        digits = {v: Decimal(v).as_tuple().digits for v in values.tolist()}
+        assert sorted(seen) == [v for v, d in digits.items() if len(d) == 18 and d[-1] == 5]
+
+    def test_power_table_is_exact(self):
+        # Dekker's product is exact when each half of the power has at most 26 significant bits.
+        for e, (head, tail) in enumerate(cli._POWERS):
+            assert Fraction(head) + Fraction(tail) == 10**e
+            for half in (int(head), int(tail)):
+                assert (half // (half & -half) if half else 0).bit_length() <= 26
 
 
 class TestMcCheck:
