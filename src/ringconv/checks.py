@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Circle, ConvKernel, ParameterError, RadialProfile, _in_pair, conv_via_roots, eval_conv,
-                   support_interval, total_mass)
+from .core import (Circle, ConvKernel, ParameterError, RadialProfile, conv_via_roots, eval_conv, support_interval,
+                   total_mass)
 from .hankel import hankel_of_circle, hankel_of_conv, hankel_transform, neumann_product_check
 from .operators import RingMeasure, circle_average, pair_with_test, restrict_to_circle
-from .oracle import _CHUNK, RadialHistogram, grid_conv_check, mc_conv_histogram
+from .oracle import _CHUNK, RadialHistogram, _empty_histogram, _sample_pool, grid_conv_check
 from .special import bessel_j0
 
 CHECK_PAIRS = [(1.0, 1.0), (2.0, 3.0), (0.5, 2.5)]
@@ -60,19 +60,22 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
              sectors: int) -> tuple[list[CheckResult], RadialHistogram]:
     """Monte Carlo histogram vs the closed form, leakage, radiality and shift equivariance.
 
-    One full sampler pass gives the histogram, the leakage and the sector
-    counts, and its histogram is returned so a caller can export it without
-    another pass.  The shift verdict compares two one-chunk passes of
-    ``min(samples, 2^20)`` samples with the same seed, bins, margin and
-    sectors, on the given circles and on the same radii about the origin,
-    which must match bit for bit; the two run as a pair on two threads when
-    two cores are usable.  Raises a ``ParameterError`` when no bin centre
-    falls strictly inside the middle 90% of the support: naming the smaller
-    radius when no float does, else ``margin``.
+    One call of the private sampler pool runs two jobs with the same seed,
+    bins, margin and sectors: the full pass on the given circles, and a probe
+    of ``min(samples, 2^20)`` samples on the same radii about the origin.  The
+    full pass gives the histogram, the leakage and the sector counts, and its
+    histogram is returned so a caller can export it without another pass.
+    The shift verdict compares the full pass's chunk 0, the same draws as a
+    one-chunk pass, with the probe; they must match bit for bit.  So a run
+    draws ``samples + min(samples, 2^20)`` samples, shared out in blocks over
+    the usable cores.  Every input rule is checked before the first block is
+    drawn: ``bins`` and ``sectors``, then the mass, then a ``ParameterError``
+    when no bin centre falls strictly inside the middle 90% of the support,
+    naming the smaller radius when no float does, else ``margin``.
     """
     results = _Verdicts()
     r1, r2 = c1.radius, c2.radius
-    hist, sector_counts = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors, margin=margin)
+    hist = _empty_histogram(r1, r2, samples, bins, sectors, margin)
     lo, hi = support_interval(r1, r2)
     t_lo, t_hi = lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)
     centers = hist.centers
@@ -80,6 +83,10 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
     if not keep.any():
         raise ParameterError("margin" if np.nextafter(t_lo, t_hi) < t_hi else "r1" if r1 <= r2 else "r2",
                              f"no bin centre falls strictly inside the trimmed support [{t_lo:g}, {t_hi:g}]")
+    concentric = (Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2), min(samples, _CHUNK))
+    ((counts, sector_counts), first), (probe, _) = _sample_pool([(c1, c2, samples), concentric], seed,
+                                                                 hist.edges, sectors)
+    hist = replace(hist, counts=counts)
     exact = eval_conv(centers[keep], r1, r2)
     rel = np.abs(hist.density()[keep] - exact) / exact
     results.add("interior histogram agreement", rel.max(), 0.02)
@@ -92,13 +99,7 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
     results.add("sector uniformity (sigma units)",
                 np.max(np.abs(sector_counts - mean)) / math.sqrt(mean), 4.0)
 
-    def probe(circles):
-        return mc_conv_histogram(*circles, min(samples, _CHUNK), bins, seed, sectors=sectors, margin=margin)
-
-    (shifted, shifted_sectors), (concentric, concentric_sectors) = _in_pair(
-        probe, (c1, c2), (Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2)))
-    same = (np.array_equal(shifted.counts, concentric.counts)
-            and np.array_equal(shifted_sectors, concentric_sectors))
+    same = all(np.array_equal(a, b) for a, b in zip(first, probe))
     results.add("shift equivariance (bitwise)", 0.0 if same else 1.0, 0.0)
     return results, hist
 

@@ -19,7 +19,7 @@ scaled Bessel I0 of the smoothing is ``special.i0e``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,17 +39,20 @@ __all__ = [
     "grid_conv_check",
 ]
 
-# Fixed chunk size for the counter-based sampler.  Chunk c always uses the
-# substream jumped(c) of the seeded generator, so the histogram and the
-# sector counts are sums of per-chunk integer count vectors and are
-# bit-identical however the worker threads of ``mc_conv_histogram`` share
-# the chunks out.
+# Fixed chunk size for the counter-based sampler.  Chunk c of a pass always
+# uses the substream jumped(c) of the seeded generator, theta1 for the whole
+# chunk and then theta2, so the histogram and the sector counts are sums of
+# integer count vectors over fixed substreams and are bit-identical however
+# ``_sample_pool`` shares the work out.
 _CHUNK = 1 << 20
-# Samples per block of a chunk's draws and arithmetic.  Each worker holds one
-# block's temporaries, about 2 MB, so peak memory grows slowly with the core
-# count.  Timing mc-check on 2 cores, blocks of 2^14 to 2^20 ran equally fast
+# Samples per block of the sampler's draws and arithmetic.  Each worker of
+# ``_sample_pool`` reuses one block's arrays, about 3 MB, across all its
+# tasks.  Timing mc-check on 2 cores, blocks of 2^14 to 2^20 ran equally fast
 # and 2^12 slower.
 _BLOCK = 1 << 16
+# Blocks per task of ``_sample_pool``: each chunk of 16 blocks is cut into
+# tasks of this many, so every core stays busy until the last few blocks.
+_TASK_BLOCKS = 4
 # Nodes of the angular rule in ``smoothed_profile``.
 _SMOOTHING_NODES = 2048
 # ``smoothed_profile``'s limit on the angular rule's mean node-rounding error.  At radius ratios from 1
@@ -95,36 +98,134 @@ class RadialHistogram:
         return self.counts / self.total_samples * self.mass_scale / area
 
 
-def _chunk_counts(seed: int, chunk_index: int, count: int, r1: float, r2: float, edges: np.ndarray,
-                  counts: np.ndarray, sector_counts: np.ndarray) -> None:
-    """Add the radius and sector counts of ``count`` samples from substream chunk_index.
+def _empty_histogram(r1: float, r2: float, samples: int, bins: int, sectors: int,
+                     margin: float) -> RadialHistogram:
+    """The bins of a sampler pass on radii ``r1``, ``r2``, with zero counts, once every input rule has passed.
 
-    The substream gives theta1 for the whole chunk, then theta2.  Both are
-    drawn and used in blocks of ``_BLOCK`` samples: a second copy of the
-    substream starts past theta1 (``advance`` skips whole Philox outputs of
-    four draws each, ``random_raw`` the rest), so every sample's angles and
-    arithmetic are the same as in one whole-chunk pass.  The center offsets
-    cancel before any arithmetic happens: the sampled point relative to
-    b1 + b2 is ``r1 e(theta1) + r2 e(theta2)``, so shifted and concentric
-    circles give bitwise identical counts.
+    Bins cover ``[0, r1 + r2 + margin]`` uniformly.  Raises a ``ParameterError``
+    naming ``bins`` or ``sectors`` outside ``[1, 2^20]`` (the chunk size)
+    before allocating, then where ``r1 + r2`` overflows or ``_normal_mass``
+    refuses the mass; then ``RadialHistogram``'s ``ValueError`` for
+    ``samples < 1`` or edges that do not increase.
     """
-    first = np.random.Philox(key=seed).jumped(chunk_index)
-    second = np.random.Philox(key=seed).jumped(chunk_index)
-    second.advance(count // 4)
-    second.random_raw(count % 4)
-    rng1, rng2 = np.random.Generator(first), np.random.Generator(second)
-    sectors = sector_counts.size
-    width = 2.0 * math.pi / sectors
-    for start in range(0, count, _BLOCK):
-        n = min(_BLOCK, count - start)
-        t1, t2 = rng1.uniform(0.0, 2.0 * math.pi, n), rng2.uniform(0.0, 2.0 * math.pi, n)
-        dx = r1 * np.cos(t1) + r2 * np.cos(t2)
-        dy = r1 * np.sin(t1) + r2 * np.sin(t2)
-        counts += np.histogram(np.hypot(dx, dy), bins=edges)[0]
-        angle = np.arctan2(dy, dx)
-        angle = np.where(angle < 0.0, angle + 2.0 * math.pi, angle)
-        idx = np.minimum((angle / width).astype(np.int64), sectors - 1)
-        sector_counts += np.bincount(idx, minlength=sectors)
+    for name, value in (("bins", bins), ("sectors", sectors)):
+        if not 1 <= value <= _CHUNK:
+            raise ParameterError(name, f"need 1 <= {name} <= {_CHUNK}, got {value}")
+    edges = np.linspace(0.0, support_interval(r1, r2)[1] + margin, bins + 1)
+    return RadialHistogram(edges, np.zeros(bins, dtype=np.int64), samples, _normal_mass(r1, r2))
+
+
+def _substream(seed: int, chunk: int, skip: int) -> np.random.Generator:
+    """Substream ``chunk`` of the seed past its first ``skip`` draws.
+
+    ``advance`` skips whole Philox outputs of four draws each and
+    ``random_raw`` the rest, so the next draw is the one a generator started at
+    the chunk would make after ``skip`` draws.
+    """
+    bits = np.random.Philox(key=seed).jumped(chunk)
+    bits.advance(skip // 4)
+    bits.random_raw(skip % 4)
+    return np.random.Generator(bits)
+
+
+def _bin_block(arrays, edges: np.ndarray, counts: np.ndarray, sector_counts: np.ndarray) -> None:
+    """Add the radius and sector counts of the block's points ``(dx, dy)``, rows 2 and 3 of ``arrays``.
+
+    Rows 0 and 4 are overwritten.  A negative angle is moved up by 2 pi as
+    ``angle + 2 pi [angle < 0]``: a nonnegative one gains +0, which only turns
+    -0 into +0 and moves no sector, and a masked add on random signs costs
+    about seven times as much.
+    """
+    (spare, _, dx, dy, scratch), negative, idx = arrays
+    counts += np.histogram(np.hypot(dx, dy, out=scratch), bins=edges)[0]
+    angle = np.arctan2(dy, dx, out=scratch)
+    angle += np.multiply(np.less(angle, 0.0, out=negative), 2.0 * math.pi, out=spare)
+    np.divide(angle, 2.0 * math.pi / sector_counts.size, out=angle)
+    np.copyto(idx, angle, casting="unsafe")
+    sector_counts += np.bincount(np.minimum(idx, sector_counts.size - 1, out=idx), minlength=sector_counts.size)
+
+
+def _block_counts(r1: float, r2: float, arrays, edges: np.ndarray, counts: np.ndarray,
+                  sector_counts: np.ndarray) -> None:
+    """Add the counts of one block whose angles theta1, theta2 are rows 0 and 1 of ``arrays``.
+
+    The point relative to b1 + b2 is ``r1 e(theta1) + r2 e(theta2)``, formed
+    from the radii alone, so shifted and concentric circles give bitwise
+    identical counts.  Each operation is the one a block of fresh arrays would
+    make, in the same order, written into the worker's own arrays.
+    """
+    (t1, t2, dx, dy, scratch), _, _ = arrays
+    np.multiply(np.cos(t1, out=dx), r1, out=dx)
+    dx += np.multiply(np.cos(t2, out=scratch), r2, out=scratch)
+    np.multiply(np.sin(t1, out=dy), r1, out=dy)
+    dy += np.multiply(np.sin(t2, out=scratch), r2, out=scratch)
+    _bin_block(arrays, edges, counts, sector_counts)
+
+
+def _job_block(c1: Circle, c2: Circle, arrays, edges: np.ndarray, counts: np.ndarray,
+               sector_counts: np.ndarray) -> None:
+    """The pool's dispatch of one block of a job: the kernel gets the circles' radii, never their centres."""
+    _block_counts(c1.radius, c2.radius, arrays, edges, counts, sector_counts)
+
+
+def _task_counts(job, chunk: int, block: int, seed: int, edges: np.ndarray, arrays, counts: np.ndarray,
+                 sector_counts: np.ndarray) -> None:
+    """Add the counts of up to ``_TASK_BLOCKS`` blocks of chunk ``chunk`` of ``job``, from block ``block`` on.
+
+    The chunk's substream gives theta1 for its whole sample count, then
+    theta2; both generators start at the task's first sample, so every
+    sample's angles are those of one whole-chunk pass.  Each angle is
+    ``random(out=)`` scaled by 2 pi, which has the bits of ``uniform(0, 2 pi)``.
+    """
+    c1, c2, samples = job
+    count = min(_CHUNK, samples - chunk * _CHUNK)
+    start = block * _BLOCK
+    rng1, rng2 = _substream(seed, chunk, start), _substream(seed, chunk, count + start)
+    floats, negative, idx = arrays
+    for first in range(start, min(count, start + _TASK_BLOCKS * _BLOCK), _BLOCK):
+        n = min(_BLOCK, count - first)
+        for row, rng in enumerate((rng1, rng2)):
+            np.multiply(rng.random(out=floats[row, :n]), 2.0 * math.pi, out=floats[row, :n])
+        _job_block(c1, c2, (floats[:, :n], negative[:n], idx[:n]), edges, counts, sector_counts)
+
+
+def _sample_pool(jobs, seed: int, edges: np.ndarray, sectors: int) -> list:
+    """Per job ``(c1, c2, samples)``: ``((counts, sector_counts), (first_counts, first_sectors))``.
+
+    The first pair counts all the job's samples, the second its chunk 0
+    alone; the histogram bins are ``edges`` and the sectors cover
+    ``[0, 2 pi)``.  Every chunk of every job is cut into tasks of
+    ``_TASK_BLOCKS`` blocks, and ``_on_cores`` shares the tasks out over the
+    usable cores, so each sample is drawn once and every core stays busy
+    until the last few blocks.  Each worker reuses one set of block arrays
+    across its tasks and sums whole integer count vectors per job, chunk 0
+    apart, so the counts have the same bits on any number of cores.  Workers
+    call no public function.  An exception in any task, or an interrupt while
+    the caller waits, stops the other workers at their next task and reaches
+    the caller after every thread has stopped.
+    """
+    tasks = [(job, chunk, block)
+             for job, (_, _, samples) in enumerate(jobs)
+             for chunk in range(-(-samples // _CHUNK))
+             for block in range(0, -(-min(_CHUNK, samples - chunk * _CHUNK) // _BLOCK), _TASK_BLOCKS)]
+
+    def work(my_tasks):
+        arrays = np.empty((5, _BLOCK)), np.empty(_BLOCK, dtype=bool), np.empty(_BLOCK, dtype=np.int64)
+        sums = {}
+        for t in my_tasks:
+            job, chunk, block = tasks[t]
+            key = (job, chunk == 0)
+            if key not in sums:
+                sums[key] = np.zeros(edges.size - 1, dtype=np.int64), np.zeros(sectors, dtype=np.int64)
+            _task_counts(jobs[job], chunk, block, seed, edges, arrays, *sums[key])
+        return sums
+
+    sums = {}
+    for worker in _on_cores(work, len(tasks)):
+        for key, part in worker.items():
+            sums[key] = tuple(map(np.add, sums[key], part)) if key in sums else part
+    return [(tuple(map(np.add, sums[job, True], sums.get((job, False), (0, 0)))), sums[job, True])
+            for job in range(len(jobs))]
 
 
 def mc_conv_histogram(
@@ -141,36 +242,22 @@ def mc_conv_histogram(
 
     Bins cover ``[0, r1 + r2 + margin]`` uniformly and sectors ``[0, 2 pi)``;
     the sector counts should be flat to Poisson noise (the caller applies the
-    bound).  Each chunk is drawn once for both, from a counter-based substream
-    derived from the seed.  ``_on_cores`` shares the chunks out over the
-    cores in the process's affinity mask: worker k of n takes chunks k, k + n,
-    ... and sums their integer counts into its own vectors, which are then
-    added, so reruns give bit-identical counts on any number of cores.  A
-    pass of at most one chunk runs on the calling thread alone.  Raises a ``ParameterError``
-    naming ``bins`` or ``sectors`` outside ``[1, 2^20]`` (the chunk size)
-    before allocating, then where ``r1 + r2`` overflows or ``_normal_mass``
-    refuses the mass; ``samples < 1`` is a ``ValueError``.  An exception in any chunk,
-    or an interrupt while the caller waits, stops the other workers at their
-    next chunk and reaches the caller after every thread has stopped.
+    bound).  Each sample is drawn once for both, from a counter-based substream
+    derived from the seed: the pass is one job of the private sampler pool,
+    which cuts each chunk into tasks of a few blocks and shares them out over
+    the cores in the process's affinity mask, so reruns give bit-identical
+    counts on any number of cores.  A pass of one task runs on the calling
+    thread alone.  Raises a ``ParameterError`` naming ``bins`` or ``sectors``
+    outside ``[1, 2^20]`` (the chunk size) before allocating, then where
+    ``r1 + r2`` overflows or ``_normal_mass`` refuses the mass;
+    ``samples < 1`` is a ``ValueError``; all before any sample is drawn.  An
+    exception in any task, or an interrupt while the caller waits, stops the
+    other workers at their next task and reaches the caller after every
+    thread has stopped.
     """
-    for name, value in (("bins", bins), ("sectors", sectors)):
-        if not 1 <= value <= _CHUNK:
-            raise ParameterError(name, f"need 1 <= {name} <= {_CHUNK}, got {value}")
-    r1, r2 = c1.radius, c2.radius
-    edges = np.linspace(0.0, support_interval(r1, r2)[1] + margin, bins + 1)
-    mass = _normal_mass(r1, r2)
-    chunks = -(-samples // _CHUNK)
-
-    def work(my_chunks):
-        counts, sector_counts = np.zeros(bins, dtype=np.int64), np.zeros(sectors, dtype=np.int64)
-        for c in my_chunks:
-            _chunk_counts(seed, c, min(_CHUNK, samples - c * _CHUNK), r1, r2, edges, counts, sector_counts)
-        return counts, sector_counts
-
-    totals = _on_cores(work, chunks)
-    counts = sum(c for c, _ in totals)
-    sector_counts = sum(s for _, s in totals)
-    return RadialHistogram(edges, counts, samples, mass), sector_counts
+    hist = _empty_histogram(c1.radius, c2.radius, samples, bins, sectors, margin)
+    [((counts, sector_counts), _)] = _sample_pool([(c1, c2, samples)], seed, hist.edges, sectors)
+    return replace(hist, counts=counts), sector_counts
 
 
 def mc_radiality_check(c1: Circle, c2: Circle, samples: int, sectors: int, seed: int) -> np.ndarray:

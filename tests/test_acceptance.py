@@ -34,9 +34,9 @@ def within(result: checks.CheckResult) -> bool:
 @pytest.fixture(scope="module")
 def mc_results():
     # One full run on shifted circles serves both the histogram (01) and the
-    # radiality (08) criteria; the shift half of 08 compares a one-chunk
-    # (2^20-sample) pass on the shifted circles with one on concentric ones,
-    # still bit for bit.  260 bins over [0, 5.2] have width 0.02 with edges
+    # radiality (08) criteria; the shift half of 08 compares the run's first
+    # 2^20-sample chunk on the shifted circles with a one-chunk probe on
+    # concentric ones, bit for bit.  260 bins over [0, 5.2] have width 0.02 with edges
     # exactly at 1 and 5: the 200 bins covering [1, 5] plus flanking bins that
     # attest the zero-leakage claim.
     results, _ = checks.mc_check(Circle((1.0, 0.0), 2.0), Circle((0.0, 2.0), 3.0),
@@ -98,7 +98,7 @@ class TestAcceptance:
         ok = within(sectors) and within(shift)
         assert report(8, "sector uniformity and shift equivariance", ok,
                       f"max sector deviation {sectors.measured:.2f} sigma (tol 4), "
-                      f"one-chunk shifted and concentric passes bit-identical {shift.ok}")
+                      f"shifted chunk 0 and concentric one-chunk probe bit-identical {shift.ok}")
 
     def test_criterion_09_ring_operators(self):
         *averages, restriction, pairing = checks.ring_operator_check(2.0, (0.7, -0.4), 256, MC_SEED)

@@ -11,7 +11,6 @@ import pytest
 
 from ringconv import checks
 from ringconv.core import Circle
-from ringconv.oracle import RadialHistogram
 
 PAIRS = [("1", "1"), ("2", "3"), ("0.5", "2.5")]
 MINIMUM = ["interior minimum value 2 at sqrt(r1^2+r2^2)", "minimum strictly below 1% perturbations"]
@@ -105,37 +104,43 @@ def test_the_routes_meet_in_one_call_per_check_or_pair(monkeypatch):
 
 @pytest.mark.parametrize("samples", [20_000, 2**20 + 1])
 def test_mc_check_runs_one_full_pass_and_a_one_chunk_pair(samples, monkeypatch):
-    # The full pass gives the histogram it returns; the shift verdict compares two one-chunk passes.
-    calls, sampler = [], checks.mc_conv_histogram
+    # One pool call: the full pass gives the histogram it returns, and the shift verdict compares the full
+    # pass's chunk 0 with a one-chunk probe of the same radii about the origin.
+    calls, pool = [], checks._sample_pool
 
-    def recorded(c1, c2, samples, *args, **kwargs):
-        out = sampler(c1, c2, samples, *args, **kwargs)
-        calls.append((samples, out[0]))
+    def recorded(jobs, *args):
+        out = pool(jobs, *args)
+        calls.append((jobs, out))
         return out
 
-    monkeypatch.setattr(checks, "mc_conv_histogram", recorded)
-    results, hist = checks.mc_check(Circle((0.5, 0.0), 2.0), Circle((0.0, -1.0), 3.0), samples, 52, 7, 0.2, 8)
-    p = min(samples, 2**20)
-    assert [n for n, _ in calls] == [samples, p, p]
-    assert hist is calls[0][1]
+    monkeypatch.setattr(checks, "_sample_pool", recorded)
+    c1, c2 = Circle((0.5, 0.0), 2.0), Circle((0.0, -1.0), 3.0)
+    results, hist = checks.mc_check(c1, c2, samples, 52, 7, 0.2, 8)
+    [(jobs, [((counts, _), _), (probe, first)])] = calls
+    concentric = (Circle((0.0, 0.0), 2.0), Circle((0.0, 0.0), 3.0), min(samples, 2**20))
+    assert jobs == [(c1, c2, samples), concentric]
+    assert np.array_equal(hist.counts, counts) and hist.counts.sum() == samples
+    assert all(np.array_equal(a, b) for a, b in zip(probe, first))
     assert results[3].label == "shift equivariance (bitwise)" and results[3].ok
 
 
 def test_shift_verdict_fails_on_a_sampler_that_reads_the_centres(monkeypatch):
-    # This sampler moves one count between two interior bins unless the circles are concentric,
-    # so its counts depend on the shift while nothing leaks: only the shift verdict may catch it.
-    sampler = checks.mc_conv_histogram
+    # This pool moves one count between two interior bins of every job whose circles are not concentric,
+    # in its total and in its chunk 0, so the counts depend on the shift while nothing leaks: only the
+    # shift verdict may catch it.
+    pool = checks._sample_pool
 
-    def shift_dependent(c1, c2, *args, **kwargs):
-        hist, sector_counts = sampler(c1, c2, *args, **kwargs)
-        if c1.center == c2.center:
-            return hist, sector_counts
-        counts = hist.counts.copy()
-        counts[30] -= 1
-        counts[31] += 1
-        return RadialHistogram(hist.edges, counts, hist.total_samples, hist.mass_scale), sector_counts
+    def shift_dependent(jobs, *args):
+        out = []
+        for (c1, c2, _), parts in zip(jobs, pool(jobs, *args)):
+            if c1.center != c2.center:
+                for counts, _ in parts:
+                    counts[30] -= 1
+                    counts[31] += 1
+            out.append(parts)
+        return out
 
-    monkeypatch.setattr(checks, "mc_conv_histogram", shift_dependent)
+    monkeypatch.setattr(checks, "_sample_pool", shift_dependent)
     _, leakage, _, shift = checks.mc_check(Circle((0.5, 0.0), 2.0), Circle((0.0, 0.0), 3.0), 20_000, 52, 7, 0.2, 8)[0]
     assert leakage.label == "zero leakage outside the support" and leakage.ok
     assert shift.label == "shift equivariance (bitwise)"

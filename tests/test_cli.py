@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import ringconv
-from ringconv import checks, cli, core
+from ringconv import checks, cli, core, oracle
 from ringconv.cli import _table, build_parser, main, parse_args
 from ringconv.core import Circle, ConvKernel, eval_conv, eval_conv_2d, support_interval
 from ringconv.operators import _grid_side
@@ -346,6 +347,57 @@ class TestMcCheck:
         assert len(lines) == 101
         counts = [int(row.split(",")[1]) for row in lines[1:]]
         assert sum(counts) == 2_000_000
+
+    # Per sample count, from the sampler that ran the full pass and two one-chunk passes on two threads:
+    # sha256 prefixes of the counts and sector counts (little-endian int64), of the verdicts' labels, exact
+    # measurements, tolerances and outcomes, then the exit code and the prefixes of stdout and the -o file.
+    PINNED = {
+        2000: ("ab7dac95b0cead5b", "76b5577222bfaf6b", "8af30090d3d23ad2", 1, "d00720dd03beb38d", "ebbf53a1f3a14bca"),
+        20_000: ("b6e2a9efb297ea39", "8648dd519ba441fd", "cc943d5958c5abc3", 1, "8045f599e1ec3733",
+                 "a1353d7c88e0265e"),
+        2**20: ("24241a31df9810cf", "bd72d845da75b6c0", "4c634438f9efe44e", 1, "812a876c512097a8",
+                "da8fbdb31e4e746e"),
+        2**20 + 1: ("4bf277d97199c886", "8c709089fe48ede7", "52d4e874c7b02f16", 1, "b040aaac8fd04fa9",
+                    "63ba38f76ffe44b3"),
+        3 * 2**20 + 12345: ("53a36189829d263b", "e1165c84abe1d560", "5deffac4bdd700ab", 1, "cb3ad9479accc1ae",
+                            "6131334e77c1cb37"),
+        10**7: ("112db696e08bb554", "e352c81d71372734", "3c7dc75bff189627", 0, "ad4e6d3250ae4c51",
+                "d0e9a38515ca0408"),
+    }
+
+    @pytest.mark.parametrize("samples", list(PINNED))
+    def test_keeps_its_bits_and_draws_each_sample_once(self, samples, tmp_path, capsys, monkeypatch):
+        # One run draws the full pass and a concentric probe of min(samples, 2^20) samples, nothing more.
+        seen, drawn, job_block = {}, [], oracle._job_block
+
+        def recorded(name, fn):
+            def call(*args):
+                seen[name] = fn(*args)
+                return seen[name]
+            return call
+
+        def counted_block(c1, c2, arrays, *args):
+            drawn.append(arrays[0].shape[1])
+            job_block(c1, c2, arrays, *args)
+
+        def digest(data):
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        monkeypatch.setattr(checks, "mc_check", recorded("check", checks.mc_check))
+        monkeypatch.setattr(checks, "_sample_pool", recorded("pool", checks._sample_pool))
+        monkeypatch.setattr(oracle, "_job_block", counted_block)
+        path = tmp_path / "hist.csv"
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            drawn.clear()
+            code, out, err = run_main(["mc-check", "--b1", "0.5", "-1", "--b2", "0", "0.25", "--samples",
+                                       str(samples), "-o", str(path)], capsys)
+            (results, hist), [((_, sector_counts), _), _] = seen["check"], seen["pool"]
+            verdicts = [(r.label, r.measured.hex(), r.tol, r.ok) for r in results]
+            assert err == "" and sum(drawn) == samples + min(samples, 2**20)
+            assert (digest(hist.counts.astype("<i8").tobytes()), digest(sector_counts.astype("<i8").tobytes()),
+                    digest(repr(verdicts).encode()), code, digest(out.encode()),
+                    digest(path.read_bytes())) == self.PINNED[samples], f"on {cores} cores"
 
     @pytest.mark.parametrize("argv, flag", [
         (["--r1", "1e-4", "--r2", "1e-4", "--samples", "1000"], "--margin"),

@@ -1,7 +1,8 @@
 """Named defects, each one monkeypatch of a private function, and the check verdicts each must turn to FAIL.
 
-The private functions are the closed form's ends and density, J0's pieces, and
-the root route's end offsets, which only a sweep at a wide radius ratio sees.
+The private functions are the closed form's ends and density, J0's pieces,
+the root route's end offsets, which only a sweep at a wide radius ratio sees,
+and the Monte Carlo pool's dispatch of a block to its kernel.
 
 The table pins what each check sees: a verdict listed against a mutant must
 FAIL under it, and every other verdict must still PASS.  The README's
@@ -11,7 +12,7 @@ validation section shows the same table.
 import numpy as np
 import pytest
 
-from ringconv import checks, core, special
+from ringconv import checks, core, oracle, special
 from ringconv.core import Circle
 
 _exact_ends, _interior_density, _j0_piece = core._exact_ends, core._interior_density, special._j0_piece
@@ -28,6 +29,15 @@ def _cancelling_offsets(theta, r1, r2):
     return rough, end, err, (rough - end) - err
 
 
+def _absolute_point(c1, c2, arrays, edges, counts, sector_counts):
+    # The summed point formed about the origin, then moved back by b1 + b2: it rounds at the centres' scale.
+    (t1, t2, dx, dy, _), _, _ = arrays
+    (x1, y1), (x2, y2) = c1.center, c2.center
+    dx[:] = (x1 + c1.radius * np.cos(t1)) + (x2 + c2.radius * np.cos(t2)) - (x1 + x2)
+    dy[:] = (y1 + c1.radius * np.sin(t1)) + (y2 + c2.radius * np.sin(t2)) - (y1 + y2)
+    oracle._bin_block(arrays, edges, counts, sector_counts)
+
+
 MUTANTS = {
     # The closed form's ends moved by a tenth: eval_conv(2; 2, 3) goes from 3.024 to 2.669.
     "exact-ends-shift": (core, "_exact_ends", _shifted_ends),
@@ -36,6 +46,8 @@ MUTANTS = {
     "j0-phase": (special, "_j0_piece", lambda k, x: _j0_piece(k, x + 1e-9)),
     # psi's offset from the nearer support end taken from psi's hypot, which cancels there.
     "end-offset-cancels": (core, "_end_offsets", _cancelling_offsets),
+    # A sampler that forms the absolute point before it subtracts the centres.
+    "absolute-point": (oracle, "_job_block", _absolute_point),
 }
 
 HANKEL = [f"{kind} r1={r1:g} r2={r2:g}" for r1, r2 in checks.CHECK_PAIRS
@@ -57,6 +69,9 @@ KILLED_BY = {
     "roots-check minimum strictly below 1% perturbations": {"exact-ends-shift"},
     # At a radius ratio of 1e9 the sweep radii put psi within a few ulps of its plateau near an end.
     "roots-check radial sweep (1, 1e-9)": {"exact-ends-shift", "density-scaled", "end-offset-cancels"},
+    # Centres near 1e12 round the absolute point to about 1e-4, a count flip in every few hundred samples of
+    # bins 0.1 wide; at |b| near 5 a flip has about a 5e-14 chance per sample and edge, and none shows.
+    "mc-check shift equivariance (bitwise)": {"absolute-point"},
 }
 
 
@@ -72,6 +87,8 @@ def _verdicts():
     roots = checks.roots_random_check(rng) + checks.interior_minimum_check(rng.uniform(0.1, 5.0, (100, 2)))
     results.update((f"roots-check {r.label}", r) for r in roots)
     results["roots-check radial sweep (1, 1e-9)"] = checks.roots_sweep_check(1.0, 1e-9)[0]
+    results["mc-check shift equivariance (bitwise)"] = checks.mc_check(
+        Circle((1e12, 0.0), 2.0), Circle((0.0, 1e12), 3.0), 20_000, 52, 7, 0.2, 8)[0][3]
     return results
 
 

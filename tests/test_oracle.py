@@ -130,7 +130,8 @@ class TestMonteCarlo:
             assert np.array_equal(h.counts, counts) and np.array_equal(got_sectors, sector_counts)
 
     def test_workers_default_to_the_usable_cores(self, monkeypatch):
-        # At most one worker per chunk: 3 chunks on 8 cores run on the caller and 2 threads.
+        # At most one worker per task: two whole chunks of four tasks each and a one-sample chunk make
+        # nine tasks, which 8 cores run on the caller and 7 threads.
         started = []
 
         class Recorded(threading.Thread):
@@ -141,7 +142,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(core, "_usable_cores", lambda: 8)
         monkeypatch.setattr(core.threading, "Thread", Recorded)
         h, _ = mc_conv_histogram(C1, C2, 2 * 2**20 + 1, 8, seed=3, sectors=1)
-        assert len(started) == 2 and h.counts.sum() == 2 * 2**20 + 1
+        assert len(started) == 7 and h.counts.sum() == 2 * 2**20 + 1
 
     def test_validation(self):
         # Counts above 2^20, the chunk size, are refused before anything is allocated.
@@ -158,6 +159,10 @@ def load_tracer():
     return module.Tracer()
 
 
+def no_blocks(*args):
+    raise AssertionError("a block was sampled")
+
+
 class TestSamplerThreads:
     def test_no_thread_outlives_a_call(self, monkeypatch):
         monkeypatch.setattr(core, "_usable_cores", lambda: 3)
@@ -167,15 +172,15 @@ class TestSamplerThreads:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_an_error_in_one_chunk_reaches_the_caller(self, monkeypatch, cores):
-        # With 2 workers, chunk 1 runs on the second thread.
-        chunk_counts = oracle._chunk_counts
+        # Task 5, blocks 4 to 7 of chunk 1, runs on the second thread when there are 2 workers.
+        task_counts = oracle._task_counts
 
-        def failing(seed, chunk_index, *args):
-            if chunk_index == 1:
+        def failing(job, chunk, block, *args):
+            if (chunk, block) == (1, 4):
                 raise RuntimeError("chunk 1 failed")
-            return chunk_counts(seed, chunk_index, *args)
+            return task_counts(job, chunk, block, *args)
 
-        monkeypatch.setattr(oracle, "_chunk_counts", failing)
+        monkeypatch.setattr(oracle, "_task_counts", failing)
         monkeypatch.setattr(core, "_usable_cores", lambda: cores)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
@@ -183,14 +188,14 @@ class TestSamplerThreads:
         assert threading.active_count() == before
 
     def test_an_interrupted_wait_stops_the_workers(self, monkeypatch):
-        # The caller runs its chunks at once and is interrupted while joining;
-        # the other worker, at 50 ms a chunk, must stop at its next chunk
-        # rather than run all ten of its chunks.
-        caller, worker_chunks = threading.get_ident(), []
+        # The caller runs its tasks at once and is interrupted while joining;
+        # the other worker, at 50 ms a task, must stop at its next task
+        # rather than run all ten of its tasks.
+        caller, worker_tasks = threading.get_ident(), []
 
-        def slow_off_the_caller(seed, chunk_index, *args):
+        def slow_off_the_caller(job, chunk, block, *args):
             if threading.get_ident() != caller:
-                worker_chunks.append(chunk_index)
+                worker_tasks.append((chunk, block))
                 time.sleep(0.05)
 
         class InterruptedJoin(threading.Thread):
@@ -202,14 +207,14 @@ class TestSamplerThreads:
                     raise KeyboardInterrupt
                 super().join(timeout)
 
-        monkeypatch.setattr(oracle, "_chunk_counts", slow_off_the_caller)
+        monkeypatch.setattr(oracle, "_task_counts", slow_off_the_caller)
         monkeypatch.setattr(core, "_usable_cores", lambda: 2)
         monkeypatch.setattr(core.threading, "Thread", InterruptedJoin)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            mc_conv_histogram(C1, C2, 20 * 2**20, 8, seed=1, sectors=4)
+            mc_conv_histogram(C1, C2, 5 * 2**20, 8, seed=1, sectors=4)
         assert threading.active_count() == before
-        assert len(worker_chunks) < 10
+        assert len(worker_tasks) < 10
 
     def test_each_task_runs_once_on_its_worker(self, monkeypatch):
         # More workers than cores, switching threads as often as the interpreter allows.
@@ -249,13 +254,31 @@ class TestSamplerThreads:
     @pytest.mark.parametrize("r1, r2, blamed", [(1e300, 1e300, "r1"), (1e-300, 1e-12, "r1"), (1e-12, 1e-300, "r2")])
     def test_mass_out_of_the_normal_range_is_refused_before_sampling(self, monkeypatch, r1, r2, blamed):
         # At (1e300, 1e300) the mass is inf, and the density estimate would be inf / inf.
-        def no_chunks(*args):
-            raise AssertionError("a chunk was sampled")
-
-        monkeypatch.setattr(oracle, "_chunk_counts", no_chunks)
+        monkeypatch.setattr(oracle, "_task_counts", no_blocks)
         with pytest.raises(ParameterError, match="normal float range") as exc:
             mc_conv_histogram(Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2), 1000, 8, seed=1, sectors=4)
         assert exc.value.param == blamed
+
+    @pytest.mark.parametrize("r1, r2, samples", [(1e-4, 1e-4, 10**7), (1e-300, 3.0, 2000)])
+    def test_mc_check_refuses_an_empty_trimmed_support_before_sampling(self, monkeypatch, r1, r2, samples):
+        # No bin centre falls strictly inside the trimmed support: at 1e-4 the bins are too wide, at
+        # (1e-300, 3) the support is the single float 3.
+        monkeypatch.setattr(oracle, "_task_counts", no_blocks)
+        with pytest.raises(ParameterError, match="no bin centre falls strictly inside") as exc:
+            checks.mc_check(Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2), samples, 260, 1, 0.2, 360)
+        assert exc.value.param == ("margin" if r1 == r2 else "r1")
+
+    @pytest.mark.parametrize("r1, r2, bins, sectors, param", [
+        (1e-4, 1e-4, 2**20 + 1, 360, "bins"), (1e-4, 1e-4, 260, 0, "sectors"),
+        (1e-300, 1e-12, 260, 360, "r1"), (1e300, 1e300, 260, 360, "r1"),
+    ])
+    def test_mc_check_refuses_in_order_before_sampling(self, monkeypatch, r1, r2, bins, sectors, param):
+        # Bins and sectors come first, then the mass, and all before the margin rule, which every pair but
+        # (1e300, 1e300) would also break.
+        monkeypatch.setattr(oracle, "_task_counts", no_blocks)
+        with pytest.raises(ParameterError) as exc:
+            checks.mc_check(Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2), 1000, bins, 1, 0.2, sectors)
+        assert exc.value.param == param and "no bin centre" not in str(exc.value)
 
     def test_workers_call_no_public_function(self, monkeypatch):
         # A traced function called on a worker thread would record a span with
@@ -269,6 +292,35 @@ class TestSamplerThreads:
             tracer.uninstall()
         spans, _ = tracer.take()
         assert [name for _, name, _, _, parent, _, _ in spans if parent is None] == ["oracle.mc_conv_histogram"]
+
+    def test_mc_check_workers_call_no_public_function(self, monkeypatch):
+        # mc_check runs its sampler pool, which is private, so every traced call it makes is on the
+        # calling thread and none is a sampler span.
+        monkeypatch.setattr(core, "_usable_cores", lambda: 3)
+        tracer = load_tracer()
+        threads = []
+
+        class ThreadSpans(list):
+            def append(self, span):
+                threads.append(threading.get_ident())
+                super().append(span)
+
+        tracer.spans = ThreadSpans()
+        tracer.install()
+        try:
+            checks.mc_check(Circle((0.5, 0.0), 2.0), Circle((0.0, -1.0), 3.0), 3 * 2**20, 8, 1, 0.2, 4)
+        finally:
+            tracer.uninstall()
+        spans, _ = tracer.take()
+        assert spans and set(threads) == {threading.get_ident()}
+        assert not any(name.startswith("oracle.") for _, name, _, _, _, _, _ in spans)
+
+    def test_scaled_random_has_the_bits_of_uniform(self):
+        # The pool draws each angle as random(out=) times 2 pi, which must be uniform(0, 2 pi) bit for bit.
+        expected = oracle._substream(20260814, 3, 2**20 + 12345).uniform(0.0, 2.0 * math.pi, 3 * 2**16 + 5)
+        got = np.empty(expected.size)
+        oracle._substream(20260814, 3, 2**20 + 12345).random(out=got)
+        assert np.array_equal((got * (2.0 * math.pi)).view(np.int64), expected.view(np.int64))
 
 
 class TestRadiality:
