@@ -205,9 +205,9 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
     Values with ``1e-4 <= |x| < 1e16`` are printed in fixed notation from the 17 digits of the
     nearest integer to ``|x| * 10**(16 - k)``, ``k`` being the value's decimal exponent; that
-    product is exact, so the rounding is exact too.  Zeros are written directly.  Every other
-    value, and any whose product lies within 1e-9 of a tie, goes through ``_fmt``.  Runs of equal
-    ``k`` are laid out by slices, so the kernel is fastest on sorted input such as ``np.unique``'s.
+    product is exact, so the rounding is exact too, ties included.  Zeros are written directly;
+    every other value goes through ``_fmt``.  Runs of equal ``k`` are laid out by slices, so the
+    kernel is fastest on sorted input such as ``np.unique``'s.
     """
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e16)
@@ -220,12 +220,10 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     redo = np.flatnonzero(high | (hi < 1e16) | ((hi == 1e16) & (lo < 0)))
     k[redo] += np.where(high[redo], 1, -1)
     hi[redo], lo[redo] = _scaled(a[redo], k[redo])
-    # hi is a whole number (y >= 1e16 > 2**53), so y rounds to hi + rint(lo).  That is below 10**17:
-    # 10**(k + 1) is a double for k >= -1, and no double lies below 1e-3, 1e-2 or 1e-1 by a relative
-    # 5e-18 or less, so no value in range rounds up into the next decimal exponent.
-    whole = np.rint(lo)
-    slow = ~(fast | zero) | (np.abs(np.abs(lo - whole) - 0.5) <= 1e-9)  # exact ties round half-even
-    n = hi.astype(np.int64) + whole.astype(np.int64)
+    # hi is an even whole number (y >= 1e16 > 2**53), so y rounds half-even to hi + rint(lo).  That
+    # is below 10**17: 10**(k + 1) is a double for k >= -1, and no double lies below 1e-3, 1e-2 or
+    # 1e-1 by a relative 5e-18 or less, so no value in range rounds up into the next decimal exponent.
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
     digits = np.empty((len(n), 17), np.uint8)
     digits[:, 0] = n // 10**16 + ord("0")
@@ -250,6 +248,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
             cells[r, 2] = ord(".")
             cells[r, 2 - e:19 - e] = digits[r]
     cells[zero, 1] = ord("0")  # over the one digit of the placeholder 1
+    slow = ~(fast | zero)
     cells[slow] = _text_cells(list(map(_fmt, values[slow].tolist())))
     return cells
 

@@ -124,27 +124,17 @@ def _on_cores(work, tasks: int) -> list:
     return results
 
 
-def _in_pair(f, x, y):
-    """``(f(x), f(y))``, with ``f(y)`` on a second thread when two cores are usable (``_on_cores``)."""
-    return sum(_on_cores(lambda tasks: tuple(f((x, y)[t]) for t in tasks), 2), ())
-
-
-def _row_blocks(shape: tuple, bands: int | None = None) -> list[slice]:
-    """Slices of whole rows, the first axis of ``shape``: ``bands`` near-equal bands, or by default
-    blocks of about ``_BLOCK_ENTRIES`` entries (one row at least)."""
-    rows = shape[0]
-    step = max(1, -(-rows // bands) if bands else _BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
-    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
-
-
 def _on_row_blocks(work, shape: tuple, *, bands: bool = False) -> None:
-    """``work(s)`` for every slice ``s`` of ``_row_blocks(shape)``, or of one band per usable core,
-    the slices shared out by ``_on_cores``.
+    """``work(s)`` for every slice ``s`` of whole rows, the first axis of ``shape``, the slices shared
+    out by ``_on_cores``: blocks of about ``_BLOCK_ENTRIES`` entries (one row at least), or with
+    ``bands`` one near-equal band per usable core.
 
     Each call must write only rows ``s`` of its outputs, so the result does not depend on the core
     count.  One block starts no thread.
     """
-    blocks = _row_blocks(shape, _usable_cores() if bands else None)
+    rows = shape[0]
+    step = max(1, -(-rows // _usable_cores()) if bands else _BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
+    blocks = [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
     _on_cores(lambda tasks: [work(blocks[t]) for t in tasks], len(blocks))
 
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Circle, ConvKernel, ParameterError, _angular_rule, _in_pair, _normal_mass, _on_cores,
-                   _on_row_blocks, _row_blocks, support_interval)
+from .core import (Circle, ConvKernel, ParameterError, _angular_rule, _normal_mass, _on_cores, _on_row_blocks,
+                   support_interval)
 from .operators import Field2D, _grid_coords, _grid_side, _half_width
-from .special import i0e
+from .special import _i0e, i0e  # i0e is bound here for perfbench's oracle.i0e metric
 
 __all__ = [
     "RadialHistogram",
@@ -297,19 +297,21 @@ def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: floa
     integrates to 1 across the ring's normal direction, so the grid mass is
     2 pi R up to a curvature bias of relative size O(eps^2 / R^2) and the
     far Gaussian tails.  The side is odd, so ``fftconvolve`` of two rings
-    stays centred on the grid.  The values are formed on the calling thread
-    in row blocks of about 2^16 entries, so the distance and the Gaussian
-    leave no full-grid temporary.  Raises a ``ParameterError``
-    naming ``spacing`` over the grid-side cap, ``epsilon`` if the mollifier
-    is under-resolved, or ``extent`` if the ring plus a 5-epsilon pad
-    overflows the grid that is built.
+    stays centred on the grid.  The values are formed in row blocks of about
+    2^16 entries on the usable cores, so the distance and the Gaussian leave
+    no full-grid temporary.  Raises a ``ParameterError`` naming ``spacing``
+    over the grid-side cap, ``epsilon`` if the mollifier is under-resolved,
+    or ``extent`` if the ring plus a 5-epsilon pad overflows the grid.
     """
     n = _ring_side(c, extent, spacing, epsilon)
     coords = _grid_coords(n, spacing)
     values = np.empty((n, n))
-    for s in _row_blocks(values.shape):
+
+    def rows(s):
         dist = np.hypot(coords[None, :] - c.center[0], coords[s, None] - c.center[1])
         values[s] = np.exp(-((dist - c.radius) ** 2) / (2.0 * epsilon**2)) / (math.sqrt(2.0 * math.pi) * epsilon)
+
+    _on_row_blocks(rows, values.shape)
     return Field2D.from_grid(values, spacing)
 
 
@@ -325,15 +327,24 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-def _padding(n: int) -> tuple[int, tuple[int, int]]:
-    """``h = (n - 1) // 2`` and the padded shape of the transforms that convolve two ``n x n`` arrays.
+def _padding(n: int) -> tuple[int, int]:
+    """``h = (n - 1) // 2`` and the padded side of the transforms that convolve two ``n x n`` arrays.
 
     The padded side is the smallest 5-smooth one of at least ``2n - 1 - h``:
     wrap-around of the circular convolution then only lands on rows and
     columns outside the centred slice that ``_centred_inverse`` keeps.
     """
     h = (n - 1) // 2
-    return h, (_smooth_length(2 * n - 1 - h),) * 2
+    return h, _smooth_length(2 * n - 1 - h)
+
+
+def _spectrum(values: np.ndarray, side: int) -> np.ndarray:
+    """``rfft2(values, (side, side))`` with its bits: an ``rfft`` of each row block, then an in-place
+    ``fft`` of each column block, on the usable cores."""
+    out = np.zeros((side, side // 2 + 1), dtype=complex)
+    _on_row_blocks(lambda s: np.fft.rfft(values[s], side, axis=1, out=out[s]), values.shape)
+    _on_row_blocks(lambda s: np.fft.fft(out[:, s], axis=0, out=out[:, s]), out.shape[::-1])
+    return out
 
 
 def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -342,9 +353,7 @@ def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     The product is written out in real arithmetic with the same operations
     for either operand order, so swapping ``a`` and ``b`` gives the same bits.
     ``a.imag * b.imag`` goes through a temporary and the imaginary part is
-    written first, so overwriting an operand changes no bit either.  Every
-    entry depends on its own operands alone, so the callers form it a row
-    block at a time on the usable cores.
+    written first, so overwriting an operand changes no bit either.
     """
     imag_imag = a.imag * b.imag
     np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
@@ -352,18 +361,37 @@ def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _centred_inverse(product: np.ndarray, h: int, n: int, scale: float = 1.0) -> np.ndarray:
+def _centred_inverse(product: np.ndarray, h: int, n: int, scale: float) -> np.ndarray:
     """``irfft2(product)[h:h + n, h:h + n] * scale`` as a new array; ``product`` is overwritten.
 
-    The first axis is transformed in ``product``; the second only on the kept
-    rows, a row block at a time, so no full padded real grid is made.
+    The columns are transformed in ``product``, then only the kept rows, each
+    in blocks on the usable cores, so no full padded real grid is made.
     """
     side = product.shape[0]
-    np.fft.ifft(product, axis=0, out=product)
+    _on_row_blocks(lambda s: np.fft.ifft(product[:, s], axis=0, out=product[:, s]), product.shape[::-1])
     out = np.empty((n, n))
-    for s in _row_blocks((n, side)):
+
+    def rows(s):
         np.multiply(np.fft.irfft(product[h + s.start:h + s.stop], side, axis=1)[:, h:h + n], scale, out=out[s])
+
+    _on_row_blocks(rows, (n, side))
     return out
+
+
+def _both_orders(operands, n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """``fftconvolve(first, second) * scale`` and its operand swap, for the two ``n x n`` arrays that
+    ``operands`` yields, each transformed before the next is made.  Every stage runs in blocks on the
+    usable cores; the product is written over the first spectrum and the swap over the second."""
+    h, side = _padding(n)
+    a, b = (_spectrum(values, side) for values in operands)
+
+    def products(s):
+        a[s], b[s] = _spectral_product(a[s], b[s], out=np.empty_like(a[s])), _spectral_product(b[s], a[s], out=b[s])
+
+    _on_row_blocks(products, a.shape)
+    first = _centred_inverse(a, h, n, scale)
+    del a  # so the first spectrum is freed before the second inverse
+    return first, _centred_inverse(b, h, n, scale)
 
 
 def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
@@ -371,24 +399,15 @@ def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
 
     Output ``[i, j]`` is the full convolution at ``[h + i, h + j]`` with
     ``h = (n - 1) // 2``, so for odd ``n`` the result stays centred on the
-    input grid.  The circular convolution behind it is padded to a 5-smooth
-    length at which wrap-around misses the kept slice.  The spectral product
-    is written out in real arithmetic, so swapping the operands gives the
-    same array bit for bit.  The two forward transforms run on two threads
-    when two cores are usable, the product in row blocks on the usable
-    cores, and the result is a new array, not a view into the padded one.
+    input grid.  It is the first order of ``grid_conv_check``'s route, whose
+    padded side keeps wrap-around off the kept slice and whose spectral
+    product gives the same bits for either operand order.  The result is a
+    new array, not a view into the padded one.
     """
     in1, in2 = np.asarray(in1, dtype=float), np.asarray(in2, dtype=float)
     if in1.ndim != 2 or in1.shape[0] != in1.shape[1] or in1.shape != in2.shape:
         raise ValueError(f"need two square arrays of one shape, got {in1.shape} and {in2.shape}")
-    h, size = _padding(in1.shape[0])
-    a, b = _in_pair(lambda values: np.fft.rfft2(values, size), in1, in2)
-
-    def product(s):
-        b[s] = _spectral_product(a[s], b[s], out=b[s])
-
-    _on_row_blocks(product, b.shape)
-    return _centred_inverse(b, h, in1.shape[0])
+    return _both_orders((in1, in2), in1.shape[0], 1.0)[0]
 
 
 def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
@@ -419,7 +438,7 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
     kernel = np.empty((arr.shape[0], s.size))
 
     def rows(b):
-        kernel[b] = i0e(np.multiply.outer(arr[b], s) / sigma2) * np.exp(
+        kernel[b] = _i0e(np.multiply.outer(arr[b], s) / sigma2) * np.exp(
             -((arr[b, None] - s[None, :]) ** 2) / (2.0 * sigma2)
         )
 
@@ -465,18 +484,14 @@ def grid_conv_check(
     """FFT-convolve two mollified rings and compare profiles with the closed form.
 
     Both rings are rasterized on the same centered grid and convolved in both
-    operand orders (the product of sums times spacing^2 gives the continuous
-    normalization).  Every input rule is checked before any thread starts.
-    Each ring is built and forward-transformed on its own thread of a pair
-    when two cores are usable, so no ring outlives its spectrum.  Both
-    spectral products are formed a row block at a time on the usable cores,
-    the product over the first spectrum and the swap over the second, so the
-    swap costs one inverse transform; the two inverse transforms run as a
-    pair.  The first-by-second result is annularly averaged about b1 + b2 in
-    bins of width 2*spacing, the distances and bin indices filled in row
-    blocks on the usable cores and each bin summed whole, in one order.  The
-    reference is ``smoothed_profile`` at the bins' mean radii.  Every array of
-    the report has the same bits on any number of cores.  Raises a
+    operand orders by ``fftconvolve``'s route, times spacing^2 for the
+    continuous normalization.  Every input rule is checked before any thread
+    starts.  Each ring is built and transformed before the next.  The
+    first-by-second result is annularly averaged about b1 + b2 in bins of
+    width 2*spacing, the distances and bin indices filled in row blocks on
+    the usable cores and each bin summed whole, in one order.  The reference
+    is ``smoothed_profile`` at the bins' mean radii.  Every array of the
+    report has the same bits on any number of cores.  Raises a
     ``ParameterError`` naming ``spacing`` over the grid-side cap, the larger
     radius where ``r1 + r2`` overflows, ``extent`` if the convolution support
     plus a 5-epsilon pad would be clipped by the grid, then each ring's rule
@@ -491,18 +506,8 @@ def grid_conv_check(
         raise ParameterError("extent", "grid extent clips the support of the convolution")
     for c in (c1, c2):
         _ring_side(c, extent, spacing, epsilon)
-    h, size = _padding(n)
-    a, b = _in_pair(lambda c: np.fft.rfft2(build_mollified_ring(c, extent, spacing, epsilon).values, size),
-                    c1, c2)
-
-    def products(s):
-        product = _spectral_product(a[s], b[s], out=np.empty_like(a[s]))
-        b[s] = _spectral_product(b[s], a[s], out=b[s])
-        a[s] = product
-
-    _on_row_blocks(products, a.shape)
-    conv, swapped = _in_pair(lambda p: _centred_inverse(p, h, n, spacing**2), a, b)
-    del a, b
+    conv, swapped = _both_orders((build_mollified_ring(c, extent, spacing, epsilon).values for c in (c1, c2)),
+                                 n, spacing**2)
 
     coords = _grid_coords(n, spacing)
     width = 2.0 * spacing

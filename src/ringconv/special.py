@@ -168,6 +168,11 @@ def i0e(x):
 
     Accepts a scalar or an ndarray; returns a matching scalar or ndarray.
     """
+    return _i0e(x)
+
+
+def _i0e(x):
+    """``i0e`` under a private name, for worker threads, which call no public function."""
     return _even_piecewise(x, (_I0E_SPLIT,), _i0e_piece)
 
 

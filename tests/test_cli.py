@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -293,29 +294,30 @@ class TestCellText:
         monkeypatch.setattr(core, "_usable_cores", lambda: cores)
         assert b"".join(_table("x", cells)) == expected
 
-    def test_ties_round_half_even_through_the_fallback(self, monkeypatch):
+    def test_ties_round_half_even_in_the_kernel(self, monkeypatch):
         # m / 2**(17 - k) for odd m lies halfway between two 17-digit decimals of exponent k.
         rng = np.random.default_rng(7)
         ties = [2.0**49 + j / 8 for j in range(1, 64, 2)]
         for k in range(-4, 16):
             lo, hi = (math.ceil(Fraction(10)**j * 2**(17 - k)) for j in (k, k + 1))
             ties += [float(m) / 2**(17 - k) for m in rng.integers(lo, min(hi, 2**53), 50) | 1]
-        ties = np.array(ties)
+        ties = np.concatenate([ties, np.negative(ties)])
         seen = []
         monkeypatch.setattr(cli, "_fmt", lambda v: seen.append(v) or format(v, ".17g"))
         text = b"".join(_table("x", ties))
         assert text == percent_text(ties)
-        assert set(ties.tolist()) <= set(seen)
-        assert b"\n562949953421312.12\n" in text and b"\n562949953421312.38\n" in text
+        assert seen == []
+        assert b"\n562949953421312.12\n" in text and b"\n-562949953421312.38\n" in text
 
-    def test_only_ties_in_fixed_notation_reach_the_fallback(self, monkeypatch):
+    def test_no_fixed_notation_value_reaches_the_fallback(self, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "_fmt", lambda v: seen.append(v) or format(v, ".17g"))
         values = np.geomspace(1e-4, 9.999e15, 100_001)
+        values = np.concatenate([values, -values])
         assert b"".join(_table("x", values)) == percent_text(values)
-        # Exactly the ties reach it: values whose 18th and last significant digit is a 5.
-        digits = {v: Decimal(v).as_tuple().digits for v in values.tolist()}
-        assert sorted(seen) == [v for v, d in digits.items() if len(d) == 18 and d[-1] == 5]
+        # Among them are the ties, values whose 18th and last significant digit is a 5.
+        assert sum(len(d) == 18 and d[-1] == 5 for d in (Decimal(v).as_tuple().digits for v in values.tolist()))
+        assert seen == []
 
     def test_power_table_is_exact(self):
         # Dekker's product is exact when each half of the power has at most 26 significant bits.
@@ -323,6 +325,26 @@ class TestCellText:
             assert Fraction(head) + Fraction(tail) == 10**e
             for half in (int(head), int(tail)):
                 assert (half // (half & -half) if half else 0).bit_length() <= 26
+
+
+class TestThreads:
+    def test_every_thread_is_started_by_the_driver(self, tmp_path, capsys, monkeypatch):
+        # core._on_cores starts every thread the package uses, in every command that runs on the cores.
+        start, callers = threading.Thread.start, []
+
+        def recorded(thread):
+            callers.append(sys._getframe(1).f_code)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 3)
+        for argv in (["grid-check", "--spacing", "0.04", "--epsilon", "0.1"], ["mc-check", "--samples", "3000000"],
+                     ["surface", "-o", str(tmp_path / "s.csv")],
+                     ["surface", "--format", "pgm", "-o", str(tmp_path / "s.pgm")],
+                     ["profile", "-o", str(tmp_path / "p.csv")], ["circle-average"], ["hankel-check"]):
+            run_main(argv, capsys)
+        oracle.fftconvolve(np.ones((301, 301)), np.ones((301, 301)))
+        assert callers and set(callers) == {core._on_cores.__code__}
 
 
 class TestMcCheck:

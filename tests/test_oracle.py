@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -230,14 +231,6 @@ class TestSamplerThreads:
         callers = [{ident == threading.get_ident() for _, ident in r} for r in results]
         assert callers == [{True}] + [{False}] * 7
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_a_pair_keeps_its_order(self, monkeypatch, cores):
-        # On one core both calls run on the caller; on two the second runs on its own thread.
-        monkeypatch.setattr(core, "_usable_cores", lambda: cores)
-        (x, on_x), (y, on_y) = core._in_pair(lambda v: (v, threading.get_ident()), "x", "y")
-        assert (x, y) == ("x", "y") and on_x == threading.get_ident()
-        assert (on_y == on_x) == (cores == 1)
-
     @pytest.mark.parametrize("bins, sectors, param", [
         (0, 4, "bins"), (2**20 + 1, 4, "bins"), (8, 0, "sectors"), (8, 2**20 + 1, "sectors"),
     ])
@@ -282,16 +275,24 @@ class TestSamplerThreads:
 
     def test_workers_call_no_public_function(self, monkeypatch):
         # A traced function called on a worker thread would record a span with
-        # no parent; the benchmark's tracer must see one sampler span per pass.
+        # no parent; the benchmark's tracer must see one root span per call: the
+        # sampler pass, the grid route (its rings, transforms and profile
+        # kernel rows included) and the bare convolution.
         monkeypatch.setattr(core, "_usable_cores", lambda: 3)
-        tracer = load_tracer()
-        tracer.install()
-        try:
-            oracle.mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4)
-        finally:
-            tracer.uninstall()
-        spans, _ = tracer.take()
-        assert [name for _, name, _, _, parent, _, _ in spans if parent is None] == ["oracle.mc_conv_histogram"]
+        calls = [
+            ("oracle.mc_conv_histogram", lambda: oracle.mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4)),
+            ("oracle.grid_conv_check", lambda: oracle.grid_conv_check(C1, C2, 12.0, 0.04, 0.1)),
+            ("oracle.fftconvolve", lambda: oracle.fftconvolve(np.ones((301, 301)), np.ones((301, 301)))),
+        ]
+        for name, call in calls:
+            tracer = load_tracer()
+            tracer.install()
+            try:
+                call()
+            finally:
+                tracer.uninstall()
+            spans, _ = tracer.take()
+            assert [span[1] for span in spans if span[4] is None] == [name]
 
     def test_mc_check_workers_call_no_public_function(self, monkeypatch):
         # mc_check runs its sampler pool, which is private, so every traced call it makes is on the
@@ -404,6 +405,16 @@ class TestFFTConvolve:
         h = (n - 1) // 2
         assert_allclose(fftconvolve(a, b), full[h:h + n, h:h + n], rtol=0, atol=1e-12)
         assert np.array_equal(fftconvolve(a, b), fftconvolve(b, a))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 61, 301])
+    def test_spectrum_has_the_bits_of_rfft2(self, monkeypatch, n):
+        # Row transforms, then column transforms, in blocks on any number of cores.
+        values = np.random.default_rng(n).normal(size=(n, n))
+        side = oracle._padding(n)[1]
+        expected = np.fft.rfft2(values, (side, side))
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            assert np.array_equal(oracle._spectrum(values, side).view(np.int64), expected.view(np.int64)), cores
 
     def test_pads_to_a_5_smooth_length(self):
         # 1201 is prime; 1215 = 3^5 * 5.
@@ -564,11 +575,13 @@ class TestGridConvCheck:
         # Each stage starts its own workers and joins them before the next, so
         # the caller and at most cores - 1 workers ever run together.  A start
         # counts the workers still alive, so a worker that ends early can only
-        # raise the count.
+        # raise the count.  Each round subclasses the real Thread, not the
+        # previous round's patch, so every start is counted once.
+        thread = threading.Thread
         for cores in (2, 3):
             started, at_once = [], []
 
-            class Counted(threading.Thread):
+            class Counted(thread):
                 def start(self):
                     at_once.append(1 + sum(t.is_alive() for t in started))
                     started.append(self)
@@ -583,26 +596,46 @@ class TestGridConvCheck:
             assert set(threading.enumerate()) == before
 
     def test_worker_exception_reaches_the_caller_after_the_join(self, monkeypatch):
+        # The first ring's build starts workers of its own before the row transforms fail on one.
         started = []
-        exact = np.fft.rfft2
+        exact = np.fft.rfft
 
         class Recorded(threading.Thread):
             def start(self):
                 started.append(self)
                 super().start()
 
-        def rfft2(values, size):
+        def rfft(*args, **kwargs):
             if threading.current_thread() in started:
                 time.sleep(0.05)
                 raise RuntimeError("worker transform")
-            return exact(values, size)
+            return exact(*args, **kwargs)
 
         monkeypatch.setattr(core, "_usable_cores", lambda: 2)
         monkeypatch.setattr(core.threading, "Thread", Recorded)
-        monkeypatch.setattr(oracle.np.fft, "rfft2", rfft2)
+        monkeypatch.setattr(oracle.np.fft, "rfft", rfft)
         with pytest.raises(RuntimeError, match="worker transform"):
             grid_conv_check(C1, C2, extent=12.0, spacing=0.04, epsilon=0.1)
-        assert len(started) == 1 and not started[0].is_alive()
+        assert started and not any(t.is_alive() for t in started)
+
+    def test_conv_values_are_fftconvolve_of_the_rings(self):
+        c1, c2 = Circle((0.3, -0.2), 2.0), Circle((-0.1, 0.25), 3.0)
+        rep = grid_conv_check(c1, c2, extent=12.0, spacing=0.02, epsilon=0.1)
+        rings = [build_mollified_ring(c, 12.0, 0.02, 0.1).values for c in (c1, c2)]
+        assert np.array_equal(rep.conv_values, fftconvolve(*rings) * 0.02**2)
+
+    def test_default_grid_holds_one_ring_and_two_spectra_at_most(self, monkeypatch):
+        # At the CLI's default grid a ring is 11.0 MiB and a padded spectrum 26.8 MiB; running the
+        # two rings' transforms side by side would take the peak past 100 MiB.
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            tracemalloc.start()
+            try:
+                grid_conv_check(C1, C2, extent=12.0, spacing=0.01, epsilon=0.05)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 85 * 2**20, (cores, peak / 2**20)
 
     def test_conv_values_own_their_memory(self):
         rep = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
