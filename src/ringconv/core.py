@@ -371,8 +371,13 @@ class ConvKernel:
 def _pinned_sin(theta: np.ndarray) -> np.ndarray:
     """``sin(theta)``, but 0.0 at whole multiples of the float pi such as pi and 2 pi, where it is ~1e-16.
 
-    One exact remainder test costs less on scalars than comparing with each multiple.
+    Each ``k pi`` with ``|k| <= 8`` is a float, and no other whole multiple lies within ``8.5 pi``, so there
+    theta is one exactly where ``k pi == theta`` for ``k = rint(theta / pi)``.  Beyond that, and for NaN,
+    the exact remainder decides, as it costs more.
     """
+    k = np.rint(np.multiply(theta, 1.0 / math.pi))
+    if np.all(np.abs(k) <= 8.0):
+        return np.sin(theta) * (k * math.pi != theta)
     return np.sin(theta) * (np.remainder(theta, math.pi) != 0.0)
 
 

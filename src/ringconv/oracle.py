@@ -4,7 +4,10 @@ Two independent routes to the same density:
 
 * Monte Carlo: draw the two circle angles uniformly, histogram the radius of
   the summed point about the summed centers, and convert counts to a planar
-  density by annulus area.
+  density by annulus area.  The point is ``r1 e(theta1) + r2 e(theta2)``;
+  a filtered kernel bins it from one cosine per sample, and reruns the
+  samples its error bound cannot place through the four-trig reference
+  kernel, so the counts are the reference's bit for bit.
 * Grid convolution: rasterize each circle as a Gaussian-mollified ring,
   convolve the grids with FFTs, and compare the radial profile against the
   closed form smoothed by the matching Gaussian.
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (Circle, ConvKernel, ParameterError, _angular_rule, _normal_mass, _on_cores, _on_row_blocks,
-                   support_interval)
+                   _scale_exponent, support_interval)
 from .operators import Field2D, _grid_coords, _grid_side, _half_width
 from .special import _i0e, i0e  # i0e is bound here for perfbench's oracle.i0e metric
 
@@ -53,6 +56,13 @@ _BLOCK = 1 << 16
 # Blocks per task of ``_sample_pool``: each chunk of 16 blocks is cut into
 # tasks of this many, so every core stays busy until the last few blocks.
 _TASK_BLOCKS = 4
+# The ulps of error assumed for ``np.cos``, ``np.sin``, ``np.hypot`` and ``np.arctan2`` in ``_filter_margin``;
+# tests/test_oracle.py measures them on the platform against a 40-digit reference.
+_ULPS = 4
+# ``_filtered_counts`` reruns a sample unless rho |sin d| >= _FLOOR (r1 + r2): below that the error bound's
+# 1/rho and 1/|sin d| terms grow without limit.  At (2, 3) and the mc-check defaults 460 of 10,485,760
+# samples are rerun; at equal radii, or at 2^20 bins and sectors, 1 to 3 in 10^3.
+_FLOOR = 2.0**-16
 # Nodes of the angular rule in ``smoothed_profile``.
 _SMOOTHING_NODES = 2048
 # ``smoothed_profile``'s limit on the angular rule's mean node-rounding error.  At radius ratios from 1
@@ -128,31 +138,47 @@ def _substream(seed: int, chunk: int, skip: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+def _add_counts(counts: np.ndarray, idx: np.ndarray) -> None:
+    """Add one to ``counts[i]`` for each ``i`` of ``idx``: by ``bincount`` when ``idx`` outnumbers the slots, else
+    by ``add.at``, so no block makes a temporary as long as ``counts``."""
+    if idx.size >= counts.size:
+        counts += np.bincount(idx, minlength=counts.size)
+    else:
+        np.add.at(counts, idx, 1)
+
+
 def _bin_block(arrays, edges: np.ndarray, counts: np.ndarray, sector_counts: np.ndarray) -> None:
     """Add the radius and sector counts of the block's points ``(dx, dy)``, rows 2 and 3 of ``arrays``.
 
-    Rows 0 and 4 are overwritten.  A negative angle is moved up by 2 pi as
-    ``angle + 2 pi [angle < 0]``: a nonnegative one gains +0, which only turns
-    -0 into +0 and moves no sector, and a masked add on random signs costs
-    about seven times as much.
+    Each count vector has one slot past its bins.  A radius goes where ``np.histogram(r, bins=edges)`` counts
+    it, ``edges[i] <= r < edges[i + 1]`` with the last edge closed, or to that last slot beyond the edges;
+    it is searched for among the edges, so a few reruns make no pass over 2^20 edges.
+    Rows 0 and 4 are overwritten.  A negative angle is moved up by 2 pi as ``angle + 2 pi [angle < 0]``: a
+    nonnegative one gains +0, which only turns -0 into +0 and moves no sector, and a masked add on random
+    signs costs about seven times as much.
     """
     (spare, _, dx, dy, scratch), negative, idx = arrays
-    counts += np.histogram(np.hypot(dx, dy, out=scratch), bins=edges)[0]
+    r = np.hypot(dx, dy, out=scratch)
+    np.subtract(np.searchsorted(edges, r, side="right"), 1, out=idx)
+    idx -= np.equal(r, edges[-1], out=negative)
+    _add_counts(counts, idx)
+    sectors = sector_counts.size - 1
     angle = np.arctan2(dy, dx, out=scratch)
     angle += np.multiply(np.less(angle, 0.0, out=negative), 2.0 * math.pi, out=spare)
-    np.divide(angle, 2.0 * math.pi / sector_counts.size, out=angle)
+    np.divide(angle, 2.0 * math.pi / sectors, out=angle)
     np.copyto(idx, angle, casting="unsafe")
-    sector_counts += np.bincount(np.minimum(idx, sector_counts.size - 1, out=idx), minlength=sector_counts.size)
+    _add_counts(sector_counts, np.minimum(idx, sectors - 1, out=idx))
 
 
 def _block_counts(r1: float, r2: float, arrays, edges: np.ndarray, counts: np.ndarray,
                   sector_counts: np.ndarray) -> None:
-    """Add the counts of one block whose angles theta1, theta2 are rows 0 and 1 of ``arrays``.
+    """The reference kernel: add the counts of the samples whose angles theta1, theta2 are rows 0 and 1 of ``arrays``.
 
     The point relative to b1 + b2 is ``r1 e(theta1) + r2 e(theta2)``, formed
     from the radii alone, so shifted and concentric circles give bitwise
     identical counts.  Each operation is the one a block of fresh arrays would
-    make, in the same order, written into the worker's own arrays.
+    make, in the same order, written into the given arrays; every one acts
+    on each sample alone, so a sample gets the same bits in any block.
     """
     (t1, t2, dx, dy, scratch), _, _ = arrays
     np.multiply(np.cos(t1, out=dx), r1, out=dx)
@@ -162,10 +188,117 @@ def _block_counts(r1: float, r2: float, arrays, edges: np.ndarray, counts: np.nd
     _bin_block(arrays, edges, counts, sector_counts)
 
 
+def _filter_margin(r1: float, r2: float, step: float, bins: int, sectors: int) -> float:
+    """Distance from the nearest edge, in bin or sector units, beyond which both kernels count a sample alike.
+
+    ``step`` is the first bin's width.  With u = 2^-53, k = ``_ULPS`` and R = r1 + r2, both kernels are held
+    to the exact point p of the drawn angles (d = theta2 - theta1), and ``_filtered_counts`` only trusts a
+    sample with ``rho |sin d| >= _FLOOR R``, which bounds its 1/rho and 1/|sin d| terms:
+
+    * the reference's ``dx``, ``dy`` are each within (2k + 2) u R of p's, so its ``hypot`` is within
+      (5k + 5) u R of ``|p|``, and its ``arctan2`` within ``sqrt(2) (2k + 2) u R / |p|`` plus 2 pi k u of
+      p's angle;
+    * the filter's cosine is within (2k + 2 pi) u of ``cos d``, so its radicand is within (k + 8) u R^2 of
+      ``|p|^2`` and its radius within (k + 8) u R^2 / rho plus u rho.  Its sine from ``(1 - c)(1 + c)`` is
+      within ``(4k + 17) u / |sin d|`` of ``|sin d|``, and its sign is right wherever ``|sin d|`` exceeds
+      ``sqrt((4k + 17) u)``.  Its angle moves by at most pi/2 times the error of ``(r1 + r2 cos d,
+      r2 sin d)``, (2k + 9) u R and (4k + 17) u R / |sin d| + 3 u R, over rho, and its sum with theta1 by 3 pi u;
+    * a result that underflows is off by up to 2^-1074 on its own scale; the filter's scale is 2^-e times
+      the reference's, with 2^e the scale of the larger radius, so ``tiny`` is 2^-1074 max(1, 2^e);
+    * ``np.linspace`` puts edge i within u i of ``i step``, plus an underflow; the float sector width is
+      within 1.4 u of ``2 pi / sectors`` and 2 pi within 0.4 u; each scaling to bin or sector units adds a
+      relative 2.5 u of the position, at most ``bins + 1`` bins or 1.5 turns.
+
+    The sum of both kernels' errors, doubled, is returned.
+    """
+    u, k = 2.0**-53, _ULPS
+    span = r1 + r2
+    tiny = math.ldexp(5e-324, max(int(_scale_exponent(r1, r2)), 0))
+    radius = (((k + 8) * (1.0 + u) / _FLOOR + 1.01 + 5 * k + 5) * u * span + 8 * tiny) / step \
+        + 2.01 * u * (bins + 1) + bins * (u + tiny / step)
+    point = (math.sqrt(2.0) * (2 * k + 2) + (2 * k + 9) + (4 * k + 17.1) + 3) * u / _FLOOR + 8 * tiny / span / _FLOOR
+    angle = 1.01 * math.pi / 2 * point + (4 * math.pi * k + 5 * math.pi + 2.2) * u
+    sector = angle * sectors / (2.0 * math.pi) + 6.3 * u * sectors
+    return 2.0 * max(radius, sector) + 4 * u
+
+
+def _filtered_counts(r1: float, r2: float, arrays, edges: np.ndarray, counts: np.ndarray,
+                     sector_counts: np.ndarray) -> None:
+    """``_block_counts``' counts, bit for bit, from one cosine per sample.
+
+    With d = theta2 - theta1, c = cos d and s = sqrt((1 - c)(1 + c)) signed as d (pi - |d|), the point has
+    radius ``rho = sqrt(r1^2 + r2^2 + 2 r1 r2 c)`` and angle ``theta1 + arctan2(r2 s, r1 + r2 c)``, on
+    radii scaled by ``_scale_exponent``.  A sample whose position in bin or sector units lies within
+    ``_filter_margin`` of a whole number, or whose ``rho |s|`` lies below ``_FLOOR (r1 + r2)``, or is not
+    finite, is flagged: it goes to the count vectors' last slot, and the flagged samples are gathered and
+    rerun through ``_block_counts``.  Every other sample lies in the same bin and sector on both routes.
+    The work is done in the block's own rows (theta1 and theta2 kept for the rerun) and the integer row,
+    also read as floats and as flags; where the margin reaches 1/16 the whole block runs ``_block_counts``.
+    """
+    (t1, t2, a, b, c), flagged, idx = arrays
+    bins, sectors = counts.size - 1, sector_counts.size - 1
+    step = float(edges[1])
+    margin = _filter_margin(r1, r2, step, bins, sectors)
+    if not margin < 0.0625:
+        _block_counts(r1, r2, arrays, edges, counts, sector_counts)
+        return
+    e = int(_scale_exponent(r1, r2))
+    s1, s2 = math.ldexp(r1, -e), math.ldexp(r2, -e)
+    f = idx.view(float)
+    with np.errstate(invalid="ignore"):  # a radicand rounded below 0 gives NaN, which is flagged
+        np.subtract(t2, t1, out=a)
+        np.cos(a, out=b)
+        np.abs(a, out=c)
+        a *= np.subtract(math.pi, c, out=c)  # d (pi - |d|) has the sign of sin d
+        np.subtract(1.0, b, out=c)
+        c *= np.add(1.0, b, out=f)
+        np.sqrt(c, out=c)  # |s|
+        np.multiply(b, 2.0 * s1 * s2, out=f)
+        f += s1 * s1 + s2 * s2
+        np.sqrt(f, out=f)  # rho
+        np.copysign(c, a, out=a)
+        a *= s2
+        c *= f
+        np.greater_equal(c, _FLOOR * (s1 + s2), out=flagged)  # True while the sample is trusted
+        f *= math.ldexp(1.0 / step, e)
+        b *= s2
+        b += s1
+        np.arctan2(a, b, out=b)
+        b += t1
+        b *= sectors / (2.0 * math.pi)  # the angle, in (-pi, 3 pi), in sector units
+        np.floor(f, out=a)
+        f -= a
+        f -= 0.5
+        np.abs(f, out=f)  # 1/2 less the distance from the nearest bin edge
+        np.floor(b, out=c)
+        b -= c
+        b -= 0.5
+        np.abs(b, out=b)
+        np.maximum(b, f, out=b)
+        trusted = idx.view(bool)[:idx.size]
+        flagged &= np.less_equal(b, 0.5 - margin, out=trusted)
+        np.logical_not(flagged, out=flagged)
+        np.minimum(a, bins, out=a)
+        np.add(c, 0.5, out=b)  # the sector, taken mod sectors exactly on whole numbers
+        b *= 1.0 / sectors
+        np.floor(b, out=b)
+        c -= np.multiply(b, sectors, out=b)
+        for index, last, out in ((a, bins, counts), (c, sectors, sector_counts)):
+            np.copyto(idx, index, casting="unsafe")
+            np.copyto(idx, last, where=flagged)
+            _add_counts(out, idx)
+    rerun = np.flatnonzero(flagged)
+    if rerun.size:
+        floats = np.empty((5, rerun.size))
+        floats[0], floats[1] = t1[rerun], t2[rerun]
+        _block_counts(r1, r2, (floats, np.empty(rerun.size, dtype=bool), np.empty(rerun.size, dtype=np.int64)),
+                      edges, counts, sector_counts)
+
+
 def _job_block(c1: Circle, c2: Circle, arrays, edges: np.ndarray, counts: np.ndarray,
                sector_counts: np.ndarray) -> None:
     """The pool's dispatch of one block of a job: the kernel gets the circles' radii, never their centres."""
-    _block_counts(c1.radius, c2.radius, arrays, edges, counts, sector_counts)
+    _filtered_counts(c1.radius, c2.radius, arrays, edges, counts, sector_counts)
 
 
 def _task_counts(job, chunk: int, block: int, seed: int, edges: np.ndarray, arrays, counts: np.ndarray,
@@ -216,13 +349,14 @@ def _sample_pool(jobs, seed: int, edges: np.ndarray, sectors: int) -> list:
             job, chunk, block = tasks[t]
             key = (job, chunk == 0)
             if key not in sums:
-                sums[key] = np.zeros(edges.size - 1, dtype=np.int64), np.zeros(sectors, dtype=np.int64)
+                sums[key] = np.zeros(edges.size, dtype=np.int64), np.zeros(sectors + 1, dtype=np.int64)
             _task_counts(jobs[job], chunk, block, seed, edges, arrays, *sums[key])
         return sums
 
     sums = {}
     for worker in _on_cores(work, len(tasks)):
         for key, part in worker.items():
+            part = tuple(v[:-1] for v in part)  # the last slot is no bin: see ``_bin_block``
             sums[key] = tuple(map(np.add, sums[key], part)) if key in sums else part
     return [(tuple(map(np.add, sums[job, True], sums.get((job, False), (0, 0)))), sums[job, True])
             for job in range(len(jobs))]

@@ -6,6 +6,7 @@ package against these is comparing two genuinely different routes.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -117,3 +118,72 @@ def conv_density_squared(rho: float, r1: float, r2: float) -> Fraction:
     """
     p, a, b = Fraction(rho), Fraction(r1), Fraction(r2)
     return 16 * a * a * b * b / ((p * p - (a - b) ** 2) * ((a + b) ** 2 - p * p))
+
+
+# pi to 64 digits, for the 40-digit references below.
+_PI = "3.141592653589793238462643383279502884197169399375105820974944592"
+
+
+def _series(first, ratio, eps):
+    """Sum of the terms ``first, first * ratio(1), ...`` until one falls below ``eps``."""
+    total = term = first
+    n = 1
+    while abs(term) > eps:
+        term = term * ratio(n)
+        total += term
+        n += 1
+    return total
+
+
+def sin_cos_40(x: float):
+    """``(sin x, cos x)`` as Decimals good to about 40 digits: x reduced by pi/2 and two Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        eps = Decimal(10) ** -50
+        half = Decimal(_PI) / 2
+        k = int((Decimal(x) / half).to_integral_value())
+        r = Decimal(x) - k * half
+        sq = -r * r
+        s = _series(r, lambda n: sq / ((2 * n) * (2 * n + 1)), eps)
+        c = _series(Decimal(1), lambda n: sq / ((2 * n - 1) * (2 * n)), eps)
+        return ((s, c), (c, -s), (-s, -c), (-c, s))[k % 4]
+
+
+def atan2_40(y: float, x: float):
+    """The angle of ``(x, y)`` in (-pi, pi] as a Decimal good to about 40 digits; not at the origin.
+
+    The ratio of the smaller to the larger coordinate is halved in angle twice,
+    ``t -> t / (1 + sqrt(1 + t^2))``, and the arctangent series summed.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi, ay, ax = Decimal(_PI), abs(Decimal(y)), abs(Decimal(x))
+        t = min(ay, ax) / max(ay, ax)
+        for _ in range(2):
+            t = t / (1 + (1 + t * t).sqrt())
+        sq = -t * t
+        a = 4 * _series(t, lambda n: sq * (2 * n - 1) / (2 * n + 1), Decimal(10) ** -50)
+        if ay > ax:
+            a = pi / 2 - a
+        if x < 0:
+            a = pi - a
+        return -a if y < 0 else a
+
+
+def hypot_40(x: float, y: float):
+    """``sqrt(x^2 + y^2)`` as a Decimal good to about 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(x) ** 2 + Decimal(y) ** 2).sqrt()
+
+
+def ulps_off(value: float, reference) -> float:
+    """How many units in the last place of the reference the float ``value`` lies from it.
+
+    The unit is the spacing of floats just below ``|reference|``, the finer one at a power of two.
+    """
+    below = math.nextafter(abs(float(reference)), 0.0)
+    unit = math.nextafter(below, math.inf) - below
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(abs(Decimal(value) - reference) / Decimal(unit))

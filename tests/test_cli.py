@@ -421,6 +421,22 @@ class TestMcCheck:
                     digest(repr(verdicts).encode()), code, digest(out.encode()),
                     digest(path.read_bytes())) == self.PINNED[samples], f"on {cores} cores"
 
+    # Two benchmark argvs whose statistical verdicts FAIL on a correct sampler (sector uniformity at 4.37
+    # sigma, histogram agreement at 2.0345e-2): sha256 prefixes of stdout and the -o file, and the exit code.
+    # A count that moves can turn such a verdict, so these pin the counts where a verdict sits on its bound.
+    @pytest.mark.parametrize("argv, pinned", [
+        (["--b1", "-2.923181899208531", "3.2844488527453066", "--b2", "-3.5071787691797973", "0.12804616436564853",
+          "--seed", "3335203224"], (1, "9da55fbd5cf8b6ac", "de50e7aaae88c827")),
+        (["--b1", "2.1891065376770094", "-1.688728088490048", "--b2", "4.330886636200264", "-3.9517522571467287",
+          "--seed", "3248255051"], (1, "fc2adc6e30a47019", "18f4381a8abdc910")),
+    ])
+    def test_statistical_fails_keep_their_bits(self, argv, pinned, tmp_path, capsys):
+        path = tmp_path / "hist.csv"
+        code, out, err = run_main(["mc-check", *argv, "-o", str(path)], capsys)
+        assert err == "" and "FAIL" in out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()[:16],
+                hashlib.sha256(path.read_bytes()).hexdigest()[:16]) == pinned
+
     @pytest.mark.parametrize("argv, flag", [
         (["--r1", "1e-4", "--r2", "1e-4", "--samples", "1000"], "--margin"),
         # Rejected before allocation: a count vector never outweighs a 2^20-sample chunk.

@@ -385,6 +385,25 @@ class TestPsiPhi:
     def test_phi_vanishes_at_the_quarter_turn_collapse(self):
         assert abs(phi(math.hypot(2.0, 3.0), math.pi / 2.0, 2.0, 3.0)) < 2e-16
 
+    def test_pinned_sin_keeps_the_bits_of_the_remainder_test(self):
+        # sin(theta) times (remainder(theta, pi) != 0), bit for bit, at 0 and the multiples k pi (exact for
+        # k = 0..8, 10, 12, 16, 2^40; rounded for 9 and 11), their three neighbours each side, both signs,
+        # and inf and NaN; as an array within 8.5 pi, as one array with all of them, and one at a time.
+        k = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 8.5, 9, 10, 11, 12, 16, 2.0**40])
+        theta = [k * math.pi]
+        for direction in (-np.inf, np.inf):
+            step = theta[0]
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                theta.append(step)
+        theta = np.concatenate(theta + [-np.concatenate(theta), [np.inf, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore"):  # sin and remainder of inf
+            expected = (np.sin(theta) * (np.remainder(theta, math.pi) != 0.0)).view(np.int64)
+            within = np.abs(theta) <= 8.5 * math.pi
+            assert np.array_equal(core._pinned_sin(theta[within]).view(np.int64), expected[within])
+            assert np.array_equal(core._pinned_sin(theta).view(np.int64), expected)
+            assert [np.float64(core._pinned_sin(t)).view(np.int64) for t in theta] == expected.tolist()
+
     def test_phi_prime_pinned_zeros(self):
         for theta in (0.0, math.pi, 2.0 * math.pi):
             assert phi_prime(theta, 2.0, 3.0) == 0.0

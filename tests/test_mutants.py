@@ -2,7 +2,8 @@
 
 The private functions are the closed form's ends and density, J0's pieces,
 the root route's end offsets, which only a sweep at a wide radius ratio sees,
-and the Monte Carlo pool's dispatch of a block to its kernel.
+the Monte Carlo pool's dispatch of a block to its kernel, and the filtered
+kernel's margin, which no verdict sees and the kernel edge test must.
 
 The table pins what each check sees: a verdict listed against a mutant must
 FAIL under it, and every other verdict must still PASS.  The README's
@@ -14,6 +15,7 @@ import pytest
 
 from ringconv import checks, core, oracle, special
 from ringconv.core import Circle
+from test_oracle import KERNEL_CASES, kernel_disagreements
 
 _exact_ends, _interior_density, _j0_piece = core._exact_ends, core._interior_density, special._j0_piece
 _end_offsets = core._end_offsets
@@ -48,6 +50,8 @@ MUTANTS = {
     "end-offset-cancels": (core, "_end_offsets", _cancelling_offsets),
     # A sampler that forms the absolute point before it subtracts the centres.
     "absolute-point": (oracle, "_job_block", _absolute_point),
+    # The filtered sampler kernel trusting its cheap bin and sector right up to each edge.
+    "filter-margin-zero": (oracle, "_filter_margin", lambda *args: 0.0),
 }
 
 HANKEL = [f"{kind} r1={r1:g} r2={r2:g}" for r1, r2 in checks.CHECK_PAIRS
@@ -100,3 +104,10 @@ def test_verdict_table(mutant, monkeypatch):
     assert sorted(results) == sorted(KILLED_BY)
     failed = {name for name, result in results.items() if not result.ok}
     assert failed == {name for name, killers in KILLED_BY.items() if mutant in killers}
+
+
+def test_filter_margin_zero_is_killed_by_the_kernel_edge_test(monkeypatch):
+    # Random draws almost never land within rounding of an edge: at (2, 3) and the mc-check defaults not one
+    # of 10^7 counts moves, so no verdict row lists this mutant.  On the edge pairs every case moves some.
+    monkeypatch.setattr(*MUTANTS["filter-margin-zero"])
+    assert all(kernel_disagreements(case)[0] > 0 for case in KERNEL_CASES)

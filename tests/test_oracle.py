@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import atan2_40, hypot_40, sin_cos_40, ulps_off
 
 from ringconv import checks, core, oracle
 from ringconv.core import Circle, ParameterError, eval_conv
@@ -322,6 +323,138 @@ class TestSamplerThreads:
         got = np.empty(expected.size)
         oracle._substream(20260814, 3, 2**20 + 12345).random(out=got)
         assert np.array_equal((got * (2.0 * math.pi)).view(np.int64), expected.view(np.int64))
+
+
+def kernel_counts(kernel, r1, r2, theta1, theta2, edges, sectors):
+    """Radius and sector counts of one block of ``kernel`` on the given angles, each with its last slot."""
+    n = theta1.size
+    arrays = np.empty((5, n)), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
+    arrays[0][0], arrays[0][1] = theta1, theta2
+    counts, sector_counts = np.zeros(edges.size, np.int64), np.zeros(sectors + 1, np.int64)
+    kernel(r1, r2, arrays, edges, counts, sector_counts)
+    return counts, sector_counts
+
+
+def _wrapped(theta):
+    return np.mod(theta, 2.0 * math.pi)
+
+
+def _with_neighbours(x, ulps=2):
+    """``x`` and its ``ulps`` float neighbours on each side."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        step = x
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate(out)
+
+
+def edge_angles(r1, r2, edges, sectors, seed):
+    """Angle pairs in [0, 2 pi) whose points lie within a few ulps of a bin or sector edge, and pairs where
+    d = theta2 - theta1 lies within 1e-9 of 0 or +-pi, or beyond pi, and the radius may vanish."""
+    rng = np.random.default_rng(seed)
+    lo, hi = abs(r1 - r2), r1 + r2
+    # Radii on every edge inside the support, the last one included where it lies there.
+    rho = edges[(edges > lo) & (edges < hi)]
+    d = np.arccos(np.clip((rho - lo) / (2.0 * r1 * r2) * (rho + lo) - 1.0, -1.0, 1.0))
+    d *= rng.choice([-1.0, 1.0], d.size)
+    t1 = rng.uniform(0.0, 2.0 * math.pi, d.size)
+    pairs = [(np.tile(t1, 5), _wrapped(_with_neighbours(t1 + d)))]
+    # Angles on every sector edge, 0 and 2 pi included, at random radii.
+    alpha = np.arange(sectors + 1) * (2.0 * math.pi / sectors)
+    d = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, alpha.size)
+    t1 = _wrapped(alpha - np.arctan2(r2 * np.sin(d), r1 + r2 * np.cos(d)))
+    pairs.append((_wrapped(_with_neighbours(t1)), np.tile(_wrapped(t1 + d), 5)))
+    # d within 1e-9 of 0 and +-pi (equal angles put the point on the support's outer end), and |d| > pi.
+    t1 = rng.uniform(0.0, 2.0 * math.pi, 3000)
+    for shift in (0.0, math.pi, -math.pi):
+        pairs.append((t1, _wrapped(t1 + shift + rng.uniform(-1e-9, 1e-9, t1.size) * (rng.random(t1.size) < 0.9))))
+    small, large = rng.uniform(0.0, 1.0, 1000), rng.uniform(5.0, 2.0 * math.pi, 1000)
+    pairs += [(small, large), (large, small)]
+    return tuple(np.concatenate(rows) for rows in zip(*pairs))
+
+
+# (r1, r2, edges, sectors): the defaults; equal radii, where the radius reaches 0; the support's outer end
+# on the closed last edge; a last edge inside the support; radii near 1e150, which the filter scales.
+KERNEL_CASES = [
+    (2.0, 3.0, np.linspace(0.0, 5.2, 261), 360),
+    (1.0, 1.0, np.linspace(0.0, 2.2, 53), 64),
+    (2.0, 3.0, np.linspace(0.0, 5.0, 51), 7),
+    (2.0, 3.0, np.linspace(0.0, 4.5, 91), 12),
+    (0.5e150, 2.5e150, np.linspace(0.0, 3.2e150, 33), 5),
+]
+
+
+def kernel_disagreements(case, seed=0):
+    """``(slots that differ, samples flagged)`` of the filtered kernel against ``_block_counts`` on ``edge_angles``."""
+    r1, r2, edges, sectors = case
+    theta1, theta2 = edge_angles(r1, r2, edges, sectors, seed)
+    got = kernel_counts(oracle._filtered_counts, r1, r2, theta1, theta2, edges, sectors)
+    want = kernel_counts(oracle._block_counts, r1, r2, theta1, theta2, edges, sectors)
+    differ = sum(int(np.count_nonzero(g[:-1] != w[:-1])) for g, w in zip(got, want))
+    return differ, int(got[0][-1] - want[0][-1])
+
+
+class TestFilteredKernel:
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_keeps_every_count_on_the_edges(self, case):
+        differ, flagged = kernel_disagreements(case)
+        assert differ == 0
+        # The pairs reach the filter's margin or floor: many are sent back to the reference.
+        assert flagged > 1000
+
+    @pytest.mark.parametrize("r1, r2", [(2.0, 3.0), (1.0, 1.0), (1e-3, 1.0)])
+    def test_keeps_every_count_at_2_to_the_20_bins_and_sectors(self, r1, r2):
+        # The filter's margin grows with the bin and sector counts; the reruns stay under 1%.
+        rng = np.random.default_rng(5)
+        theta1, theta2 = rng.uniform(0.0, 2.0 * math.pi, (2, 2**16))
+        edges, sectors = np.linspace(0.0, r1 + r2 + 0.2, 2**20 + 1), 2**20
+        got = kernel_counts(oracle._filtered_counts, r1, r2, theta1, theta2, edges, sectors)
+        want = kernel_counts(oracle._block_counts, r1, r2, theta1, theta2, edges, sectors)
+        assert all(np.array_equal(g[:-1], w[:-1]) for g, w in zip(got, want))
+        assert got[0][-1] - want[0][-1] < 0.01 * theta1.size
+
+    @pytest.mark.parametrize("r1, r2, filtered", [(3e-310, 5e-310, True), (1e-322, 2e-322, False)])
+    def test_keeps_every_count_at_subnormal_radii(self, r1, r2, filtered):
+        # The reference's underflows widen the margin; past 1/16 of a bin the whole block runs the reference.
+        edges, sectors = np.linspace(0.0, 1.5 * (r1 + r2), 11), 3
+        assert (oracle._filter_margin(r1, r2, float(edges[1]), 10, sectors) < 0.0625) == filtered
+        theta1, theta2 = np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, (2, 5000))
+        got = kernel_counts(oracle._filtered_counts, r1, r2, theta1, theta2, edges, sectors)
+        want = kernel_counts(oracle._block_counts, r1, r2, theta1, theta2, edges, sectors)
+        assert all(np.array_equal(g[:-1], w[:-1]) for g, w in zip(got, want))
+
+    def test_reference_bins_like_histogram(self):
+        # Radii on every edge and its neighbours, the closed last edge, and beyond it: the bins np.histogram
+        # gives, and the last slot for what it drops.
+        edges = np.linspace(0.0, 5.2, 261)
+        r = np.concatenate([_with_neighbours(edges, 3), np.random.default_rng(4).uniform(0.0, 5.5, 5000), [5.2]])
+        r = np.abs(r)  # the kernel bins hypot(r, 0)
+        arrays = np.empty((5, r.size)), np.empty(r.size, dtype=bool), np.empty(r.size, dtype=np.int64)
+        arrays[0][2], arrays[0][3] = r, 0.0
+        counts, sector_counts = np.zeros(edges.size, np.int64), np.zeros(2, np.int64)
+        oracle._bin_block(arrays, edges, counts, sector_counts)
+        assert np.array_equal(counts[:-1], np.histogram(r, bins=edges)[0])
+        assert counts[-1] == np.count_nonzero(r > 5.2) and sector_counts.tolist() == [r.size, 0]
+
+
+class TestPlatformUlps:
+    def test_trig_and_hypot_within_the_assumed_ulps(self):
+        # The filter's margin assumes np.cos, np.sin, np.hypot and np.arctan2 within oracle._ULPS ulps, on
+        # angles drawn as the sampler draws them, their differences, and the reference kernel's points.
+        rng = np.random.Generator(np.random.Philox(key=20261020))
+        theta1, theta2 = rng.random((2, 10_000)) * (2.0 * math.pi)
+        d = theta2 - theta1
+        dx, dy = 2.0 * np.cos(theta1) + 3.0 * np.cos(theta2), 2.0 * np.sin(theta1) + 3.0 * np.sin(theta2)
+        worst = {"cos": 0.0, "sin": 0.0, "hypot": 0.0, "arctan2": 0.0}
+        for t, c, s, dd, cd, x, y, h, a in zip(theta1, np.cos(theta1), np.sin(theta1), d, np.cos(d), dx, dy,
+                                               np.hypot(dx, dy), np.arctan2(dy, dx)):
+            ref_s, ref_c = sin_cos_40(float(t))
+            for name, value, ref in (("cos", c, ref_c), ("sin", s, ref_s), ("cos", cd, sin_cos_40(float(dd))[1]),
+                                     ("hypot", h, hypot_40(x, y)), ("arctan2", a, atan2_40(y, x))):
+                worst[name] = max(worst[name], ulps_off(float(value), ref))
+        assert max(worst.values()) <= oracle._ULPS, worst
 
 
 class TestRadiality:
