@@ -97,8 +97,8 @@ class Field2D:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("sampled field values must be a square 2-d array")
-        if not self.spacing or self.spacing <= 0.0:
-            raise ValueError("sampled field needs spacing > 0")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("sampled field needs a finite spacing > 0")
         if not np.all(np.isfinite(values)):
             raise ValueError("sampled field values must be finite")
 

@@ -147,45 +147,40 @@ def _add_counts(counts: np.ndarray, idx: np.ndarray) -> None:
         np.add.at(counts, idx, 1)
 
 
-def _bin_block(arrays, edges: np.ndarray, counts: np.ndarray, sector_counts: np.ndarray) -> None:
-    """Add the radius and sector counts of the block's points ``(dx, dy)``, rows 2 and 3 of ``arrays``.
+def _bin_block(dx, dy, edges: np.ndarray, counts: np.ndarray, sector_counts: np.ndarray) -> None:
+    """Add the radius and sector counts of the points ``(dx, dy)``.
 
     Each count vector has one slot past its bins.  A radius goes where ``np.histogram(r, bins=edges)`` counts
     it, ``edges[i] <= r < edges[i + 1]`` with the last edge closed, or to that last slot beyond the edges;
     it is searched for among the edges, so a few reruns make no pass over 2^20 edges.
-    Rows 0 and 4 are overwritten.  A negative angle is moved up by 2 pi as ``angle + 2 pi [angle < 0]``: a
-    nonnegative one gains +0, which only turns -0 into +0 and moves no sector, and a masked add on random
-    signs costs about seven times as much.
+    A negative angle is moved up by 2 pi as ``angle + 2 pi [angle < 0]``: a nonnegative one gains +0, which
+    only turns -0 into +0 and moves no sector.
     """
-    (spare, _, dx, dy, scratch), negative, idx = arrays
-    r = np.hypot(dx, dy, out=scratch)
-    np.subtract(np.searchsorted(edges, r, side="right"), 1, out=idx)
-    idx -= np.equal(r, edges[-1], out=negative)
+    r = np.hypot(dx, dy)
+    idx = np.searchsorted(edges, r, side="right") - 1
+    idx -= r == edges[-1]
     _add_counts(counts, idx)
     sectors = sector_counts.size - 1
-    angle = np.arctan2(dy, dx, out=scratch)
-    angle += np.multiply(np.less(angle, 0.0, out=negative), 2.0 * math.pi, out=spare)
-    np.divide(angle, 2.0 * math.pi / sectors, out=angle)
-    np.copyto(idx, angle, casting="unsafe")
-    _add_counts(sector_counts, np.minimum(idx, sectors - 1, out=idx))
+    angle = np.arctan2(dy, dx)
+    angle += (angle < 0.0) * (2.0 * math.pi)
+    angle /= 2.0 * math.pi / sectors
+    _add_counts(sector_counts, np.minimum(angle.astype(np.int64), sectors - 1))
 
 
-def _block_counts(r1: float, r2: float, arrays, edges: np.ndarray, counts: np.ndarray,
+def _block_counts(r1: float, r2: float, theta1, theta2, edges: np.ndarray, counts: np.ndarray,
                   sector_counts: np.ndarray) -> None:
-    """The reference kernel: add the counts of the samples whose angles theta1, theta2 are rows 0 and 1 of ``arrays``.
+    """The reference kernel: add the counts of the samples with angles ``theta1``, ``theta2``.
 
     The point relative to b1 + b2 is ``r1 e(theta1) + r2 e(theta2)``, formed
     from the radii alone, so shifted and concentric circles give bitwise
-    identical counts.  Each operation is the one a block of fresh arrays would
-    make, in the same order, written into the given arrays; every one acts
-    on each sample alone, so a sample gets the same bits in any block.
+    identical counts.  Every operation acts on each sample alone, so a sample
+    gets the same bits among any others.
     """
-    (t1, t2, dx, dy, scratch), _, _ = arrays
-    np.multiply(np.cos(t1, out=dx), r1, out=dx)
-    dx += np.multiply(np.cos(t2, out=scratch), r2, out=scratch)
-    np.multiply(np.sin(t1, out=dy), r1, out=dy)
-    dy += np.multiply(np.sin(t2, out=scratch), r2, out=scratch)
-    _bin_block(arrays, edges, counts, sector_counts)
+    dx = np.cos(theta1) * r1
+    dx += np.cos(theta2) * r2
+    dy = np.sin(theta1) * r1
+    dy += np.sin(theta2) * r2
+    _bin_block(dx, dy, edges, counts, sector_counts)
 
 
 def _filter_margin(r1: float, r2: float, step: float, bins: int, sectors: int) -> float:
@@ -230,18 +225,15 @@ def _filtered_counts(r1: float, r2: float, arrays, edges: np.ndarray, counts: np
     radius ``rho = sqrt(r1^2 + r2^2 + 2 r1 r2 c)`` and angle ``theta1 + arctan2(r2 s, r1 + r2 c)``, on
     radii scaled by ``_scale_exponent``.  A sample whose position in bin or sector units lies within
     ``_filter_margin`` of a whole number, or whose ``rho |s|`` lies below ``_FLOOR (r1 + r2)``, or is not
-    finite, is flagged: it goes to the count vectors' last slot, and the flagged samples are gathered and
-    rerun through ``_block_counts``.  Every other sample lies in the same bin and sector on both routes.
-    The work is done in the block's own rows (theta1 and theta2 kept for the rerun) and the integer row,
-    also read as floats and as flags; where the margin reaches 1/16 the whole block runs ``_block_counts``.
+    finite, is flagged: it goes to the count vectors' last slot, and the flagged samples alone are rerun
+    through ``_block_counts``.  Every other sample lies in the same bin and sector on both routes.  The
+    work is done in the block's own rows (theta1 and theta2 kept for the rerun) and the integer row, also
+    read as floats and as flags.
     """
     (t1, t2, a, b, c), flagged, idx = arrays
     bins, sectors = counts.size - 1, sector_counts.size - 1
     step = float(edges[1])
     margin = _filter_margin(r1, r2, step, bins, sectors)
-    if not margin < 0.0625:
-        _block_counts(r1, r2, arrays, edges, counts, sector_counts)
-        return
     e = int(_scale_exponent(r1, r2))
     s1, s2 = math.ldexp(r1, -e), math.ldexp(r2, -e)
     f = idx.view(float)
@@ -260,7 +252,7 @@ def _filtered_counts(r1: float, r2: float, arrays, edges: np.ndarray, counts: np
         a *= s2
         c *= f
         np.greater_equal(c, _FLOOR * (s1 + s2), out=flagged)  # True while the sample is trusted
-        f *= math.ldexp(1.0 / step, e)
+        f *= math.ldexp(1.0, e) / step
         b *= s2
         b += s1
         np.arctan2(a, b, out=b)
@@ -287,12 +279,8 @@ def _filtered_counts(r1: float, r2: float, arrays, edges: np.ndarray, counts: np
             np.copyto(idx, index, casting="unsafe")
             np.copyto(idx, last, where=flagged)
             _add_counts(out, idx)
-    rerun = np.flatnonzero(flagged)
-    if rerun.size:
-        floats = np.empty((5, rerun.size))
-        floats[0], floats[1] = t1[rerun], t2[rerun]
-        _block_counts(r1, r2, (floats, np.empty(rerun.size, dtype=bool), np.empty(rerun.size, dtype=np.int64)),
-                      edges, counts, sector_counts)
+    if flagged.any():
+        _block_counts(r1, r2, t1[flagged], t2[flagged], edges, counts, sector_counts)
 
 
 def _job_block(c1: Circle, c2: Circle, arrays, edges: np.ndarray, counts: np.ndarray,
@@ -332,8 +320,9 @@ def _sample_pool(jobs, seed: int, edges: np.ndarray, sectors: int) -> list:
     usable cores, so each sample is drawn once and every core stays busy
     until the last few blocks.  Each worker reuses one set of block arrays
     across its tasks and sums whole integer count vectors per job, chunk 0
-    apart, so the counts have the same bits on any number of cores.  Workers
-    call no public function.  An exception in any task, or an interrupt while
+    apart, which are merged in place, so the counts have the same bits on
+    any number of cores; nothing may write to them after.  Workers call no
+    public function.  An exception in any task, or an interrupt while
     the caller waits, stops the other workers at their next task and reaches
     the caller after every thread has stopped.
     """
@@ -353,13 +342,20 @@ def _sample_pool(jobs, seed: int, edges: np.ndarray, sectors: int) -> list:
             _task_counts(jobs[job], chunk, block, seed, edges, arrays, *sums[key])
         return sums
 
+    def add(key, part):  # in place, so the merge makes no count vector of its own
+        if key in sums:
+            for total, v in zip(sums[key], part):
+                total += v
+        else:
+            sums[key] = part
+
     sums = {}
     for worker in _on_cores(work, len(tasks)):
         for key, part in worker.items():
-            part = tuple(v[:-1] for v in part)  # the last slot is no bin: see ``_bin_block``
-            sums[key] = tuple(map(np.add, sums[key], part)) if key in sums else part
-    return [(tuple(map(np.add, sums[job, True], sums.get((job, False), (0, 0)))), sums[job, True])
-            for job in range(len(jobs))]
+            add(key, tuple(v[:-1] for v in part))  # the last slot is no bin: see ``_bin_block``
+    for job in range(len(jobs)):
+        add((job, False), sums[job, True])  # a one-chunk job's full counts are its chunk 0's own arrays
+    return [(sums[job, False], sums[job, True]) for job in range(len(jobs))]
 
 
 def mc_conv_histogram(

@@ -33,11 +33,11 @@ def _cancelling_offsets(theta, r1, r2):
 
 def _absolute_point(c1, c2, arrays, edges, counts, sector_counts):
     # The summed point formed about the origin, then moved back by b1 + b2: it rounds at the centres' scale.
-    (t1, t2, dx, dy, _), _, _ = arrays
+    (t1, t2, _, _, _), _, _ = arrays
     (x1, y1), (x2, y2) = c1.center, c2.center
-    dx[:] = (x1 + c1.radius * np.cos(t1)) + (x2 + c2.radius * np.cos(t2)) - (x1 + x2)
-    dy[:] = (y1 + c1.radius * np.sin(t1)) + (y2 + c2.radius * np.sin(t2)) - (y1 + y2)
-    oracle._bin_block(arrays, edges, counts, sector_counts)
+    dx = (x1 + c1.radius * np.cos(t1)) + (x2 + c2.radius * np.cos(t2)) - (x1 + x2)
+    dy = (y1 + c1.radius * np.sin(t1)) + (y2 + c2.radius * np.sin(t2)) - (y1 + y2)
+    oracle._bin_block(dx, dy, edges, counts, sector_counts)
 
 
 MUTANTS = {

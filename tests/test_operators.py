@@ -272,8 +272,9 @@ class TestField2D:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             Field2D.from_grid(np.zeros((3, 4)), 0.1)
-        with pytest.raises(ValueError):
-            Field2D.from_grid(np.zeros((3, 3)), 0.0)
+        for spacing in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Field2D.from_grid(np.zeros((3, 3)), spacing)
         with pytest.raises(ValueError):
             Field2D.from_grid(np.full((3, 3), np.nan), 0.1)
 
