@@ -236,7 +236,12 @@ def eval_conv(rho, r1, r2):
     that call would; a float when all three arguments are scalars.
     """
     rho, r1, r2 = (np.asarray(v, dtype=float) for v in (rho, r1, r2))
-    lo, hi = support_interval(r1, r2)
+    return _eval_conv(rho, r1, r2, *support_interval(r1, r2))
+
+
+def _eval_conv(rho: np.ndarray, r1: np.ndarray, r2: np.ndarray, lo, hi):
+    """``eval_conv`` of radii that passed its rules, with support ``(lo, hi)``; it calls no public function, so
+    worker threads may."""
     if not ((rho >= 0.0) & (rho < math.inf)).all():
         raise ValueError("rho values must be finite and >= 0")
 
@@ -303,16 +308,15 @@ def eval_conv_2d(x, y, r1: float, r2: float, center: tuple[float, float] = (0.0,
     """
     dx = np.asarray(x, dtype=float) - center[0]
     dy = np.asarray(y, dtype=float) - center[1]
-    support_interval(r1, r2)
-    args = [dx, dy, np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)]
+    args = [dx, dy, *(np.asarray(v, dtype=float) for v in (r1, r2, *support_interval(r1, r2)))]
     shape = np.broadcast_shapes(*(a.shape for a in args))
     if not shape:
         return eval_conv(np.hypot(dx, dy), r1, r2)
     out = np.empty(shape)
 
     def rows(s):
-        dxs, dys, r1s, r2s = (np.broadcast_to(a, shape)[s] if a.ndim else a for a in args)
-        out[s] = eval_conv(np.hypot(dxs, dys), r1s, r2s)
+        dxs, dys, *radii = (np.broadcast_to(a, shape)[s] if a.ndim else a for a in args)
+        out[s] = _eval_conv(np.hypot(dxs, dys), *radii)
 
     _on_row_blocks(rows, shape)
     return out

@@ -5,9 +5,9 @@ Two independent routes to the same density:
 * Monte Carlo: draw the two circle angles uniformly, histogram the radius of
   the summed point about the summed centers, and convert counts to a planar
   density by annulus area.  The point is ``r1 e(theta1) + r2 e(theta2)``;
-  a filtered kernel bins it from one cosine per sample, and reruns the
-  samples its error bound cannot place through the four-trig reference
-  kernel, so the counts are the reference's bit for bit.
+  a filtered kernel bins it with float32 trig under a written error bound,
+  and reruns the samples the bound cannot place through the float64
+  four-trig reference kernel, so the counts are the reference's bit for bit.
 * Grid convolution: rasterize each circle as a Gaussian-mollified ring,
   convolve the grids with FFTs, and compare the radial profile against the
   closed form smoothed by the matching Gaussian.
@@ -56,13 +56,12 @@ _BLOCK = 1 << 16
 # Blocks per task of ``_sample_pool``: each chunk of 16 blocks is cut into
 # tasks of this many, so every core stays busy until the last few blocks.
 _TASK_BLOCKS = 4
-# The ulps of error assumed for ``np.cos``, ``np.sin``, ``np.hypot`` and ``np.arctan2`` in ``_filter_margin``;
-# tests/test_oracle.py measures them on the platform against a 40-digit reference.
-_ULPS = 4
-# ``_filtered_counts`` reruns a sample unless rho |sin d| >= _FLOOR (r1 + r2): below that the error bound's
-# 1/rho and 1/|sin d| terms grow without limit.  At (2, 3) and the mc-check defaults 460 of 10,485,760
-# samples are rerun; at equal radii, or at 2^20 bins and sectors, 1 to 3 in 10^3.
-_FLOOR = 2.0**-16
+# The ulps ``_filter_bound`` assumes for float64 ``np.cos``, ``np.sin``, ``np.hypot`` and ``np.arctan2``, and for
+# float32 ``np.cos``, ``np.sin`` and ``np.arctan2``; tests/test_oracle.py measures them on the platform.
+_ULPS, _ULPS32 = 4, 8
+# ``_filtered_counts``' trig is float32 while that bound's fixed margins stay within this part of a bin and of a
+# sector: at (2, 3), to about 2.2e4 bins or 5e4 sectors, where the reruns cost about what float64 trig does.
+_FLOAT32_LIMIT = 1.0 / 32
 # Nodes of the angular rule in ``smoothed_profile``.
 _SMOOTHING_NODES = 2048
 # ``smoothed_profile``'s limit on the angular rule's mean node-rounding error.  At radius ratios from 1
@@ -183,102 +182,99 @@ def _block_counts(r1: float, r2: float, theta1, theta2, edges: np.ndarray, count
     _bin_block(dx, dy, edges, counts, sector_counts)
 
 
-def _filter_margin(r1: float, r2: float, step: float, bins: int, sectors: int) -> float:
-    """Distance from the nearest edge, in bin or sector units, beyond which both kernels count a sample alike.
+def _filter_bound(r1: float, r2: float, step: float, bins: int, sectors: int, trig) -> tuple:
+    """Margins ``(radius, sector, near, width)`` beyond which both kernels count a sample alike.
 
-    ``step`` is the first bin's width.  With u = 2^-53, k = ``_ULPS`` and R = r1 + r2, both kernels are held
-    to the exact point p of the drawn angles (d = theta2 - theta1), and ``_filtered_counts`` only trusts a
-    sample with ``rho |sin d| >= _FLOOR R``, which bounds its 1/rho and 1/|sin d| terms:
+    ``_filtered_counts`` scales the radii by 2^-e (e from ``_scale_exponent``) to s1 and s2, takes its trig in
+    dtype ``trig``, and rho in bins of width ``step``.  It trusts a sample if rho lies more than ``radius`` from
+    a whole number and the angle, in sectors, more than ``sector + near / max(rho - width, 0)``.  With
+    u = 2^-53, k = ``_ULPS``; w, K and m the unit roundoff, ulps and smallest normal of ``trig``; S = s1 + s2;
+    t = 2^-1074 max(1, 2^-e), an underflow of either kernel on the scaled scale; and P the exact point:
 
-    * the reference's ``dx``, ``dy`` are each within (2k + 2) u R of p's, so its ``hypot`` is within
-      (5k + 5) u R of ``|p|``, and its ``arctan2`` within ``sqrt(2) (2k + 2) u R / |p|`` plus 2 pi k u of
-      p's angle;
-    * the filter's cosine is within (2k + 2 pi) u of ``cos d``, so its radicand is within (k + 8) u R^2 of
-      ``|p|^2`` and its radius within (k + 8) u R^2 / rho plus u rho.  Its sine from ``(1 - c)(1 + c)`` is
-      within ``(4k + 17) u / |sin d|`` of ``|sin d|``, and its sign is right wherever ``|sin d|`` exceeds
-      ``sqrt((4k + 17) u)``.  Its angle moves by at most pi/2 times the error of ``(r1 + r2 cos d,
-      r2 sin d)``, (2k + 9) u R and (4k + 17) u R / |sin d| + 3 u R, over rho, and its sum with theta1 by 3 pi u;
-    * a result that underflows is off by up to 2^-1074 on its own scale; the filter's scale is 2^-e times
-      the reference's, with 2^e the scale of the larger radius, so ``tiny`` is 2^-1074 max(1, 2^e);
-    * ``np.linspace`` puts edge i within u i of ``i step``, plus an underflow; the float sector width is
-      within 1.4 u of ``2 pi / sectors`` and 2 pi within 0.4 u; each scaling to bin or sector units adds a
-      relative 2.5 u of the position, at most ``bins + 1`` bins or 1.5 turns.
-
-    The sum of both kernels' errors, doubled, is returned.
+    * d rounds by 2 pi u, and to ``trig`` by 2 pi w plus m, an underflow, flushed or not; cos and sin add K w,
+      and m for a flushed result, so c and s are within E = K w + 2 pi (w + 2 u) + 2 m of cos d and sin d;
+    * x = s1 + s2 c and y = s2 s are each within s2 E + 2.01 u S + 5 t of P's, so (x, y) is within D, sqrt(2)
+      times that, and rho, its norm, within W = D + 2.01 u (S + D) + 1.01 sqrt(t) of |P|: no 1/rho term;
+    * the casts of x and y to ``trig`` move (x, y) by sqrt(2) m more, then turn it by 1.01 w (a relative w on
+      each part); arctan2 adds 4 K w, and adding theta1 3 pi u;
+    * the reference's dx, dy are each within (2k + 2) u S + t of P's, its ``hypot`` within (5k + 5) u S + 8 t
+      of |P|, and its ``arctan2`` adds 2 pi k u;
+    * a point moved by z turns by at most arcsin(z / |P|) <= 1.2 z / |P| for z <= 0.7 |P|, and |P| >= rho - W.
+      A trusted sample has rho - W >= 2 ``near``, 0.76 sectors times both points' moves, so that holds from
+      2 sectors on, and one sector holds every angle;
+    * ``np.linspace`` puts edge i within u i of i step, plus an underflow; scaling to bin units adds 2.01 u of
+      at most ``bins + 1``, to sector units 2.5 u of at most 1.5 turns, and the reference's 2 pi turn u.
+    Each margin is doubled, and the fixed ones get 4 u for the rounding of the test.
     """
-    u, k = 2.0**-53, _ULPS
-    span = r1 + r2
-    tiny = math.ldexp(5e-324, max(int(_scale_exponent(r1, r2)), 0))
-    radius = (((k + 8) * (1.0 + u) / _FLOOR + 1.01 + 5 * k + 5) * u * span + 8 * tiny) / step \
-        + 2.01 * u * (bins + 1) + bins * (u + tiny / step)
-    point = (math.sqrt(2.0) * (2 * k + 2) + (2 * k + 9) + (4 * k + 17.1) + 3) * u / _FLOOR + 8 * tiny / span / _FLOOR
-    angle = 1.01 * math.pi / 2 * point + (4 * math.pi * k + 5 * math.pi + 2.2) * u
-    sector = angle * sectors / (2.0 * math.pi) + 6.3 * u * sectors
-    return 2.0 * max(radius, sector) + 4 * u
+    u, k, info = 2.0**-53, _ULPS, np.finfo(trig)
+    w, m, ulps = float(info.eps) / 2, float(info.smallest_normal), _ULPS32 if trig == np.float32 else k
+    e = int(_scale_exponent(r1, r2))
+    s1, s2 = math.ldexp(r1, -e), math.ldexp(r2, -e)
+    span, unit, t = s1 + s2, math.ldexp(1.0, e) / step, math.ldexp(5e-324, max(-e, 0))
+    err = ulps * w + 2 * math.pi * (w + 2 * u) + 2 * m
+    vector = math.sqrt(2.0) * (s2 * err + 2.01 * u * span + 5 * t)
+    width = vector + 2.01 * u * (span + vector) + 1.01 * math.sqrt(t)
+    radius = (width + (5 * k + 5) * u * span + 9 * t) * unit + 2.01 * u * (bins + 1) + u * bins
+    turn = (1.01 + 4 * ulps) * w + (3 + 2 * k) * math.pi * u
+    sector = turn * sectors / (2.0 * math.pi) + 7.3 * u * sectors
+    near = 1.2 * (vector + math.sqrt(2.0) * (m + (2 * k + 2) * u * span + t)) * unit * sectors / (2.0 * math.pi)
+    return 2.0 * radius + 4 * u, 2.0 * sector + 4 * u, 2.0 * near, 2.0 * width * unit
 
 
 def _filtered_counts(r1: float, r2: float, arrays, edges: np.ndarray, counts: np.ndarray,
                      sector_counts: np.ndarray) -> None:
-    """``_block_counts``' counts, bit for bit, from one cosine per sample.
+    """``_block_counts``' counts, bit for bit, from one cosine, one sine and one arctan2 per sample.
 
-    With d = theta2 - theta1, c = cos d and s = sqrt((1 - c)(1 + c)) signed as d (pi - |d|), the point has
-    radius ``rho = sqrt(r1^2 + r2^2 + 2 r1 r2 c)`` and angle ``theta1 + arctan2(r2 s, r1 + r2 c)``, on
-    radii scaled by ``_scale_exponent``.  A sample whose position in bin or sector units lies within
-    ``_filter_margin`` of a whole number, or whose ``rho |s|`` lies below ``_FLOOR (r1 + r2)``, or is not
-    finite, is flagged: it goes to the count vectors' last slot, and the flagged samples alone are rerun
-    through ``_block_counts``.  Every other sample lies in the same bin and sector on both routes.  The
-    work is done in the block's own rows (theta1 and theta2 kept for the rerun) and the integer row, also
-    read as floats and as flags.
+    On the radii scaled by ``_scale_exponent`` to s1 and s2, with d = theta2 - theta1, the point is
+    (s1 + s2 cos d, s2 sin d) = (x, y) turned by theta1, binned from its radius ``sqrt(x^2 + y^2)`` and angle
+    ``theta1 + arctan2(y, x)``.  The trig takes d, x and y in float32, or in float64 where float32's fixed
+    margins from ``_filter_bound`` pass ``_FLOAT32_LIMIT``; all else is float64.  A sample within its margins
+    of a bin or sector edge, or not finite, goes to the count vectors' last slot, and those samples alone are
+    rerun through ``_block_counts``; every other lies in the same bin and sector on both routes.  The work is
+    done in the block's own rows (theta1 and theta2 kept for the rerun) and the integer row, also read as
+    floats and flags.
     """
     (t1, t2, a, b, c), flagged, idx = arrays
-    bins, sectors = counts.size - 1, sector_counts.size - 1
-    step = float(edges[1])
-    margin = _filter_margin(r1, r2, step, bins, sectors)
+    bins, sectors, step = counts.size - 1, sector_counts.size - 1, float(edges[1])
+    for trig in (np.float32, np.float64):
+        radius, sector, near, width = _filter_bound(r1, r2, step, bins, sectors, trig)
+        if max(radius, sector) <= _FLOAT32_LIMIT:
+            break
     e = int(_scale_exponent(r1, r2))
-    s1, s2 = math.ldexp(r1, -e), math.ldexp(r2, -e)
-    f = idx.view(float)
-    with np.errstate(invalid="ignore"):  # a radicand rounded below 0 gives NaN, which is flagged
-        np.subtract(t2, t1, out=a)
-        np.cos(a, out=b)
-        np.abs(a, out=c)
-        a *= np.subtract(math.pi, c, out=c)  # d (pi - |d|) has the sign of sin d
-        np.subtract(1.0, b, out=c)
-        c *= np.add(1.0, b, out=f)
-        np.sqrt(c, out=c)  # |s|
-        np.multiply(b, 2.0 * s1 * s2, out=f)
-        f += s1 * s1 + s2 * s2
-        np.sqrt(f, out=f)  # rho
-        np.copysign(c, a, out=a)
-        a *= s2
-        c *= f
-        np.greater_equal(c, _FLOOR * (s1 + s2), out=flagged)  # True while the sample is trusted
-        f *= math.ldexp(1.0, e) / step
-        b *= s2
-        b += s1
-        np.arctan2(a, b, out=b)
-        b += t1
-        b *= sectors / (2.0 * math.pi)  # the angle, in (-pi, 3 pi), in sector units
-        np.floor(f, out=a)
-        f -= a
-        f -= 0.5
-        np.abs(f, out=f)  # 1/2 less the distance from the nearest bin edge
-        np.floor(b, out=c)
-        b -= c
-        b -= 0.5
-        np.abs(b, out=b)
-        np.maximum(b, f, out=b)
-        trusted = idx.view(bool)[:idx.size]
-        flagged &= np.less_equal(b, 0.5 - margin, out=trusted)
-        np.logical_not(flagged, out=flagged)
-        np.minimum(a, bins, out=a)
-        np.add(c, 0.5, out=b)  # the sector, taken mod sectors exactly on whole numbers
-        b *= 1.0 / sectors
-        np.floor(b, out=b)
-        c -= np.multiply(b, sectors, out=b)
-        for index, last, out in ((a, bins, counts), (c, sectors, sector_counts)):
-            np.copyto(idx, index, casting="unsafe")
-            np.copyto(idx, last, where=flagged)
-            _add_counts(out, idx)
+    s1, s2, f = math.ldexp(r1, -e), math.ldexp(r2, -e), idx.view(float)
+    np.cos(np.subtract(t2, t1, out=a), out=b, dtype=trig)
+    np.sin(a, out=a, dtype=trig)
+    b *= s2
+    b += s1  # x
+    a *= s2  # y
+    np.multiply(b, b, out=f)
+    f += np.multiply(a, a, out=c)
+    np.sqrt(f, out=f)
+    f *= math.ldexp(1.0, e) / step  # rho, in bin units
+    np.arctan2(a, b, out=a, dtype=trig)
+    a += t1
+    a *= sectors / (2.0 * math.pi)  # the angle, in (-pi, 3 pi), in sector units
+    np.floor(f, out=b)
+    np.add(b, 0.5, out=c)
+    np.abs(np.subtract(f, c, out=c), out=c)  # 1/2 less the distance from the nearest bin edge
+    np.less_equal(c, 0.5 - radius, out=flagged)  # True while the sample is trusted
+    f -= width  # at most |P| in bin units; below 0 only where rho < width <= radius, which is flagged above
+    np.floor(a, out=c)
+    a -= c
+    np.abs(np.subtract(a, 0.5, out=a), out=a)
+    np.subtract(0.5 - sector, a, out=a)
+    a *= f
+    flagged &= np.greater_equal(a, near, out=idx.view(bool)[:idx.size])
+    np.logical_not(flagged, out=flagged)
+    np.minimum(b, bins, out=b)
+    np.add(c, 0.5, out=a)  # the sector, taken mod sectors exactly on whole numbers
+    a *= 1.0 / sectors
+    np.floor(a, out=a)
+    c -= np.multiply(a, sectors, out=a)
+    for index, last, out in ((b, bins, counts), (c, sectors, sector_counts)):
+        np.copyto(idx, index, casting="unsafe")
+        np.copyto(idx, last, where=flagged)
+        _add_counts(out, idx)
     if flagged.any():
         _block_counts(r1, r2, t1[flagged], t2[flagged], edges, counts, sector_counts)
 

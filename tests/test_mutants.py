@@ -3,7 +3,8 @@
 The private functions are the closed form's ends and density, J0's pieces,
 the root route's end offsets, which only a sweep at a wide radius ratio sees,
 the Monte Carlo pool's dispatch of a block to its kernel, and the filtered
-kernel's margin, which no verdict sees and the kernel edge test must.
+kernel's error bound, whose defects no verdict sees and the kernel edge test
+must.
 
 The table pins what each check sees: a verdict listed against a mutant must
 FAIL under it, and every other verdict must still PASS.  The README's
@@ -18,7 +19,7 @@ from ringconv.core import Circle
 from test_oracle import KERNEL_CASES, kernel_disagreements
 
 _exact_ends, _interior_density, _j0_piece = core._exact_ends, core._interior_density, special._j0_piece
-_end_offsets = core._end_offsets
+_end_offsets, _filter_bound = core._end_offsets, oracle._filter_bound
 
 
 def _shifted_ends(r1, r2):
@@ -51,7 +52,10 @@ MUTANTS = {
     # A sampler that forms the absolute point before it subtracts the centres.
     "absolute-point": (oracle, "_job_block", _absolute_point),
     # The filtered sampler kernel trusting its cheap bin and sector right up to each edge.
-    "filter-margin-zero": (oracle, "_filter_margin", lambda *args: 0.0),
+    "filter-margin-zero": (oracle, "_filter_bound", lambda *args: (0.0, 0.0, 0.0, 0.0)),
+    # The filter's bound written for float64 trig, with its unit roundoff and ulps, whatever trig it takes:
+    # the float32 route then trusts margins 1e8 to 3e8 times too narrow.
+    "float32-bound-as-float64": (oracle, "_filter_bound", lambda *args: _filter_bound(*args[:-1], np.float64)),
 }
 
 HANKEL = [f"{kind} r1={r1:g} r2={r2:g}" for r1, r2 in checks.CHECK_PAIRS
@@ -107,7 +111,13 @@ def test_verdict_table(mutant, monkeypatch):
 
 
 def test_filter_margin_zero_is_killed_by_the_kernel_edge_test(monkeypatch):
-    # Random draws almost never land within rounding of an edge: at (2, 3) and the mc-check defaults not one
-    # of 10^7 counts moves, so no verdict row lists this mutant.  On the edge pairs every case moves some.
+    # Few random draws land within float32 rounding of an edge: at (2, 3) and the mc-check defaults this
+    # mutant, like the next, moves 830 of 10,485,760 radii and 25 angles to a neighbouring bin or sector,
+    # which no verdict sees, so no verdict row lists them.  On the edge pairs every case moves some.
     monkeypatch.setattr(*MUTANTS["filter-margin-zero"])
+    assert all(kernel_disagreements(case)[0] > 0 for case in KERNEL_CASES)
+
+
+def test_float32_bound_as_float64_is_killed_by_the_kernel_edge_test(monkeypatch):
+    monkeypatch.setattr(*MUTANTS["float32-bound-as-float64"])
     assert all(kernel_disagreements(case)[0] > 0 for case in KERNEL_CASES)

@@ -297,12 +297,15 @@ class TestSamplerThreads:
         # A traced function called on a worker thread would record a span with
         # no parent; the benchmark's tracer must see one root span per call: the
         # sampler pass, the grid route (its rings, transforms and profile
-        # kernel rows included) and the bare convolution.
+        # kernel rows included), the bare convolution and the closed-form
+        # surface, whose row blocks of a 601^2 grid run on the workers.
         monkeypatch.setattr(core, "_usable_cores", lambda: 3)
+        coords = np.linspace(-6.0, 6.0, 601)
         calls = [
             ("oracle.mc_conv_histogram", lambda: oracle.mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4)),
             ("oracle.grid_conv_check", lambda: oracle.grid_conv_check(C1, C2, 12.0, 0.04, 0.1)),
             ("oracle.fftconvolve", lambda: oracle.fftconvolve(np.ones((301, 301)), np.ones((301, 301)))),
+            ("core.eval_conv_2d", lambda: core.eval_conv_2d(coords[None, :], coords[:, None], 2.0, 3.0)),
         ]
         for name, call in calls:
             tracer = load_tracer()
@@ -359,6 +362,14 @@ def kernel_counts(kernel, r1, r2, theta1, theta2, edges, sectors):
     return counts, sector_counts
 
 
+def ulps32_off(value, reference) -> float:
+    """The most float32 ulps by which ``value`` lies from the float64 ``reference``, the unit being the float32
+    spacing just below each ``|reference|``, the finer one at a power of two."""
+    below = np.nextafter(np.abs(reference), 0.0)
+    exponent = np.where(below > 0.0, np.frexp(below)[1], -125)
+    return float(np.max(np.abs(value.astype(float) - reference) / np.ldexp(1.0, np.maximum(exponent - 24, -149))))
+
+
 def _wrapped(theta):
     return np.mod(theta, 2.0 * math.pi)
 
@@ -385,9 +396,11 @@ def edge_angles(r1, r2, edges, sectors, seed):
     d *= rng.choice([-1.0, 1.0], d.size)
     t1 = rng.uniform(0.0, 2.0 * math.pi, d.size)
     pairs = [(np.tile(t1, 5), _wrapped(_with_neighbours(t1 + d)))]
-    # Angles on every sector edge, 0 and 2 pi included, at random radii.
-    alpha = np.arange(sectors + 1) * (2.0 * math.pi / sectors)
+    # Angles on every sector edge, 0 and 2 pi included, at random radii, and again with d within 1e-2 of
+    # +-pi, which puts the point near the support's inner end, where its angle is least certain.
+    alpha = np.tile(np.arange(sectors + 1) * (2.0 * math.pi / sectors), 2)
     d = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, alpha.size)
+    d[sectors + 1:] = rng.choice([-math.pi, math.pi], sectors + 1) + rng.uniform(-1e-2, 1e-2, sectors + 1)
     t1 = _wrapped(alpha - np.arctan2(r2 * np.sin(d), r1 + r2 * np.cos(d)))
     pairs.append((_wrapped(_with_neighbours(t1)), np.tile(_wrapped(t1 + d), 5)))
     # d within 1e-9 of 0 and +-pi (equal angles put the point on the support's outer end), and |d| > pi.
@@ -399,20 +412,30 @@ def edge_angles(r1, r2, edges, sectors, seed):
     return tuple(np.concatenate(rows) for rows in zip(*pairs))
 
 
-# (r1, r2, edges, sectors): the defaults; equal radii, where the radius reaches 0; the support's outer end
-# on the closed last edge; a last edge inside the support; radii near 1e150, which the filter scales.
+# (r1, r2, edges, sectors, the filter's trig dtype): the defaults; equal radii, where the radius reaches 0; the
+# support's outer end on the closed last edge; a last edge inside the support; radii near 1e150, which the
+# filter scales; and at (2, 3), 22,494 bins, the most with float32 trig, and 22,495, the first past them.
 KERNEL_CASES = [
-    (2.0, 3.0, np.linspace(0.0, 5.2, 261), 360),
-    (1.0, 1.0, np.linspace(0.0, 2.2, 53), 64),
-    (2.0, 3.0, np.linspace(0.0, 5.0, 51), 7),
-    (2.0, 3.0, np.linspace(0.0, 4.5, 91), 12),
-    (0.5e150, 2.5e150, np.linspace(0.0, 3.2e150, 33), 5),
+    (2.0, 3.0, np.linspace(0.0, 5.2, 261), 360, np.float32),
+    (1.0, 1.0, np.linspace(0.0, 2.2, 53), 64, np.float32),
+    (2.0, 3.0, np.linspace(0.0, 5.0, 51), 7, np.float32),
+    (2.0, 3.0, np.linspace(0.0, 4.5, 91), 12, np.float32),
+    (0.5e150, 2.5e150, np.linspace(0.0, 3.2e150, 33), 5, np.float32),
+    (2.0, 3.0, np.linspace(0.0, 5.2, 22495), 360, np.float32),
+    (2.0, 3.0, np.linspace(0.0, 5.2, 22496), 360, np.float64),
 ]
+
+
+def filter_routes(monkeypatch):
+    """The trig dtypes ``_filter_bound`` is asked for, in order: the last one is the route the kernel takes."""
+    routes, bound = [], oracle._filter_bound
+    monkeypatch.setattr(oracle, "_filter_bound", lambda *args: routes.append(args[-1]) or bound(*args))
+    return routes
 
 
 def kernel_disagreements(case, seed=0):
     """``(slots that differ, samples flagged)`` of the filtered kernel against ``_block_counts`` on ``edge_angles``."""
-    r1, r2, edges, sectors = case
+    r1, r2, edges, sectors, _ = case
     theta1, theta2 = edge_angles(r1, r2, edges, sectors, seed)
     got = kernel_counts(filtered_block, r1, r2, theta1, theta2, edges, sectors)
     want = kernel_counts(oracle._block_counts, r1, r2, theta1, theta2, edges, sectors)
@@ -422,10 +445,11 @@ def kernel_disagreements(case, seed=0):
 
 class TestFilteredKernel:
     @pytest.mark.parametrize("case", KERNEL_CASES)
-    def test_keeps_every_count_on_the_edges(self, case):
+    def test_keeps_every_count_on_the_edges(self, case, monkeypatch):
+        routes = filter_routes(monkeypatch)
         differ, flagged = kernel_disagreements(case)
-        assert differ == 0
-        # The pairs reach the filter's margin or floor: many are sent back to the reference.
+        assert differ == 0 and routes[-1] == case[4]
+        # The pairs reach the filter's margins: many are sent back to the reference.
         assert flagged > 1000
 
     @pytest.mark.parametrize("r1, r2", [(2.0, 3.0), (1.0, 1.0), (1e-3, 1.0)])
@@ -440,13 +464,18 @@ class TestFilteredKernel:
         assert got[0][-1] - want[0][-1] < 0.01 * theta1.size
 
     @pytest.mark.parametrize("r1, r2, filtered", [(3e-310, 5e-310, True), (1e-322, 2e-322, False)])
-    def test_keeps_every_count_at_subnormal_radii(self, r1, r2, filtered):
-        # A subnormal bin width is scaled with the radii, so the filter places samples at 3e-310.  Near 1e-322
-        # the reference's underflows widen the margin past half a bin: every sample is rerun there.
+    def test_keeps_every_count_at_subnormal_radii(self, monkeypatch, r1, r2, filtered):
+        # A subnormal bin width is scaled with the radii, so the filter places samples at 3e-310 with float32
+        # trig.  Near 1e-322 the reference's underflows widen even the float64 margins past half a bin:
+        # every sample is rerun there.
         edges, sectors = np.linspace(0.0, 1.5 * (r1 + r2), 11), 3
-        assert (oracle._filter_margin(r1, r2, float(edges[1]), 10, sectors) < 0.5) == filtered
+        trig = np.float32 if filtered else np.float64
+        radius, sector, _, _ = oracle._filter_bound(r1, r2, float(edges[1]), 10, sectors, trig)
+        assert (max(radius, sector) < 0.5) == filtered
+        routes = filter_routes(monkeypatch)
         theta1, theta2 = np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, (2, 5000))
         got = kernel_counts(filtered_block, r1, r2, theta1, theta2, edges, sectors)
+        assert routes[-1] == trig
         want = kernel_counts(oracle._block_counts, r1, r2, theta1, theta2, edges, sectors)
         assert all(np.array_equal(g[:-1], w[:-1]) for g, w in zip(got, want))
         assert (got[0][-1] - want[0][-1] == theta1.size) != filtered
@@ -479,6 +508,25 @@ class TestPlatformUlps:
                                      ("hypot", h, hypot_40(x, y)), ("arctan2", a, atan2_40(y, x))):
                 worst[name] = max(worst[name], ulps_off(float(value), ref))
         assert max(worst.values()) <= oracle._ULPS, worst
+
+    def test_float32_trig_within_the_assumed_ulps(self):
+        # The float32 route assumes np.cos, np.sin and np.arctan2 in float32 within oracle._ULPS32 ulps, here
+        # against float64: on the sampler's differences cast as the kernel casts them, points near 0, +-pi/2,
+        # +-pi and +-2 pi, and the kernel's (x, y) at (2, 3) and (1, 1), the axes and tiny pairs.
+        rng = np.random.Generator(np.random.Philox(key=20261020))
+        theta1, theta2 = rng.random((2, 100_000)) * (2.0 * math.pi)
+        quarters = (np.arange(-4, 5) * (math.pi / 2)).astype(np.float32)
+        d = np.concatenate([(theta2 - theta1).astype(np.float32), _with_neighbours(quarters, 50),
+                            np.float32([1e-30, -1e-30, 1e-40, -1e-45])])
+        worst = {name: ulps32_off(fn(d), fn(d.astype(float))) for name, fn in (("cos", np.cos), ("sin", np.sin))}
+        c, s = np.cos(d).astype(float), np.sin(d).astype(float)
+        axes = [1.0, -1.0, 0.0, -0.0]
+        tiny = np.float32([1e-40, -3e-39, 1.2e-38, 5e-45, 2.0])
+        x = np.concatenate([0.5 + 0.75 * c, 0.5 + 0.5 * c, axes, [0.0, 0.0], np.repeat(tiny, tiny.size)])
+        y = np.concatenate([0.75 * s, 0.5 * s, [0.0, 0.0, 1.0, -1.0], axes[:2], np.tile(tiny, tiny.size)])
+        x32, y32 = x.astype(np.float32), y.astype(np.float32)
+        worst["arctan2"] = ulps32_off(np.arctan2(y32, x32), np.arctan2(y32.astype(float), x32.astype(float)))
+        assert max(worst.values()) <= oracle._ULPS32, worst
 
 
 class TestRadiality:
