@@ -124,16 +124,15 @@ def _on_cores(work, tasks: int) -> list:
     return results
 
 
-def _on_row_blocks(work, shape: tuple, *, bands: bool = False) -> None:
+def _on_row_blocks(work, shape: tuple) -> None:
     """``work(s)`` for every slice ``s`` of whole rows, the first axis of ``shape``, the slices shared
-    out by ``_on_cores``: blocks of about ``_BLOCK_ENTRIES`` entries (one row at least), or with
-    ``bands`` one near-equal band per usable core.
+    out by ``_on_cores``: blocks of about ``_BLOCK_ENTRIES`` entries, one row at least.
 
     Each call must write only rows ``s`` of its outputs, so the result does not depend on the core
     count.  One block starts no thread.
     """
     rows = shape[0]
-    step = max(1, -(-rows // _usable_cores()) if bands else _BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
+    step = max(1, _BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
     blocks = [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
     _on_cores(lambda tasks: [work(blocks[t]) for t in tasks], len(blocks))
 

@@ -174,6 +174,58 @@ def circle_mean(f, c: Circle, x: tuple[float, float], n: int = 1024) -> float:
     return circle_average(f, c, x, n) / (2.0 * math.pi * c.radius)
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest ``m >= n`` with no prime factor above 5, a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _spectrum(values: np.ndarray, side: int) -> np.ndarray:
+    """``rfft2(values, (side, side))`` with its bits: an ``rfft`` of each row block, then an in-place
+    ``fft`` of each column block, on the usable cores."""
+    out = np.zeros((side, side // 2 + 1), dtype=complex)
+    _on_row_blocks(lambda s: np.fft.rfft(values[s], side, axis=1, out=out[s]), values.shape)
+    _on_row_blocks(lambda s: np.fft.fft(out[:, s], axis=0, out=out[:, s]), out.shape[::-1])
+    return out
+
+
+def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the spectral product ``a * b`` to ``out``, which may be ``a`` or ``b``, and return it.
+
+    The product is written out in real arithmetic with the same operations
+    for either operand order, so swapping ``a`` and ``b`` gives the same bits.
+    ``a.imag * b.imag`` goes through a temporary and the imaginary part is
+    written first, so overwriting an operand changes no bit either.
+    """
+    imag_imag = a.imag * b.imag
+    np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
+    np.subtract(a.real * b.real, imag_imag, out=out.real)
+    return out
+
+
+def _centred_inverse(product: np.ndarray, h: int, n: int, scale: float) -> np.ndarray:
+    """``irfft2(product)[h:h + n, h:h + n] * scale`` as a new array; ``product`` is overwritten.
+
+    The columns are transformed in ``product``, then only the kept rows, each
+    in blocks on the usable cores, so no full padded real grid is made.
+    """
+    side = product.shape[0]
+    _on_row_blocks(lambda s: np.fft.ifft(product[:, s], axis=0, out=product[:, s]), product.shape[::-1])
+    out = np.empty((n, n))
+
+    def rows(s):
+        np.multiply(np.fft.irfft(product[h + s.start:h + s.stop], side, axis=1)[:, h:h + n], scale, out=out[s])
+
+    _on_row_blocks(rows, (n, side))
+    return out
+
+
 def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     """Apply ``circle_average`` at every grid point of a sampled field.
 
@@ -181,10 +233,10 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     side (rounded outward to whole cells) so that each averaging circle stays
     inside the input grid.  Each output point samples the field at the same
     offsets in cells, so the operator is one fixed stencil of bilinear weights,
-    built once and applied to shifted views.  The output rows are split into
-    one band per usable core, and each band adds the taps in one fixed order,
-    so the values have the same bits on any number of cores.  Raises if the
-    circle does not fit.
+    applied as one FFT convolution on the grid oracle's row-block transforms,
+    which keep their bits on any number of cores.  The field is scaled by a
+    power of two to ``max|f|`` in [0.5, 1) and back, so no spectrum overflows.
+    Raises if the circle does not fit.
     """
     if not isinstance(f, Field2D):
         raise ValueError("circle_average_field needs a sampled field")
@@ -195,8 +247,8 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     if out_size < 1:
         raise ValueError(f"circle of radius {r} does not fit inside the grid (extent {f.extent})")
     theta, weight = periodic_trapezoid_rule(n)
-    # Node offsets in cells from the stencil's corner; one clipped onto the far
-    # edge has fraction 0, so the extra row and column only ever get weight 0.
+    # Node offsets in cells from the stencil's corner; one clipped onto the far edge has fraction 0, so the extra
+    # row and column only ever get weight 0.  They are dropped, and convolving with the flipped rest correlates.
     offsets = np.clip(cells + r / f.spacing * np.stack([np.cos(theta), np.sin(theta)]), 0.0, 2 * cells)
     (tx, ty), (j, i) = np.modf(offsets)
     side = 2 * cells + 2
@@ -204,14 +256,11 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     stencil = np.bincount(np.concatenate([corner, corner + 1, corner + side, corner + side + 1]),
                           np.concatenate([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty]),
                           minlength=side * side).reshape(side, side)
-    taps = list(zip(*np.nonzero(stencil)))
-    out = np.zeros((out_size, out_size))
-
-    def band(s):
-        rows = out[s]
-        for a, b in taps:
-            rows += stencil[a, b] * f.values[a + s.start:a + s.stop, b:b + out_size]
-        rows *= r * weight
-
-    _on_row_blocks(band, out.shape, bands=True)
-    return Field2D.from_grid(out, f.spacing)
+    e = int(np.frexp(max(f.values.max(), -f.values.min()))[1])
+    # A side >= ``size`` keeps wrap-around off the output, 2 * cells in; the scaled copy goes before ``b`` is made.
+    a = _spectrum(np.ldexp(f.values, -e), _smooth_length(size))
+    b = _spectrum(stencil[-2::-1, -2::-1], a.shape[0])
+    _on_row_blocks(lambda s: _spectral_product(a[s], b[s], out=a[s]), a.shape)
+    del b
+    out = _centred_inverse(a, 2 * cells, out_size, r * weight)
+    return Field2D.from_grid(np.ldexp(out, e, out=out), f.spacing)

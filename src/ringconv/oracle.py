@@ -15,8 +15,8 @@ Two independent routes to the same density:
 Neither route evaluates the closed form while producing its estimate, so
 agreement is evidence for the formula rather than a tautology; the grid
 route's reference, ``smoothed_profile``, samples ``eval_conv``.  Both run on
-numpy alone: the FFT convolution is written below on ``numpy.fft``, and the
-scaled Bessel I0 of the smoothing is ``special.i0e``.
+numpy alone: the FFT convolution's transforms live in ``operators``, shared
+with the ring operator, and the smoothing's scaled Bessel I0 is ``special.i0e``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 
 from .core import (Circle, ConvKernel, ParameterError, _angular_rule, _normal_mass, _on_cores, _on_row_blocks,
                    _scale_exponent, support_interval)
-from .operators import Field2D, _grid_coords, _grid_side, _half_width
+from .operators import (Field2D, _centred_inverse, _grid_coords, _grid_side, _half_width, _smooth_length,
+                        _spectral_product, _spectrum)
 from .special import _i0e, i0e  # i0e is bound here for perfbench's oracle.i0e metric
 
 __all__ = [
@@ -53,8 +54,8 @@ _CHUNK = 1 << 20
 # tasks.  Timing mc-check on 2 cores, blocks of 2^14 to 2^20 ran equally fast
 # and 2^12 slower.
 _BLOCK = 1 << 16
-# Blocks per task of ``_sample_pool``: each chunk of 16 blocks is cut into
-# tasks of this many, so every core stays busy until the last few blocks.
+# Blocks per task of ``_sample_pool``: each chunk of 16 blocks is cut into tasks of this many, so every core stays
+# busy until the last few blocks.  One-block tasks made perfbench ``mc`` slower in 6 of 6 pairs (0.243 to 0.295 s).
 _TASK_BLOCKS = 4
 # The ulps ``_filter_bound`` assumes for float64 ``np.cos``, ``np.sin``, ``np.hypot`` and ``np.arctan2``, and for
 # float32 ``np.cos``, ``np.sin`` and ``np.arctan2``; tests/test_oracle.py measures them on the platform.
@@ -328,6 +329,8 @@ def _sample_pool(jobs, seed: int, edges: np.ndarray, sectors: int) -> list:
              for block in range(0, -(-min(_CHUNK, samples - chunk * _CHUNK) // _BLOCK), _TASK_BLOCKS)]
 
     def work(my_tasks):
+        # Reused rows: a kernel that made fresh arrays took 4.0-5.5 against 2.0 ms per 2^16-sample block, but 24.7
+        # against 22.5 ns per sample at 2^13, as if each fresh array of 128 KiB or more cost time (cause not traced).
         arrays = np.empty((5, _BLOCK)), np.empty(_BLOCK, dtype=bool), np.empty(_BLOCK, dtype=np.int64)
         sums = {}
         for t in my_tasks:
@@ -441,18 +444,6 @@ def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: floa
     return Field2D.from_grid(values, spacing)
 
 
-def _smooth_length(n: int) -> int:
-    """The smallest ``m >= n`` with no prime factor above 5, a fast FFT length."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
 def _padding(n: int) -> tuple[int, int]:
     """``h = (n - 1) // 2`` and the padded side of the transforms that convolve two ``n x n`` arrays.
 
@@ -462,46 +453,6 @@ def _padding(n: int) -> tuple[int, int]:
     """
     h = (n - 1) // 2
     return h, _smooth_length(2 * n - 1 - h)
-
-
-def _spectrum(values: np.ndarray, side: int) -> np.ndarray:
-    """``rfft2(values, (side, side))`` with its bits: an ``rfft`` of each row block, then an in-place
-    ``fft`` of each column block, on the usable cores."""
-    out = np.zeros((side, side // 2 + 1), dtype=complex)
-    _on_row_blocks(lambda s: np.fft.rfft(values[s], side, axis=1, out=out[s]), values.shape)
-    _on_row_blocks(lambda s: np.fft.fft(out[:, s], axis=0, out=out[:, s]), out.shape[::-1])
-    return out
-
-
-def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the spectral product ``a * b`` to ``out``, which may be ``a`` or ``b``, and return it.
-
-    The product is written out in real arithmetic with the same operations
-    for either operand order, so swapping ``a`` and ``b`` gives the same bits.
-    ``a.imag * b.imag`` goes through a temporary and the imaginary part is
-    written first, so overwriting an operand changes no bit either.
-    """
-    imag_imag = a.imag * b.imag
-    np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
-    np.subtract(a.real * b.real, imag_imag, out=out.real)
-    return out
-
-
-def _centred_inverse(product: np.ndarray, h: int, n: int, scale: float) -> np.ndarray:
-    """``irfft2(product)[h:h + n, h:h + n] * scale`` as a new array; ``product`` is overwritten.
-
-    The columns are transformed in ``product``, then only the kept rows, each
-    in blocks on the usable cores, so no full padded real grid is made.
-    """
-    side = product.shape[0]
-    _on_row_blocks(lambda s: np.fft.ifft(product[:, s], axis=0, out=product[:, s]), product.shape[::-1])
-    out = np.empty((n, n))
-
-    def rows(s):
-        np.multiply(np.fft.irfft(product[h + s.start:h + s.stop], side, axis=1)[:, h:h + n], scale, out=out[s])
-
-    _on_row_blocks(rows, (n, side))
-    return out
 
 
 def _both_orders(operands, n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:

@@ -340,11 +340,8 @@ class TestEvalConv2d:
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("shape, bands", [
-        ((500, 300), False), ((2 * 2**16 + 5,), False), ((5, 0), False), ((0, 4), False),
-        ((87, 87), True), ((2, 9), True),
-    ])
-    def test_every_row_is_written_once(self, monkeypatch, shape, bands):
+    @pytest.mark.parametrize("shape", [(500, 300), (2 * 2**16 + 5,), (5, 0), (0, 4), (87, 87), (2, 9)])
+    def test_every_row_is_written_once(self, monkeypatch, shape):
         # More workers than cores, switching threads as often as the interpreter allows.
         monkeypatch.setattr(core, "_usable_cores", lambda: 8)
         visits = np.zeros(shape[0], dtype=np.int64)
@@ -355,7 +352,7 @@ class TestRowBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            core._on_row_blocks(visit, shape, bands=bands)
+            core._on_row_blocks(visit, shape)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(visits, np.ones(shape[0], dtype=np.int64))

@@ -1,5 +1,7 @@
 import gc
 import math
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -170,15 +172,48 @@ class TestCircleAverageField:
         assert_allclose(out.values, 1.5 * 2.0 * math.pi * radius, rtol=1e-12)
 
     def test_stencil_matches_per_point_averages(self):
-        # At 7.3 cells no circle node lies within an ulp of the grid's edge, so
-        # every point's own bilinear circle average is defined.
-        values = np.random.default_rng(11).standard_normal((41, 41))
-        f = Field2D.from_grid(values, 0.1)
-        circ = Circle((0.0, 0.0), 0.73)
-        out = circle_average_field(f, circ, n=64)
-        oc = out.grid_coords()
-        ref = np.array([[circle_average(f, circ, (x, y), 64) for x in oc] for y in oc])
-        assert np.max(np.abs(out.values - ref)) <= 1e-13 * 2.0 * math.pi * 0.73 * np.max(np.abs(values))
+        # At 7.3 and 19.3 cells no circle node lies within an ulp of the grid's edge, so every point's own
+        # bilinear circle average is defined.  At no whole cell the stencil takes each point's own value and
+        # the per-point average differs by about R / spacing relatively, here 1e-15; the circles about the
+        # edge points leave the grid, so only the interior is compared.
+        for side, radius, out_side, inner in [
+            (41, 0.73, 25, slice(None)),
+            (40, 0.73, 24, slice(None)),  # an even side
+            (41, 1.93, 1, slice(None)),  # the output is the centre point alone
+            (41, 1e-16, 41, slice(1, -1)),  # cells = 0: the output keeps the input's shape
+        ]:
+            values = np.random.default_rng(11).standard_normal((side, side))
+            f = Field2D.from_grid(values, 0.1)
+            circ = Circle((0.0, 0.0), radius)
+            out = circle_average_field(f, circ, n=64)
+            assert out.values.shape == (out_side, out_side)
+            oc = out.grid_coords()[inner]
+            ref = np.array([[circle_average(f, circ, (x, y), 64) for x in oc] for y in oc])
+            err = np.max(np.abs(out.values[inner, inner] - ref))
+            assert err <= 1e-13 * 2.0 * math.pi * radius * np.max(np.abs(values)), side
+
+    @pytest.mark.parametrize("level", [1e306, 1e-300])
+    def test_huge_and_tiny_constants(self, level):
+        # Unscaled, a field of 1e304 already overflows the spectrum.
+        f = Field2D.from_grid(np.full((41, 41), level), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = circle_average_field(f, Circle((0.0, 0.0), 0.73), n=64)
+        assert_allclose(out.values, 2.0 * math.pi * 0.73 * level, rtol=1e-12)
+
+    def test_peak_memory_stays_near_two_fields(self):
+        # The scaled copy is freed before the stencil's spectrum is made, and that spectrum before the
+        # inverse; each transform of the 2025-wide padded grid is about one field's bytes.  The peak is
+        # 2.15 fields; keeping either array alive, or transforming the stencil first, takes it past 3.
+        values = np.ones((2001, 2001))
+        f = Field2D.from_grid(values, 0.005)
+        tracemalloc.start()
+        try:
+            circle_average_field(f, Circle((0.0, 0.0), 0.02))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * values.nbytes
 
     def test_ramp_grid_is_exact(self):
         # Bilinear interpolation reproduces a linear field exactly and the
@@ -200,17 +235,18 @@ class TestCircleAverageField:
                 ref = circle_average(analytic, circ, (float(oc[j]), float(oc[i])), n=4096)
                 assert abs(out.values[i, j] - ref) < 1e-4
 
-    def test_bands_keep_the_bits_of_one_pass(self, monkeypatch):
-        # One core adds every tap over the whole output in one band; 87 output
-        # rows split 44 + 43 on two cores and 29 + 29 + 29 on three.
-        f = Field2D.from_grid(np.random.default_rng(5).standard_normal((101, 101)), 0.02)
-        circ = Circle((0.0, 0.0), 0.14)
-        monkeypatch.setattr(core, "_usable_cores", lambda: 1)
-        serial = circle_average_field(f, circ, n=64).values
-        assert serial.shape == (87, 87)
-        for cores in (2, 3):
-            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
-            assert np.array_equal(circle_average_field(f, circ, n=64).values, serial)
+    def test_keeps_its_bits_on_any_number_of_cores(self, monkeypatch):
+        # Each stage of the route runs in row blocks of about 2^16 entries: a single block at 101^2, and two
+        # or three at 401^2, whose padded side is 405.
+        for size, radius, out_side in ((101, 0.14, 87), (401, 0.99, 301)):
+            f = Field2D.from_grid(np.random.default_rng(5).standard_normal((size, size)), 0.02)
+            circ = Circle((0.0, 0.0), radius)
+            monkeypatch.setattr(core, "_usable_cores", lambda: 1)
+            serial = circle_average_field(f, circ, n=64).values
+            assert serial.shape == (out_side, out_side)
+            for cores in (2, 3):
+                monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+                assert np.array_equal(circle_average_field(f, circ, n=64).values, serial)
 
     def test_circle_must_fit(self):
         f = self.make_grid(lambda x, y: x + y, extent=1.0, spacing=0.1)

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import atan2_40, hypot_40, sin_cos_40, ulps_off
 
-from ringconv import checks, core, oracle
+from ringconv import checks, core, operators, oracle
 from ringconv.core import Circle, ParameterError, eval_conv, support_interval
 from ringconv.oracle import (
     GridConvReport,
@@ -297,15 +297,20 @@ class TestSamplerThreads:
         # A traced function called on a worker thread would record a span with
         # no parent; the benchmark's tracer must see one root span per call: the
         # sampler pass, the grid route (its rings, transforms and profile
-        # kernel rows included), the bare convolution and the closed-form
-        # surface, whose row blocks of a 601^2 grid run on the workers.
+        # kernel rows included), the bare convolution, the closed-form
+        # surface, whose row blocks of a 601^2 grid run on the workers, and
+        # the ring operator's FFT route on a 401^2 plane wave.
         monkeypatch.setattr(core, "_usable_cores", lambda: 3)
         coords = np.linspace(-6.0, 6.0, 601)
+        x = np.linspace(-4.0, 4.0, 401)
+        wave = operators.Field2D.from_grid(np.cos(2.1 * x[None, :] - 1.3 * x[:, None] + 0.4), 0.02)
         calls = [
             ("oracle.mc_conv_histogram", lambda: oracle.mc_conv_histogram(C1, C2, 3 * 2**20, 8, seed=1, sectors=4)),
             ("oracle.grid_conv_check", lambda: oracle.grid_conv_check(C1, C2, 12.0, 0.04, 0.1)),
             ("oracle.fftconvolve", lambda: oracle.fftconvolve(np.ones((301, 301)), np.ones((301, 301)))),
             ("core.eval_conv_2d", lambda: core.eval_conv_2d(coords[None, :], coords[:, None], 2.0, 3.0)),
+            ("operators.circle_average_field",
+             lambda: operators.circle_average_field(wave, Circle((0.0, 0.0), 0.99), n=256)),
         ]
         for name, call in calls:
             tracer = load_tracer()
