@@ -69,7 +69,8 @@ def mc_check(c1: Circle, c2: Circle, samples: int, bins: int, seed: int, margin:
     one-chunk pass, with the probe; they must match bit for bit.  So a run
     draws ``samples + min(samples, 2^20)`` samples, shared out in blocks over
     the usable cores.  Every input rule is checked before the first block is
-    drawn: ``bins`` and ``sectors``, then the mass, then a ``ParameterError``
+    drawn: ``bins`` and ``sectors``, then the mass, then the last edge's
+    clearance of ``r1 + r2``, then a ``ParameterError``
     when no bin centre falls strictly inside the middle 90% of the support,
     naming the smaller radius when no float does, else ``margin``.
     """

@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import threading
 
 import numpy as np
 
 from . import checks
 from .checks import CheckResult
-from .core import Circle, ConvKernel, ParameterError, _on_row_blocks, eval_conv, eval_conv_2d, support_interval
+from .core import Circle, ConvKernel, ParameterError, _eval_conv_square, _on_row_blocks, eval_conv, support_interval
 from .operators import _grid_side
 
 __all__ = ["build_parser", "parse_args", "run", "main"]
@@ -203,6 +204,17 @@ def _text_cells(texts: list[str]) -> np.ndarray:
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """The ``'%.17g'`` text of each of ``values`` as an ``(n, 24)`` NUL-padded byte matrix.
 
+    Each value's text depends on that value alone, so ``_cell_block`` forms it in row blocks on every
+    core, of about 2^14 values: each value's temporaries take several floats.
+    """
+    cells = np.zeros((len(values), _WIDTH), np.uint8)
+    _on_row_blocks(lambda s: _cell_block(values[s], cells[s]), (len(values), 4))
+    return cells
+
+
+def _cell_block(values: np.ndarray, cells: np.ndarray) -> None:
+    """Write the text of ``values`` into the zeroed rows ``cells``.
+
     Values with ``1e-4 <= |x| < 1e16`` are printed in fixed notation from the 17 digits of the
     nearest integer to ``|x| * 10**(16 - k)``, ``k`` being the value's decimal exponent; that
     product is exact, so the rounding is exact too, ties included.  Zeros are written directly;
@@ -234,7 +246,6 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     digits[np.arange(17) > np.maximum(last, k)[:, None]] = 0  # trailing fraction zeros
     dot = np.where(last > k, ord("."), 0).astype(np.uint8)  # no point when no fraction digit is left
 
-    cells = np.zeros((len(values), _WIDTH), np.uint8)
     cells[:, 0] = np.where(np.signbit(values), ord("-"), 0)
     bounds = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
     for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -250,7 +261,6 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     cells[zero, 1] = ord("0")  # over the one digit of the placeholder 1
     slow = ~(fast | zero)
     cells[slow] = _text_cells(list(map(_fmt, values[slow].tolist())))
-    return cells
 
 
 def _cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,6 +326,52 @@ def _run_profile(cfg: argparse.Namespace) -> int:
     return _emit(_table("rho,value", rho, eval_conv(rho, cfg.r1, cfg.r2)), cfg.output)
 
 
+# The bits of +inf shifted right by 48: the key of the first bucket past the finite floats.
+_INF_KEY = 0x7FF0
+
+
+def _clip_level(values: np.ndarray) -> float:
+    """``np.percentile(values[np.isfinite(values)], 99.0)``, or 1.0 where no value is finite, with no copy.
+
+    Every value must be +0.0 or more, or +inf, as the density's are; then a float's bits, read as an
+    int64, sort as the float does.  Each worker counts its row blocks' values by their top 16 bits, so
+    the two order statistics the percentile interpolates are found in buckets, and only those buckets'
+    values are gathered and partitioned (Floyd and Rivest, CACM 18(3), 1975).  They are interpolated
+    as NumPy's ``linear`` method does.
+    """
+    counts = {}
+
+    def count(s):
+        part = np.bincount((values[s].view(np.int64) >> 48).ravel(), minlength=_INF_KEY + 1)
+        mine = counts.setdefault(threading.get_ident(), part)
+        if mine is not part:
+            mine += part
+
+    _on_row_blocks(count, values.shape)
+    ends = np.cumsum(sum(counts.values())[:_INF_KEY])  # the finite values up to each bucket's end
+    n = int(ends[-1])
+    if n == 0:
+        return 1.0
+    index = (n - 1) * 0.99
+    k = int(index)
+    g = index - k
+    first, last = np.searchsorted(ends, [k, min(k + 1, n - 1)], side="right")
+    low, high = (float(np.int64(key << 48).view(float)) for key in (first, last + 1))
+    parts = []
+
+    def gather(s):
+        block = values[s]
+        parts.append(block[(block >= low) & (block < high)])
+
+    _on_row_blocks(gather, values.shape)
+    k -= int(ends[first - 1]) if first else 0
+    pool = np.concatenate(parts)
+    ranks = [k, min(k + 1, pool.size - 1)]
+    pool.partition(ranks)
+    a, b = pool[ranks]
+    return float(b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
+
+
 # The PGM text of each shade: "k " padded with NULs to 4 bytes.
 _SHADE_BYTES = np.array([list(f"{k} ".encode().ljust(4, b"\0")) for k in range(256)], dtype=np.uint8)
 
@@ -323,15 +379,13 @@ _SHADE_BYTES = np.array([list(f"{k} ".encode().ljust(4, b"\0")) for k in range(2
 def _run_surface(cfg: argparse.Namespace) -> int:
     n = _grid_side(cfg.extent, cfg.spacing)
     coords = -cfg.extent / 2.0 + np.arange(n) * cfg.spacing
-    values = eval_conv_2d(coords[None, :], coords[:, None], cfg.r1, cfg.r2)
+    values = _eval_conv_square(coords, cfg.r1, cfg.r2)
     if cfg.format == "csv":
         # x runs fastest and y ascends; the coordinates' text is formed once for both columns.
         text, index = _cells(coords)
         return _emit(_table("x,y,value", (text, np.tile(index, n)), (text, np.repeat(index, n)), values.ravel()),
                      cfg.output)
-    finite = values[np.isfinite(values)]
-    vmax = float(np.percentile(finite, 99.0, overwrite_input=True)) if finite.size else 1.0
-    del finite
+    vmax = _clip_level(values)
     if vmax <= 0.0:
         vmax = 1.0
     header = (

@@ -321,6 +321,26 @@ def eval_conv_2d(x, y, r1: float, r2: float, center: tuple[float, float] = (0.0,
     return out
 
 
+def _eval_conv_square(coords: np.ndarray, r1: float, r2: float) -> np.ndarray:
+    """``eval_conv_2d(coords[None, :], coords[:, None], r1, r2)`` with its bits, from one triangle.
+
+    ``np.hypot`` is symmetric in its arguments, so the grid is too: each row block evaluates its columns
+    from its first row on, then copies the entries left of those from their mirrors above the diagonal.
+    """
+    radii = [np.asarray(v, dtype=float) for v in (r1, r2, *support_interval(r1, r2))]
+    out = np.empty((len(coords), len(coords)))
+
+    def upper(s):
+        out[s, s.start:] = _eval_conv(np.hypot(coords[s.start:], coords[s, None]), *radii)
+
+    def lower(s):
+        out[s, :s.start] = out[:s.start, s].T
+
+    _on_row_blocks(upper, out.shape)
+    _on_row_blocks(lower, out.shape)
+    return out
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """A radial function of one variable together with its support interval.

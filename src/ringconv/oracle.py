@@ -115,14 +115,23 @@ def _empty_histogram(r1: float, r2: float, samples: int, bins: int, sectors: int
     Bins cover ``[0, r1 + r2 + margin]`` uniformly.  Raises a ``ParameterError``
     naming ``bins`` or ``sectors`` outside ``[1, 2^20]`` (the chunk size)
     before allocating, then where ``r1 + r2`` overflows or ``_normal_mass``
-    refuses the mass; then ``RadialHistogram``'s ``ValueError`` for
-    ``samples < 1`` or edges that do not increase.
+    refuses the mass, then naming ``margin`` where the last edge is not finite
+    or does not clear ``r1 + r2`` by the reference kernel's radius error, so
+    that every sample is counted; then ``RadialHistogram``'s ``ValueError`` for
+    ``samples < 1`` or edges that do not increase.  A negative ``margin`` cuts
+    the support on purpose: samples beyond its last edge are not counted.
     """
     for name, value in (("bins", bins), ("sectors", sectors)):
         if not 1 <= value <= _CHUNK:
             raise ParameterError(name, f"need 1 <= {name} <= {_CHUNK}, got {value}")
-    edges = np.linspace(0.0, support_interval(r1, r2)[1] + margin, bins + 1)
-    return RadialHistogram(edges, np.zeros(bins, dtype=np.int64), samples, _normal_mass(r1, r2))
+    hi, mass = support_interval(r1, r2)[1], _normal_mass(r1, r2)
+    end = hi + float(margin)
+    # ``_filter_bound``'s (5k + 5) u S + 8 t for the reference's radii, u hi for hi's rounding and u hi for this one's.
+    error = (5 * _ULPS + 7) * 2.0**-53 * hi + 8 * 5e-324
+    if not (margin < 0.0 or error <= end - hi < math.inf):
+        raise ParameterError("margin", f"the last edge r1 + r2 + margin = {end:g} must be finite and clear"
+                                       f" r1 + r2 = {hi:g} by the sampler's radius error {error:.3g}")
+    return RadialHistogram(np.linspace(0.0, end, bins + 1), np.zeros(bins, dtype=np.int64), samples, mass)
 
 
 def _substream(seed: int, chunk: int, skip: int) -> np.random.Generator:
@@ -378,8 +387,10 @@ def mc_conv_histogram(
     counts on any number of cores.  A pass of one task runs on the calling
     thread alone.  Raises a ``ParameterError`` naming ``bins`` or ``sectors``
     outside ``[1, 2^20]`` (the chunk size) before allocating, then where
-    ``r1 + r2`` overflows or ``_normal_mass`` refuses the mass;
-    ``samples < 1`` is a ``ValueError``; all before any sample is drawn.  An
+    ``r1 + r2`` overflows or ``_normal_mass`` refuses the mass, then naming
+    ``margin`` where a sample could fall beyond the last edge (a negative
+    ``margin`` cuts the support on purpose); ``samples < 1`` is a
+    ``ValueError``; all before any sample is drawn.  An
     exception in any task, or an interrupt while the caller waits, stops the
     other workers at their next task and reaches the caller after every
     thread has stopped.

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -262,6 +263,70 @@ class TestArtifactBytes:
         code, out, err = run_main(argv, capsys)
         assert code == 0 and err == ""
         assert out == expected_artifact(argv)
+
+
+def clip_cases():
+    """Grids of several row blocks, each value +0.0 or more or +inf, as the density's are."""
+    rng = np.random.default_rng(20261020)
+
+    def grid(finite, rows=300, cols=500):
+        out = np.full(rows * cols, np.inf)
+        out[rng.choice(out.size, len(finite), replace=False)] = finite
+        return out.reshape(rows, cols)
+
+    density = rng.exponential(1.0, 150_000) * 10.0 ** rng.uniform(-5, 5, 150_000)
+    density[rng.choice(density.size, 30_000, replace=False)] = 0.0
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)[:-1], [0.0, 5e-324]])
+    top = np.nextafter(1.7976931348623157e308, 0.0) - np.arange(2000.0) * 2.0**970
+    yield "inf-and-zeros", grid(density[:140_000])
+    yield "all-inf", grid([])
+    yield "one-finite", grid([3.7])
+    yield "two-finite", grid([2.5, 7.25])
+    # 12376 values put the percentile at rank 12251.25 and 12346 at 12221.55, so both of NumPy's
+    # interpolation formulas run; between 0.1 and 1.1 the other formula would round differently.
+    # Ranks k and k + 1 fall on one run of equal values, or on two.
+    for n in (12376, 12346):
+        k = int((n - 1) * 0.99)
+        yield f"equal-at-k-{n}", grid(np.repeat([0.05, 0.1, 1.1], [k - 40, 80, n - k - 40]))
+        yield f"split-at-k-{n}", grid(np.repeat([0.05, 0.1, 1.1], [k - 40, 41, n - k - 1]))
+    yield "bucket-edges", grid(edges)
+    yield "subnormals", grid(rng.integers(1, 2**52, 20_000).view(float))
+    yield "near-the-largest-float", grid(np.concatenate([top, rng.uniform(0.0, 1e308, 4000)]))
+
+
+class TestClipLevel:
+    @pytest.mark.parametrize("values", [pytest.param(v, id=name) for name, v in clip_cases()])
+    def test_equals_the_percentile_of_the_finite_values(self, values, monkeypatch):
+        finite = values[np.isfinite(values)]
+        expected = float(np.percentile(finite, 99.0)) if finite.size else 1.0
+        copy = values.copy()
+        # 8 workers, more than the cores, switching threads as often as the interpreter allows, would show a
+        # count or a gathered bucket lost between the workers.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 3, 8):
+                monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+                got = cli._clip_level(values)
+                assert type(got) is float and np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(values, copy)
+
+    def test_pgm_holds_little_beyond_its_values_and_shades(self, tmp_path, capsys, monkeypatch):
+        # 1201 rows in 45 blocks: 8 bytes of value and 4 of shade text per pixel.  Copying the
+        # finite values for the percentile once took the peak to 1.67 times that.
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            tracemalloc.start()
+            try:
+                code, _, _ = run_main(["surface", "--spacing", "0.01", "--format", "pgm",
+                                       "-o", str(tmp_path / "s.pgm")], capsys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and peak <= 1.1 * 12 * 1201**2, cores
 
 
 def percent_text(values):

@@ -339,6 +339,37 @@ class TestEvalConv2d:
         assert peak < 70e6
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestSquareGrid:
+    """``core._eval_conv_square``, the surface's grid from one triangle and its mirror."""
+
+    @pytest.mark.parametrize("coords", [
+        *(pytest.param(-6.0 + np.arange(n) * 12.0 / max(n - 1, 1), id=str(n)) for n in (1, 2, 3, 28, 601)),
+        # 2401 rows go in blocks of 27, so the mirror copies cross 89 blocks.
+        pytest.param(-6.0 + np.arange(2401) * 0.005, id="2401"),
+        # Unsorted, both zeros, the support's ends and points on them, past them and at the collapse radius.
+        pytest.param(np.array([0.3, -0.0, 5.0, -1.0, 0.0, 3.6055512754639896, -5.0, 1e-300, 6.5, -2.0]),
+                     id="signed-zeros"),
+    ])
+    def test_keeps_the_bits_of_the_full_grid(self, monkeypatch, coords):
+        whole = eval_conv_2d(coords[None, :], coords[:, None], 2.0, 3.0)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            assert np.array_equal(bits(core._eval_conv_square(coords, 2.0, 3.0)), bits(whole)), cores
+
+    def test_hypot_is_symmetric_to_the_bit(self):
+        # The mirror copy holds only because np.hypot(a, b) and np.hypot(b, a) round alike.
+        rng = np.random.default_rng(37)
+        a, b = rng.standard_normal((2, 2**16)) * 10.0 ** rng.uniform(-3, 3, (2, 2**16))
+        sub = rng.integers(1, 2**52, (2, 2**12)).view(float)
+        big = 1e300 * rng.uniform(0.5, 1.7, (2, 2**12))
+        for x, y in ((a, b), (*sub,), (*big,), (sub[0], a[:2**12]), (big[0], sub[1]), (-a, b)):
+            assert np.array_equal(bits(np.hypot(x, y)), bits(np.hypot(y, x)))
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("shape", [(500, 300), (2 * 2**16 + 5,), (5, 0), (0, 4), (87, 87), (2, 9)])
     def test_every_row_is_written_once(self, monkeypatch, shape):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from oracles import atan2_40, hypot_40, sin_cos_40, ulps_off
 
@@ -116,9 +117,11 @@ class TestMonteCarlo:
         # every remainder of the four draws per Philox output, against each
         # chunk's samples drawn and computed in one pass, chunk after chunk.
         # The last radii are the sampler's ends: a subnormal radius that the
-        # filter scales, in either order, and radii near the mass's overflow.
+        # filter scales, in either order, and radii near the mass's overflow,
+        # where the margin must grow with r1 + r2 to clear the radius error.
         c1, c2, seed, bins, sectors = Circle((0.5, -1.0), r1), Circle((0.0, 0.25), r2), 29, 37, 7
-        edges = np.linspace(0.0, support_interval(r1, r2)[1] + 0.2, bins + 1)
+        margin = max(0.2, 1e-3 * (r1 + r2))
+        edges = np.linspace(0.0, support_interval(r1, r2)[1] + margin, bins + 1)
         width = 2.0 * math.pi / sectors
         counts, sector_counts = np.zeros(bins, np.int64), np.zeros(sectors, np.int64)
         for c, start in enumerate(range(0, samples, 2**20)):
@@ -133,7 +136,7 @@ class TestMonteCarlo:
                                          minlength=sectors)
         for cores in (1, 2, 3):
             monkeypatch.setattr(core, "_usable_cores", lambda: cores)
-            h, got_sectors = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors)
+            h, got_sectors = mc_conv_histogram(c1, c2, samples, bins, seed, sectors=sectors, margin=margin)
             assert np.array_equal(h.counts, counts) and np.array_equal(got_sectors, sector_counts)
 
     def test_workers_default_to_the_usable_cores(self, monkeypatch):
@@ -170,6 +173,36 @@ class TestMonteCarlo:
         for samples, bins, sectors in ((0, 10, 1), (10, 0, 1), (10, 10, 0), (10, 2**20 + 1, 1), (10, 10, 2**20 + 1)):
             with pytest.raises(ValueError):
                 mc_conv_histogram(C1, C2, samples, bins, seed=1, sectors=sectors)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0), st.one_of(st.none(), st.floats(-20.0, 3.0)),
+           st.integers(1, 2**20), st.integers(1, 2**20), st.integers(0, 2**32 - 1))
+    def test_counts_every_sample_or_refuses(self, e1, e2, m, bins, sectors, seed):
+        # Log-uniform radii in [1e-300, 1e300], and a margin of 0 or of 1e-20 to 1e3 times r1 + r2.
+        r1, r2 = 10.0**e1, 10.0**e2
+        margin = 0.0 if m is None else (r1 + r2) * 10.0**m
+        try:
+            hist, sector_counts = mc_conv_histogram(Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2), 2**12, bins,
+                                                    seed, sectors=sectors, margin=margin)
+        except ParameterError:
+            return
+        assert hist.counts.sum() == 2**12 == sector_counts.sum()
+
+    @pytest.mark.parametrize("r1, r2, margin", [
+        # Where r1 + r2 absorbs the margin these dropped 27,730 of 2^18 and 5,192 of 2^16 samples.
+        (1e16, 1.0, 0.2), (1e300, 1e-10, 0.2), (2.0, 3.0, 0.0), (2.0, 3.0, math.nan),
+        (1e300, 1e-10, 1.7976931348623157e308),
+    ])
+    def test_a_margin_that_could_lose_samples_is_refused_before_sampling(self, monkeypatch, r1, r2, margin):
+        monkeypatch.setattr(oracle, "_task_counts", no_blocks)
+        with pytest.raises(ParameterError, match="radius error") as exc:
+            mc_conv_histogram(Circle((0.0, 0.0), r1), Circle((0.0, 0.0), r2), 2**18, 40, seed=7, sectors=4,
+                              margin=margin)
+        assert exc.value.param == "margin"
+
+    def test_a_negative_margin_cuts_the_support(self):
+        hist, sector_counts = mc_conv_histogram(C1, C2, 2**16, 40, seed=7, sectors=4, margin=-1.0)
+        assert hist.edges[-1] == 4.0 and hist.counts.sum() < 2**16 == sector_counts.sum()
 
 
 def load_tracer():
