@@ -223,7 +223,7 @@ def roots_random_check(rng: np.random.Generator) -> list[CheckResult]:
     The generator is advanced, so a caller can keep drawing from it.
     """
     results = _Verdicts()
-    r1, r2, u = np.array([[*rng.uniform(0.1, 5.0, 2), rng.uniform(0.05, 0.95)] for _ in range(1000)]).T
+    r1, r2, u = rng.uniform((0.1, 0.1, 0.05), (5.0, 5.0, 0.95), (1000, 3)).T
     lo, hi = support_interval(r1, r2)
     rho = lo + u * (hi - lo)
     exact = eval_conv(rho, r1, r2)

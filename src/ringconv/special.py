@@ -91,56 +91,85 @@ _A = [(-1) ** k * math.prod(range(1, 2 * k, 2)) ** 2 / (math.factorial(k) * 8**k
 # From x = 25 on, the first omitted terms (2.7e-16 in p, 8.6e-17 in q) move J0 by under 5e-17.
 _J0_P = [(-1) ** j * _A[2 * j] for j in range(8)]
 _J0_Q = [(-1) ** j * _A[2 * j + 1] for j in range(8)]
+_I0_ASYMPTOTIC = [abs(c) for c in _A]
 
 
-def _horner(coefs, t: np.ndarray) -> np.ndarray:
-    """``sum_j coefs[j] t^j``, highest power first."""
-    p = np.full_like(t, coefs[-1])
+def _horner(coefs, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sum_j coefs[j] t^j`` into ``out``, highest power first: each step rounds as ``p * t + c``."""
+    out.fill(coefs[-1])
     for c in reversed(coefs[:-1]):
-        p = p * t + c
-    return p
+        out *= t
+        out += c
+    return out
 
 
-def _j0_piece(k: int, x: np.ndarray) -> np.ndarray:
-    """J0 on piece ``k``: its polynomial, or past the last edge the Hankel expansion, whose phase is never rounded."""
+def _j0_piece(k: int, x: np.ndarray, out: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """J0 on piece ``k`` into ``out``: its polynomial, or past the last edge the Hankel expansion, whose phase is never rounded.
+
+    ``t`` and ``u`` are scratch rows shaped like ``x``; nothing else is allocated.
+    """
     if k < len(_J0_PIECES):
         centre, scale, coefs = _J0_PIECES[k]
-        return _horner(coefs, (x * x - centre) * scale)
+        np.multiply(x, x, out=t)
+        t -= centre
+        t *= scale
+        return _horner(coefs, t, out)
     # Above about 1.3e154 x * x overflows to inf, and inv2 = 0 is then right:
     # every 1/x^2 term is far below an ulp of the leading one.
     with np.errstate(over="ignore"):
-        inv2 = 1.0 / (x * x)
-    p, q = _horner(_J0_P, inv2), _horner(_J0_Q, inv2) / x
+        inv2 = np.divide(1.0, np.multiply(x, x, out=t), out=t)
+    p, q = _horner(_J0_P, inv2, out), _horner(_J0_Q, inv2, u)
+    q /= x
     # sqrt(2/(pi x)) (p cos(x - pi/4) - q sin(x - pi/4)), with cos x and sin x of the exact x.
-    return ((p + q) * np.cos(x) + (p - q) * np.sin(x)) / np.sqrt(np.pi * x)
+    diff = np.subtract(p, q, out=t)
+    total = np.add(p, q, out=out)
+    total *= np.cos(x, out=u)
+    diff *= np.sin(x, out=u)
+    total += diff
+    total /= np.sqrt(np.multiply(np.pi, x, out=t), out=t)
+    return total
 
 
-def _i0e_piece(k: int, x: np.ndarray) -> np.ndarray:
-    """``I0(x) exp(-x)``: ``_I0E_TERMS`` power-series terms at k = 0, the asymptotic series at k = 1."""
+def _i0e_piece(k: int, x: np.ndarray, out: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``I0(x) exp(-x)`` into ``out``: ``_I0E_TERMS`` power-series terms at k = 0, the asymptotic series at k = 1."""
     if k == 1:
-        return _horner([abs(c) for c in _A], 1.0 / x) / np.sqrt(2.0 * np.pi * x)
-    z = x * x / 4.0
-    term = total = np.ones_like(z)
+        _horner(_I0_ASYMPTOTIC, np.divide(1.0, x, out=t), out)
+        out /= np.sqrt(np.multiply(2.0 * np.pi, x, out=u), out=u)
+        return out
+    z = np.multiply(x, x, out=t)
+    z /= 4.0
+    term, total = u, out
+    term.fill(1.0)
+    total.fill(1.0)
     for j in range(1, _I0E_TERMS + 1):
-        term = term * z / (j * j)
-        total = total + term
-    return total * np.exp(-x)
+        term *= z
+        term /= j * j
+        total += term
+    total *= np.exp(np.negative(x, out=t), out=t)
+    return total
 
 
 def _even_piecewise(x, edges, piece):
-    """An even function of ``x``: ``piece(k, |x|)`` where ``edges[k-1] < |x| <= edges[k]``, k = len(edges) above.
+    """An even function of ``x``: ``piece(k, |x|, out, t, u)`` where ``edges[k-1] < |x| <= edges[k]``, k = len(edges) above.
 
+    Each piece writes into rows of one scratch array sized by the largest piece.  Its arguments are a
+    boolean gather, about 4x faster than ``np.compress`` into a row on a Hankel block's banded masks.
     Accepts a scalar or an ndarray; returns a matching scalar or ndarray.
     """
     arr = np.abs(np.asarray(x, dtype=float))
     out = np.empty_like(arr)
     k = np.zeros(arr.shape, dtype=np.uint8)
+    above = [arr.size]
     for edge in edges:
-        k += arr > edge
-    for j in range(len(edges) + 1):
-        on = k == j
-        if on.any():
-            out[on] = piece(j, arr[on])
+        over = arr > edge
+        k += over
+        above.append(np.count_nonzero(over))
+    counts = [a - b for a, b in zip(above, [*above[1:], 0])]
+    scratch = np.empty((3, max(counts)))
+    for j, n in enumerate(counts):
+        if n:
+            on = k == j
+            out[on] = piece(j, arr[on], *scratch[:, :n])
     return float(out) if out.ndim == 0 else out
 
 

@@ -102,6 +102,21 @@ def test_the_routes_meet_in_one_call_per_check_or_pair(monkeypatch):
     assert calls["neumann_product_check"] == len(checks.NEUMANN_PAIRS)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 12345, 2**63 - 1])
+def test_roots_check_draws_the_stream_of_a_per_triple_loop(seed, monkeypatch):
+    # One (1000, 3) draw takes the generator's doubles in the loop's order, pair then u, and leaves
+    # the generator where the loop does, so the minimum check's pairs do not move either.
+    loop = np.random.default_rng(seed)
+    r1, r2, u = np.array([[*loop.uniform(0.1, 5.0, 2), loop.uniform(0.05, 0.95)] for _ in range(1000)]).T
+    lo, hi = checks.support_interval(r1, r2)
+    seen = []
+    monkeypatch.setattr(checks, "conv_via_roots", lambda *args: seen.append(args) or checks.eval_conv(*args))
+    rng = np.random.default_rng(seed)
+    checks.roots_random_check(rng)
+    assert [a.tobytes() for a in seen[0]] == [a.tobytes() for a in (lo + u * (hi - lo), r1, r2)]
+    assert rng.uniform(0.1, 5.0, (100, 2)).tobytes() == loop.uniform(0.1, 5.0, (100, 2)).tobytes()
+
+
 @pytest.mark.parametrize("samples", [20_000, 2**20 + 1])
 def test_mc_check_runs_one_full_pass_and_a_one_chunk_pair(samples, monkeypatch):
     # One pool call: the full pass gives the histogram it returns, and the shift verdict compares the full

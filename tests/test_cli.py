@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ringconv
-from ringconv import checks, cli, core, oracle
+from ringconv import checks, cli, core, oracle, special
 from ringconv.cli import _table, build_parser, main, parse_args
 from ringconv.core import Circle, ConvKernel, eval_conv, eval_conv_2d, support_interval
 from ringconv.operators import _grid_side
@@ -327,6 +327,33 @@ class TestClipLevel:
             finally:
                 tracemalloc.stop()
             assert code == 0 and peak <= 1.1 * 12 * 1201**2, cores
+
+
+# Both sides of each J0 edge and of i0e's split, the Hankel branch, every power of two (subnormals
+# included), 1e154 where x * x overflows, 1e200, inf and -0.0.
+FROZEN_ARGS = np.array([
+    *(float(v) for e in (*special._J0_EDGES, special._I0E_SPLIT) for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 99.0))),
+    *np.linspace(25.0, 200.0, 701), *(2.0**p for p in range(-1074, 1024)), 1e154, 1e200, math.inf, -0.0])
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("bessel_j0", "5fca820d8e42170653681cf156e9f2d518dfdb7a8e8501ea12ecd41780470987"),
+    ("i0e", "9b6e82b0313e996be8422f3473fc7dc144c9f7cb1fa8b9e9959c2e94ad5ec1fc"),
+    ("hankel-check", "c5d4270c1e2a10ee8edcd4ff9c8f3e415054f72e175c2852c1e19ab60d8492fb"),
+    ("neumann-check", "7c50c1a1ba11577f1a1824cf1c46121ff10045e4e635d79699cf10476c362426"),
+    ("roots-check", "6297066a8f4bbec8c44febe5629489c79d6f10ae365fdfb4daf5e7a206ee7288"),
+])
+def test_bessel_bits_and_check_stdout_are_frozen(name, digest, capsys):
+    # sha256 of J0 and I0e (little-endian float64) over FROZEN_ARGS, and of each command's stdout at its
+    # defaults, as the evaluators with a fresh array per Horner step and a per-triple root draw gave them.
+    if name in ("bessel_j0", "i0e"):
+        with np.errstate(all="ignore"):
+            data = getattr(special, name)(FROZEN_ARGS).astype("<f8").tobytes()
+    else:
+        code, out, err = run_main([name], capsys)
+        assert code == 0 and err == ""
+        data = out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def percent_text(values):

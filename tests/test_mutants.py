@@ -46,7 +46,7 @@ MUTANTS = {
     "exact-ends-shift": (core, "_exact_ends", _shifted_ends),
     "density-scaled": (core, "_interior_density", lambda p, r1, r2: _interior_density(p, r1, r2) * (1.0 + 1e-6)),
     # Every J0 piece evaluated at x + 1e-9, the Hankel expansion's phase off by 1e-9.
-    "j0-phase": (special, "_j0_piece", lambda k, x: _j0_piece(k, x + 1e-9)),
+    "j0-phase": (special, "_j0_piece", lambda k, x, *rows: _j0_piece(k, x + 1e-9, *rows)),
     # psi's offset from the nearer support end taken from psi's hypot, which cancels there.
     "end-offset-cancels": (core, "_end_offsets", _cancelling_offsets),
     # A sampler that forms the absolute point before it subtracts the centres.
