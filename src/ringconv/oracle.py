@@ -417,6 +417,14 @@ def _ring_grid(extent: float, spacing: float) -> tuple[int, float]:
     return n, _half_width(n, spacing)
 
 
+def _normal_square(x: float, param: str, factor: float = 1.0) -> float:
+    """``factor * x**2``, or a ``ParameterError`` naming ``param`` where that is not a positive normal float."""
+    square = factor * x**2 if abs(x) < 2.0**512 else math.inf  # so ``x**2`` cannot raise ``OverflowError``
+    if not np.finfo(float).tiny <= square < math.inf:
+        raise ParameterError(param, f"{param} {x} squares out of the normal float range")
+    return square
+
+
 def _ring_side(c: Circle, extent: float, spacing: float, epsilon: float) -> int:
     """The side of ``build_mollified_ring``'s grid, once the ring has passed its rules in their order."""
     n, half = _ring_grid(extent, spacing)
@@ -427,6 +435,7 @@ def _ring_side(c: Circle, extent: float, spacing: float, epsilon: float) -> int:
     if reach > half:
         raise ParameterError("extent",
                              f"grid extent {extent} too small: ring needs {2.0 * reach:g} with padding")
+    _normal_square(epsilon, "epsilon", 2.0)
     return n
 
 
@@ -441,7 +450,8 @@ def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: floa
     2^16 entries on the usable cores, so the distance and the Gaussian leave
     no full-grid temporary.  Raises a ``ParameterError`` naming ``spacing``
     over the grid-side cap, ``epsilon`` if the mollifier is under-resolved,
-    or ``extent`` if the ring plus a 5-epsilon pad overflows the grid.
+    ``extent`` if the ring plus a 5-epsilon pad overflows the grid, then
+    ``epsilon`` where ``2 epsilon^2`` is not a positive normal float.
     """
     n = _ring_side(c, extent, spacing, epsilon)
     coords = _grid_coords(n, spacing)
@@ -466,20 +476,21 @@ def _padding(n: int) -> tuple[int, int]:
     return h, _smooth_length(2 * n - 1 - h)
 
 
-def _both_orders(operands, n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """``fftconvolve(first, second) * scale`` and its operand swap, for the two ``n x n`` arrays that
-    ``operands`` yields, each transformed before the next is made.  Every stage runs in blocks on the
-    usable cores; the product is written over the first spectrum and the swap over the second."""
+def _both_orders(operands, n: int, scale: float) -> tuple[np.ndarray, bool]:
+    """``fftconvolve(first, second) * scale`` for the ``n x n`` arrays ``operands`` yields, each transformed before
+    the next is made, and whether the swapped spectral product, written over the second spectrum block by block on
+    the usable cores, has the bits of the product; the second spectrum is freed before the one inverse."""
     h, side = _padding(n)
     a, b = (_spectrum(values, side) for values in operands)
+    same = np.empty(side, dtype=bool)
 
     def products(s):
         a[s], b[s] = _spectral_product(a[s], b[s], out=np.empty_like(a[s])), _spectral_product(b[s], a[s], out=b[s])
+        same[s] = np.array_equal(a[s], b[s])
 
     _on_row_blocks(products, a.shape)
-    first = _centred_inverse(a, h, n, scale)
-    del a  # so the first spectrum is freed before the second inverse
-    return first, _centred_inverse(b, h, n, scale)
+    del b
+    return _centred_inverse(a, h, n, scale), bool(same.all())
 
 
 def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
@@ -487,14 +498,14 @@ def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
 
     Output ``[i, j]`` is the full convolution at ``[h + i, h + j]`` with
     ``h = (n - 1) // 2``, so for odd ``n`` the result stays centred on the
-    input grid.  It is the first order of ``grid_conv_check``'s route, whose
-    padded side keeps wrap-around off the kept slice and whose spectral
-    product gives the same bits for either operand order.  The result is a
-    new array, not a view into the padded one.
+    input grid.  It is ``grid_conv_check``'s route, whose padded side keeps
+    wrap-around off the kept slice and whose spectral product gives the same
+    bits for either operand order; the swap verdict is dropped.  The result
+    is a new array.  Empty, unequal or non-square input is a ``ValueError``.
     """
     in1, in2 = np.asarray(in1, dtype=float), np.asarray(in2, dtype=float)
-    if in1.ndim != 2 or in1.shape[0] != in1.shape[1] or in1.shape != in2.shape:
-        raise ValueError(f"need two square arrays of one shape, got {in1.shape} and {in2.shape}")
+    if in1.ndim != 2 or in1.shape[0] != in1.shape[1] or in1.shape != in2.shape or not in1.size:
+        raise ValueError(f"need two non-empty square arrays of one shape, got {in1.shape} and {in2.shape}")
     return _both_orders((in1, in2), in1.shape[0], 1.0)[0]
 
 
@@ -514,10 +525,11 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
     The kernel's rows, one per radius, are filled in row blocks on the usable
     cores; the one product with the weights stays whole, so the result has
     the same bits on any number of cores.  Raises where the rule does at
-    ``_PROFILE_ROUNDING_LIMIT``, naming the smaller radius.
+    ``_PROFILE_ROUNDING_LIMIT``, naming the smaller radius, then names
+    ``epsilon`` where ``2 epsilon^2`` is not a positive normal float.
     """
-    sigma2 = 2.0 * epsilon**2
     s, w = _angular_rule(r1, r2, _SMOOTHING_NODES, _PROFILE_ROUNDING_LIMIT, None)
+    sigma2 = _normal_square(epsilon, "epsilon", 2.0)
     # The rule's weights carry 2 pi s ds, which cancels the kernel's s / sigma^2 to 1 / (2 pi sigma^2).
     coef = w / (2.0 * math.pi * sigma2)
     rho = np.asarray(rho, dtype=float)
@@ -541,10 +553,10 @@ class GridConvReport:
 
     The profile arrays are restricted to the trimmed interval
     ``[lo + 5 eps, hi - 5 eps]`` where both routes are finite and the
-    mollifier tails are negligible.  ``conv_values`` is the convolution of the
-    first ring with the second and ``swapped_values`` that of the second with
-    the first, both scaled by spacing^2; convolution commutes, so they should
-    be equal bit for bit.  Each is its own ``n x n`` array.
+    mollifier tails are negligible.  ``conv_values``, its own ``n x n`` array,
+    is the first ring convolved with the second, times spacing^2; convolution
+    commutes, so ``swap_identical``, whether the spectral product in the swapped
+    order has the same bits, should hold.
     """
 
     rho: np.ndarray
@@ -555,7 +567,7 @@ class GridConvReport:
     expected_mass: float
     trim: tuple[float, float]
     conv_values: np.ndarray
-    swapped_values: np.ndarray
+    swap_identical: bool
 
     @property
     def mass_rel_error(self) -> float:
@@ -571,31 +583,32 @@ def grid_conv_check(
 ) -> GridConvReport:
     """FFT-convolve two mollified rings and compare profiles with the closed form.
 
-    Both rings are rasterized on the same centered grid and convolved in both
-    operand orders by ``fftconvolve``'s route, times spacing^2 for the
-    continuous normalization.  Every input rule is checked before any thread
-    starts.  Each ring is built and transformed before the next.  The
-    first-by-second result is annularly averaged about b1 + b2 in bins of
-    width 2*spacing, the distances and bin indices filled in row blocks on
-    the usable cores and each bin summed whole, in one order.  The reference
-    is ``smoothed_profile`` at the bins' mean radii.  Every array of the
-    report has the same bits on any number of cores.  Raises a
-    ``ParameterError`` naming ``spacing`` over the grid-side cap, the larger
-    radius where ``r1 + r2`` overflows, ``extent`` if the convolution support
-    plus a 5-epsilon pad would be clipped by the grid, then each ring's rule
-    of ``build_mollified_ring`` (the first ring's first), and ``epsilon`` if
-    no bin's mean radius falls in the trimmed interval, in that order of
-    precedence.
+    Both rings are rasterized on the same centered grid and convolved by
+    ``fftconvolve``'s route, times spacing^2 for the continuous normalization;
+    the swap verdict compares its spectral product with the swapped order's.
+    Every input rule is checked before any thread starts.  Each ring is built
+    and transformed before the next.  The first-by-second result is annularly
+    averaged about b1 + b2 in bins of width 2*spacing, the distances and bin
+    indices filled in row blocks on the usable cores and each bin summed
+    whole, in one order.  The reference is ``smoothed_profile`` at the bins'
+    mean radii.  Every array of the report has the same bits on any number of
+    cores.  Raises a ``ParameterError`` naming ``spacing`` over the grid-side
+    cap, then where spacing^2 is not a positive normal float, the larger radius
+    where ``r1 + r2`` overflows, ``extent`` if the convolution support plus a
+    5-epsilon pad would be clipped by the grid, then each ring's rule of
+    ``build_mollified_ring`` (the first ring's first), and ``epsilon`` if no
+    bin's mean radius falls in the trimmed interval, in that order.
     """
     n, half = _ring_grid(extent, spacing)
+    scale = _normal_square(spacing, "spacing")
     lo, hi = support_interval(c1.radius, c2.radius)
     bx, by = c1.center[0] + c2.center[0], c1.center[1] + c2.center[1]
     if max(abs(bx), abs(by)) + hi + 5.0 * epsilon > half:
         raise ParameterError("extent", "grid extent clips the support of the convolution")
     for c in (c1, c2):
         _ring_side(c, extent, spacing, epsilon)
-    conv, swapped = _both_orders((build_mollified_ring(c, extent, spacing, epsilon).values for c in (c1, c2)),
-                                 n, spacing**2)
+    rings = (build_mollified_ring(c, extent, spacing, epsilon).values for c in (c1, c2))
+    conv, swap_identical = _both_orders(rings, n, scale)
 
     coords = _grid_coords(n, spacing)
     width = 2.0 * spacing
@@ -624,9 +637,9 @@ def grid_conv_check(
         grid_profile=mean_val[keep],
         oracle_profile=ref,
         max_rel_error=float(rel.max()),
-        mass=float(conv.sum()) * spacing**2,
+        mass=float(conv.sum()) * scale,
         expected_mass=ConvKernel(c1.radius, c2.radius).mass,
         trim=(t_lo, t_hi),
         conv_values=conv,
-        swapped_values=swapped,
+        swap_identical=swap_identical,
     )

@@ -571,11 +571,14 @@ class TestGridCheck:
         (["--r1", "0.25", "--r2", "0.25", "--extent", "4", "--spacing", "0.02"], "--epsilon"),
         (["--epsilon", "0.01"], "--epsilon"),
         (["--extent", "8"], "--extent"),
-    ], ids=["empty-trimmed-range", "under-resolved-epsilon", "clipped-extent"])
+        (["--r1", "1", "--r2", "1", "--extent", "1e200", "--spacing", "1e197", "--epsilon", "1e198"], "--spacing"),
+        (["--r1", "1", "--r2", "1", "--extent", "1e156", "--spacing", "1e153", "--epsilon", "1e154"], "--epsilon"),
+    ], ids=["empty-trimmed-range", "under-resolved-epsilon", "clipped-extent", "spacing-squared-overflows",
+            "epsilon-squared-overflows"])
     def test_library_input_errors_exit_2_and_name_the_flag(self, argv, flag, capsys):
         code, out, err = run_main(["grid-check"] + argv, capsys)
         assert code == 2 and out == ""
-        assert err.startswith(f"error: {flag}: ")
+        assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
 
     def test_passes_at_a_radius_ratio_of_46(self, capsys):
         # smoothed_profile's node-rounding limit is set against the profile's 5% tolerance, not the mass check's.

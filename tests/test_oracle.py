@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import itertools
 import math
 import sys
 import threading
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from oracles import atan2_40, hypot_40, sin_cos_40, ulps_off
 
-from ringconv import checks, core, operators, oracle
+from ringconv import checks, cli, core, operators, oracle
 from ringconv.core import Circle, ParameterError, eval_conv, support_interval
 from ringconv.oracle import (
     GridConvReport,
@@ -217,6 +218,10 @@ def no_blocks(*args):
     raise AssertionError("a block was sampled")
 
 
+def no_threads(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
 class TestSamplerThreads:
     def test_no_thread_outlives_a_call(self, monkeypatch):
         monkeypatch.setattr(core, "_usable_cores", lambda: 3)
@@ -288,9 +293,6 @@ class TestSamplerThreads:
         (0, 4, "bins"), (2**20 + 1, 4, "bins"), (8, 0, "sectors"), (8, 2**20 + 1, "sectors"),
     ])
     def test_input_errors_come_before_any_thread(self, monkeypatch, bins, sectors, param):
-        def no_threads(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
         monkeypatch.setattr(core, "_usable_cores", lambda: 2)
         monkeypatch.setattr(core.threading, "Thread", no_threads)
         with pytest.raises(ParameterError) as exc:
@@ -627,6 +629,31 @@ class TestMollifiedRing:
             grid_conv_check(Circle((0, 0), 2.751), C2, 12.004, 0.01, 0.05)
         assert exc.value.param == "extent"
 
+    @pytest.mark.parametrize("extent, spacing, epsilon, route", [
+        (1e156, 1e153, 1e154, "both"), (5.0, 0.01, math.nan, "both"), (2e-155, 1e-158, 1e-156, "ring")])
+    def test_epsilon_squared_out_of_the_normal_range_is_refused_before_any_thread(self, monkeypatch, extent,
+                                                                                    spacing, epsilon, route):
+        # The workers square epsilon: at 1e154 and at NaN the ring came out NaN and was refused as a bare ValueError,
+        # and at 1e-156 the subnormal 2 epsilon^2 put the ring's mass 4.5x off.  Past the spacing rule,
+        # 2 epsilon^2 >= 8 spacing^2 cannot underflow, so only the ring itself meets 1e-156.
+        monkeypatch.setattr(core, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(core.threading, "Thread", no_threads)
+        builds = [build_mollified_ring] + [lambda c, *a: grid_conv_check(c, c, *a)] * (route == "both")
+        for build in builds:
+            with pytest.raises(ParameterError, match="normal float range") as exc:
+                build(Circle((0, 0), 1e-157 if extent < 1 else 1.0), extent, spacing, epsilon)
+            assert exc.value.param == "epsilon"
+
+    @pytest.mark.parametrize("extent, spacing, epsilon", [(1e200, 1e197, 1e198), (1e-157, 1e-160, 1e-158)])
+    def test_spacing_squared_out_of_the_normal_range_is_refused_before_any_thread(self, monkeypatch, extent,
+                                                                                    spacing, epsilon):
+        # The grid route scales by spacing^2: at 1e197 that raised OverflowError; at 1e-160 it is subnormal.
+        monkeypatch.setattr(core, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(core.threading, "Thread", no_threads)
+        with pytest.raises(ParameterError, match="normal float range") as exc:
+            grid_conv_check(Circle((0, 0), extent / 100), Circle((0, 0), extent / 100), extent, spacing, epsilon)
+        assert exc.value.param == "spacing"
+
     def test_side_is_odd_and_over_the_cap_names_spacing(self):
         # 499 cells round up to 500, so the centred side has 501 points.
         assert build_mollified_ring(C1, extent=4.99, spacing=0.01, epsilon=0.05).values.shape == (501, 501)
@@ -668,6 +695,13 @@ class TestFFTConvolve:
             with pytest.raises(ValueError):
                 fftconvolve(a, b)
 
+    def test_rejects_empty_input_before_padding(self, monkeypatch):
+        # Padding a side of 0 once looped for ever in ``_smooth_length``; the shape rule must refuse it first.
+        monkeypatch.setattr(oracle, "_padding", lambda n: pytest.fail(f"padded a side of {n}"))
+        for a, b in ((np.ones((0, 0)), np.ones((0, 0))), (np.ones((3, 4)), np.ones((3, 4)))):
+            with pytest.raises(ValueError, match="^need two non-empty square arrays of one shape, got "):
+                fftconvolve(a, b)
+
     @pytest.mark.parametrize("n", [9, 12, 61])
     def test_bits_of_the_irfft2_of_the_real_arithmetic_product(self, n):
         a, b = np.random.default_rng(n).normal(size=(2, n, n))
@@ -704,6 +738,18 @@ class TestSmoothedProfile:
         # The node count is fixed, so the rule blames a radius even though one node would meet the limit.
         with pytest.raises(ParameterError) as exc:
             smoothed_profile(3.0, r1, r2, 1e-9)
+        assert exc.value.param == blamed
+
+    @pytest.mark.parametrize("r1, r2, epsilon, blamed", [
+        (2.0, 3.0, 1e200, "epsilon"), (2.0, 3.0, 1e-160, "epsilon"), (2.0, 3.0, 0.0, "epsilon"),
+        (2.0, 3.0, math.nan, "epsilon"), (1e300, 1e300, 5e298, "r1"), (1e300, 1e300, 0.05, "r1")])
+    def test_epsilon_squared_out_of_the_normal_range_is_refused_after_the_radii(self, monkeypatch, r1, r2, epsilon,
+                                                                                  blamed):
+        # 2 epsilon^2 once raised OverflowError, divided by zero or gave NaN; the radius rules still come first.
+        monkeypatch.setattr(core, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(core.threading, "Thread", no_threads)
+        with pytest.raises(ParameterError) as exc:
+            smoothed_profile(np.array([3.0, 4.0]), r1, r2, epsilon)
         assert exc.value.param == blamed
 
     def test_blocks_and_cores_keep_the_bits_of_one_kernel(self, monkeypatch):
@@ -769,6 +815,67 @@ class TestGridConvCheck:
         assert swap.label == "operand swap (bitwise)"
         assert swap.measured == 1.0 and not swap.ok
 
+    def test_swap_verdict_fails_on_one_ulp_in_one_block(self, monkeypatch):
+        # The swapped product, the one written over its first operand, is one ulp off in one entry of the first
+        # of the eight blocks to form it, on one core and on eight workers that switch every microsecond; the
+        # product itself is exact, so the convolution keeps its bits.
+        pair = Circle((0.3, -0.2), 2.0), Circle((-0.1, 0.25), 3.0), 12.0, 0.02, 0.1
+        clean = grid_conv_check(*pair)
+        exact = oracle._spectral_product
+
+        def nudge_once():
+            swaps = itertools.count()
+
+            def product(a, b, out):
+                out = exact(a, b, out)
+                if np.shares_memory(a, out) and next(swaps) == 0:
+                    out.real[0, 0] = np.nextafter(out.real[0, 0], np.inf)
+                return out
+
+            monkeypatch.setattr(oracle, "_spectral_product", product)
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cores in (1, 8):
+                monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+                nudge_once()
+                *_, swap = checks.grid_check(*pair)
+                assert swap.label == "operand swap (bitwise)"
+                assert swap.measured == 1.0 and not swap.ok, cores
+                nudge_once()
+                nudged = grid_conv_check(*pair)
+                assert clean.swap_identical and not nudged.swap_identical, cores
+                assert np.array_equal(nudged.conv_values, clean.conv_values), cores
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_inverse_transform_per_convolution(self, monkeypatch):
+        calls = []
+        exact = oracle._centred_inverse
+        monkeypatch.setattr(oracle, "_centred_inverse", lambda *args: calls.append(1) or exact(*args))
+        grid_conv_check(C1, C2, extent=12.0, spacing=0.04, epsilon=0.1)
+        assert len(calls) == 1
+        fftconvolve(np.ones((5, 5)), np.ones((5, 5)))
+        assert len(calls) == 2
+
+    def test_bits_are_frozen_on_any_core_count(self, monkeypatch, capsys):
+        # sha256 of little-endian float64 bytes and of grid-check's stdout at its defaults, as the route that
+        # ran a second inverse transform on the swapped product gave them.
+        a, b = np.random.default_rng(41).normal(size=(2, 601, 601))
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            rep = grid_conv_check(Circle((0.3, -0.2), 2.0), Circle((-0.1, 0.25), 3.0), 12.0, 0.02, 0.1)
+            arrays = (rep.conv_values, rep.rho, rep.grid_profile, rep.oracle_profile, rep.mass, rep.max_rel_error)
+            assert cli.main(["grid-check"]) == 0
+            digests = [hashlib.sha256(data).hexdigest() for data in (
+                b"".join(np.asarray(v, dtype="<f8").tobytes() for v in arrays),
+                fftconvolve(a, b).astype("<f8").tobytes(),
+                capsys.readouterr().out.encode())]
+            assert digests == ["6abc6fa14f4c16e065687ee37f87398a7dbc50e82e5d5ea28cd2f922e8a6f716",
+                               "87889984376fc9ea1b23a7331cd3b595f9decf19aa556524f2eb6384d0838bb2",
+                               "5a4624ef9bd587afe03a06d98de0b3ff29c294b63b46c14311c09161d50bdfd8"], cores
+
     @pytest.mark.parametrize("extent, spacing", [(12.0, 0.013), (11.99, 0.01)])
     def test_convolution_is_centred_on_the_summed_centres(self, extent, spacing):
         # Extents that are no whole number of cells, and odd cell counts, once
@@ -789,9 +896,6 @@ class TestGridConvCheck:
 
         # Both rings leave the grid, each by its own amount.  The first ring's
         # error is raised before any thread starts, on any number of cores.
-        def no_threads(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
         monkeypatch.setattr(core.threading, "Thread", no_threads)
         for cores in (1, 2, 3):
             monkeypatch.setattr(core, "_usable_cores", lambda: cores)
@@ -809,10 +913,12 @@ class TestGridConvCheck:
             monkeypatch.setattr(core, "_usable_cores", lambda: cores)
             reports.append(grid_conv_check(c1, c2, extent=12.0, spacing=0.02, epsilon=0.1))
         serial = reports[0]
+        assert serial.swap_identical is True
         for threaded in reports[1:]:
-            for name in ("conv_values", "swapped_values", "rho", "grid_profile", "oracle_profile"):
+            for name in ("conv_values", "rho", "grid_profile", "oracle_profile"):
                 assert np.array_equal(getattr(threaded, name), getattr(serial, name)), name
             assert (threaded.mass, threaded.max_rel_error) == (serial.mass, serial.max_rel_error)
+            assert threaded.swap_identical is serial.swap_identical
 
     def test_at_most_usable_minus_one_workers_run_at_once_and_none_outlives_the_call(self, monkeypatch):
         # Each stage starts its own workers and joins them before the next, so
@@ -883,9 +989,8 @@ class TestGridConvCheck:
     def test_conv_values_own_their_memory(self):
         rep = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
         n = build_mollified_ring(Circle((0, 0), 1.0), 5.2, 0.02, 0.05).values.shape[0]
-        for values in (rep.conv_values, rep.swapped_values):
-            assert values.shape == (n, n) and values.size == n * n
-            assert values.base is None and values.flags.owndata
+        assert rep.conv_values.shape == (n, n) and rep.conv_values.size == n * n
+        assert rep.conv_values.base is None and rep.conv_values.flags.owndata
 
     def test_report_is_auditable(self):
         rep = grid_conv_check(Circle((0, 0), 1.0), Circle((0, 0), 1.0), extent=5.2, spacing=0.02, epsilon=0.05)
