@@ -60,9 +60,14 @@ def hankel_transform(profile: RadialProfile, r, n: int):
 
 
 def hankel_of_circle(radius: float, r):
-    """Transform of one circle impulse, ``2 pi R J0(2 pi r R)`` in closed form; a float or an ndarray like r."""
+    """Transform of one circle impulse, ``2 pi R J0(2 pi r R)`` in closed form; a float or an ndarray like r.
+
+    Where ``2 pi r R`` overflows, the value is J0's limit there, 0.
+    """
     radius = _check_radius(float(radius), "radius")
-    return 2.0 * math.pi * radius * bessel_j0(2.0 * math.pi * np.asarray(r, dtype=float) * radius)
+    with np.errstate(over="ignore"):
+        x = 2.0 * math.pi * np.asarray(r, dtype=float) * radius
+    return 2.0 * math.pi * radius * bessel_j0(x)
 
 
 def hankel_of_conv(kernel: ConvKernel, r, n: int = 256):

@@ -186,13 +186,14 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-def _spectrum(values: np.ndarray, side: int) -> np.ndarray:
-    """``rfft2(values, (side, side))`` with its bits: an ``rfft`` of each row block, then an in-place
-    ``fft`` of each column block, on the usable cores."""
+def _spectrum(values: np.ndarray, side: int) -> tuple[np.ndarray, int]:
+    """``(rfft2(values * 2^-e, (side, side)), e)`` with its bits, ``e`` putting ``max|values|`` in [0.5, 1): an ``rfft``
+    of each exactly scaled row block, then an in-place ``fft`` of each column block, on the usable cores."""
+    e = int(np.frexp(max(values.max(), -values.min()))[1])
     out = np.zeros((side, side // 2 + 1), dtype=complex)
-    _on_row_blocks(lambda s: np.fft.rfft(values[s], side, axis=1, out=out[s]), values.shape)
+    _on_row_blocks(lambda s: np.fft.rfft(np.ldexp(values[s], -e), side, axis=1, out=out[s]), values.shape)
     _on_row_blocks(lambda s: np.fft.fft(out[:, s], axis=0, out=out[:, s]), out.shape[::-1])
-    return out
+    return out, e
 
 
 def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -209,8 +210,8 @@ def _spectral_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _centred_inverse(product: np.ndarray, h: int, n: int, scale: float) -> np.ndarray:
-    """``irfft2(product)[h:h + n, h:h + n] * scale`` as a new array; ``product`` is overwritten.
+def _centred_inverse(product: np.ndarray, h: int, n: int, scale, e: int) -> np.ndarray:
+    """``ldexp(irfft2(product)[h:h + n, h:h + n] * scale, e)`` as a new array; ``product`` is overwritten.
 
     The columns are transformed in ``product``, then only the kept rows, each
     in blocks on the usable cores, so no full padded real grid is made.
@@ -220,7 +221,8 @@ def _centred_inverse(product: np.ndarray, h: int, n: int, scale: float) -> np.nd
     out = np.empty((n, n))
 
     def rows(s):
-        np.multiply(np.fft.irfft(product[h + s.start:h + s.stop], side, axis=1)[:, h:h + n], scale, out=out[s])
+        kept = np.fft.irfft(product[h + s.start:h + s.stop], side, axis=1)[:, h:h + n]
+        np.ldexp(np.multiply(kept, scale, out=out[s]), e, out=out[s])
 
     _on_row_blocks(rows, (n, side))
     return out
@@ -234,9 +236,8 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     inside the input grid.  Each output point samples the field at the same
     offsets in cells, so the operator is one fixed stencil of bilinear weights,
     applied as one FFT convolution on the grid oracle's row-block transforms,
-    which keep their bits on any number of cores.  The field is scaled by a
-    power of two to ``max|f|`` in [0.5, 1) and back, so no spectrum overflows.
-    Raises if the circle does not fit.
+    which keep their bits on any number of cores and scale each operand by a
+    power of two, so no spectrum overflows.  Raises if the circle does not fit.
     """
     if not isinstance(f, Field2D):
         raise ValueError("circle_average_field needs a sampled field")
@@ -256,11 +257,9 @@ def circle_average_field(f: Field2D, c: Circle, n: int = 256) -> Field2D:
     stencil = np.bincount(np.concatenate([corner, corner + 1, corner + side, corner + side + 1]),
                           np.concatenate([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty]),
                           minlength=side * side).reshape(side, side)
-    e = int(np.frexp(max(f.values.max(), -f.values.min()))[1])
-    # A side >= ``size`` keeps wrap-around off the output, 2 * cells in; the scaled copy goes before ``b`` is made.
-    a = _spectrum(np.ldexp(f.values, -e), _smooth_length(size))
-    b = _spectrum(stencil[-2::-1, -2::-1], a.shape[0])
+    # A side >= ``size`` keeps wrap-around off the output, 2 * cells in; the exponents sum to undo the scaling.
+    a, ea = _spectrum(f.values, _smooth_length(size))
+    b, eb = _spectrum(stencil[-2::-1, -2::-1], a.shape[0])
     _on_row_blocks(lambda s: _spectral_product(a[s], b[s], out=a[s]), a.shape)
     del b
-    out = _centred_inverse(a, 2 * cells, out_size, r * weight)
-    return Field2D.from_grid(np.ldexp(out, e, out=out), f.spacing)
+    return Field2D.from_grid(_centred_inverse(a, 2 * cells, out_size, r * weight, ea + eb), f.spacing)

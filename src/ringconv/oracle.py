@@ -439,6 +439,16 @@ def _ring_side(c: Circle, extent: float, spacing: float, epsilon: float) -> int:
     return n
 
 
+def _gauss_units(epsilon: float) -> tuple[float, float]:
+    """``(u, 2 (epsilon u)^2)`` for the power of two ``u`` that puts ``epsilon u`` in [0.5, 1).
+
+    A Gaussian exponent ``-x^2 / (2 epsilon^2)`` formed as ``square(x u) / -(2 (epsilon u)^2)`` has its
+    bits wherever ``x^2`` is a normal float, and stays finite where ``x^2`` would overflow.
+    """
+    unit = math.ldexp(1.0, -math.frexp(epsilon)[1])
+    return unit, 2.0 * (epsilon * unit) ** 2
+
+
 def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: float) -> Field2D:
     """Rasterize a ring as a unit-mass Gaussian slice across the circle.
 
@@ -456,10 +466,11 @@ def build_mollified_ring(c: Circle, extent: float, spacing: float, epsilon: floa
     n = _ring_side(c, extent, spacing, epsilon)
     coords = _grid_coords(n, spacing)
     values = np.empty((n, n))
+    unit, width2 = _gauss_units(epsilon)
 
     def rows(s):
         dist = np.hypot(coords[None, :] - c.center[0], coords[s, None] - c.center[1])
-        values[s] = np.exp(-((dist - c.radius) ** 2) / (2.0 * epsilon**2)) / (math.sqrt(2.0 * math.pi) * epsilon)
+        values[s] = np.exp(np.square((dist - c.radius) * unit) / -width2) / (math.sqrt(2.0 * math.pi) * epsilon)
 
     _on_row_blocks(rows, values.shape)
     return Field2D.from_grid(values, spacing)
@@ -479,9 +490,10 @@ def _padding(n: int) -> tuple[int, int]:
 def _both_orders(operands, n: int, scale: float) -> tuple[np.ndarray, bool]:
     """``fftconvolve(first, second) * scale`` for the ``n x n`` arrays ``operands`` yields, each transformed before
     the next is made, and whether the swapped spectral product, written over the second spectrum block by block on
-    the usable cores, has the bits of the product; the second spectrum is freed before the one inverse."""
+    the usable cores, has the bits of the product; the second spectrum is freed before the one inverse, which
+    scales back by the power of two that ``_spectrum`` took off each operand."""
     h, side = _padding(n)
-    a, b = (_spectrum(values, side) for values in operands)
+    (a, ea), (b, eb) = (_spectrum(values, side) for values in operands)
     same = np.empty(side, dtype=bool)
 
     def products(s):
@@ -490,7 +502,7 @@ def _both_orders(operands, n: int, scale: float) -> tuple[np.ndarray, bool]:
 
     _on_row_blocks(products, a.shape)
     del b
-    return _centred_inverse(a, h, n, scale), bool(same.all())
+    return _centred_inverse(a, h, n, scale, ea + eb), bool(same.all())
 
 
 def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
@@ -500,7 +512,9 @@ def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
     ``h = (n - 1) // 2``, so for odd ``n`` the result stays centred on the
     input grid.  It is ``grid_conv_check``'s route, whose padded side keeps
     wrap-around off the kept slice and whose spectral product gives the same
-    bits for either operand order; the swap verdict is dropped.  The result
+    bits for either operand order; the swap verdict is dropped.  Each operand
+    is transformed scaled by a power of two, and the result scaled back, so
+    no spectrum overflows where the result is in range.  The result
     is a new array.  Empty, unequal or non-square input is a ``ValueError``.
     """
     in1, in2 = np.asarray(in1, dtype=float), np.asarray(in2, dtype=float)
@@ -534,12 +548,14 @@ def smoothed_profile(rho, r1: float, r2: float, epsilon: float):
     coef = w / (2.0 * math.pi * sigma2)
     rho = np.asarray(rho, dtype=float)
     scalar = rho.ndim == 0
-    arr = np.atleast_1d(rho)
+    # The kernel depends on rho / epsilon and s / epsilon alone; in those units its products stay in range.
+    unit, width2 = _gauss_units(epsilon)
+    arr, s = np.atleast_1d(rho) * unit, s * unit
     kernel = np.empty((arr.shape[0], s.size))
 
     def rows(b):
-        kernel[b] = _i0e(np.multiply.outer(arr[b], s) / sigma2) * np.exp(
-            -((arr[b, None] - s[None, :]) ** 2) / (2.0 * sigma2)
+        kernel[b] = _i0e(np.multiply.outer(arr[b], s) / width2) * np.exp(
+            np.square(arr[b, None] - s[None, :]) / (-2.0 * width2)
         )
 
     _on_row_blocks(rows, kernel.shape)
@@ -586,7 +602,11 @@ def grid_conv_check(
     Both rings are rasterized on the same centered grid and convolved by
     ``fftconvolve``'s route, times spacing^2 for the continuous normalization;
     the swap verdict compares its spectral product with the swapped order's.
-    Every input rule is checked before any thread starts.  Each ring is built
+    The rings' Gaussians, the transforms and the reference's kernel are each
+    formed in units scaled by a power of two, which is exact, so no stage
+    overflows where the report is in range, and scaling every length by a
+    power of two leaves ``grid-check``'s verdict lines as they were.  Every
+    input rule is checked before any thread starts.  Each ring is built
     and transformed before the next.  The first-by-second result is annularly
     averaged about b1 + b2 in bins of width 2*spacing, the distances and bin
     indices filled in row blocks on the usable cores and each bin summed
@@ -596,8 +616,10 @@ def grid_conv_check(
     cap, then where spacing^2 is not a positive normal float, the larger radius
     where ``r1 + r2`` overflows, ``extent`` if the convolution support plus a
     5-epsilon pad would be clipped by the grid, then each ring's rule of
-    ``build_mollified_ring`` (the first ring's first), and ``epsilon`` if no
-    bin's mean radius falls in the trimmed interval, in that order.
+    ``build_mollified_ring`` (the first ring's first), ``epsilon`` if the
+    trimmed interval is empty, the radius that ``_normal_mass`` names, and
+    ``epsilon`` if no bin's mean radius falls in the trimmed interval, in
+    that order.
     """
     n, half = _ring_grid(extent, spacing)
     scale = _normal_square(spacing, "spacing")
@@ -607,6 +629,12 @@ def grid_conv_check(
         raise ParameterError("extent", "grid extent clips the support of the convolution")
     for c in (c1, c2):
         _ring_side(c, extent, spacing, epsilon)
+    t_lo, t_hi = lo + 5.0 * epsilon, hi - 5.0 * epsilon
+    no_bin = ParameterError("epsilon", f"no bin falls in the trimmed range [{t_lo:g}, {t_hi:g}] of the support"
+                                       f" ({lo:g}, {hi:g})")
+    if t_lo > t_hi:
+        raise no_bin
+    _normal_mass(c1.radius, c2.radius)
     rings = (build_mollified_ring(c, extent, spacing, epsilon).values for c in (c1, c2))
     conv, swap_identical = _both_orders(rings, n, scale)
 
@@ -625,11 +653,9 @@ def grid_conv_check(
     mean_rho = np.bincount(idx, weights=rho.ravel(), minlength=nbins) / hits
     mean_val = np.bincount(idx, weights=conv.ravel(), minlength=nbins) / hits
 
-    t_lo, t_hi = lo + 5.0 * epsilon, hi - 5.0 * epsilon
     keep = (mean_rho >= t_lo) & (mean_rho <= t_hi)
     if not keep.any():
-        raise ParameterError("epsilon", f"no bin falls in the trimmed range [{t_lo:g}, {t_hi:g}]"
-                                        f" of the support ({lo:g}, {hi:g})")
+        raise no_bin
     ref = smoothed_profile(mean_rho[keep], c1.radius, c2.radius, epsilon)
     rel = np.abs(mean_val[keep] - ref) / np.abs(ref)
     return GridConvReport(

@@ -337,7 +337,7 @@ FROZEN_ARGS = np.array([
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("bessel_j0", "5fca820d8e42170653681cf156e9f2d518dfdb7a8e8501ea12ecd41780470987"),
+    ("bessel_j0", "4c47d4ee2afe5ef87c6d8b9e3ff69454607987eac6660caded88a78f5b85a8f9"),
     ("i0e", "9b6e82b0313e996be8422f3473fc7dc144c9f7cb1fa8b9e9959c2e94ad5ec1fc"),
     ("hankel-check", "c5d4270c1e2a10ee8edcd4ff9c8f3e415054f72e175c2852c1e19ab60d8492fb"),
     ("neumann-check", "7c50c1a1ba11577f1a1824cf1c46121ff10045e4e635d79699cf10476c362426"),
@@ -346,6 +346,8 @@ FROZEN_ARGS = np.array([
 def test_bessel_bits_and_check_stdout_are_frozen(name, digest, capsys):
     # sha256 of J0 and I0e (little-endian float64) over FROZEN_ARGS, and of each command's stdout at its
     # defaults, as the evaluators with a fresh array per Horner step and a per-triple root draw gave them.
+    # J0's digest was retaken when J0(inf) became 0 (was NaN) and J0(2^1023), where pi x overflows, finite
+    # (was -0.0); every other entry kept its bits.
     if name in ("bessel_j0", "i0e"):
         with np.errstate(all="ignore"):
             data = getattr(special, name)(FROZEN_ARGS).astype("<f8").tobytes()
@@ -579,6 +581,27 @@ class TestGridCheck:
         code, out, err = run_main(["grid-check"] + argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
+
+    def test_stdout_is_the_same_at_every_power_of_two_scale(self, capsys):
+        # The density depends on the lengths only through their ratios, and scaling by 2^k is exact, so each
+        # scale must print the same bytes.  At 2^-505 the inverse transform overflowed and two verdicts FAILed.
+        outs = set()
+        for k in (-505, -200, 0, 200, 505):
+            r1, r2, extent, spacing, epsilon = (repr(math.ldexp(v, k)) for v in (2.0, 3.0, 12.0, 0.04, 0.1))
+            code, out, err = run_main(["grid-check", "--r1", r1, "--r2", r2, "--extent", extent,
+                                       "--spacing", spacing, "--epsilon", epsilon], capsys)
+            assert code == 0 and err == "", k
+            outs.add(out)
+        assert len(outs) == 1 and outs.pop().count("PASS") == 3
+
+    def test_mass_out_of_range_is_the_one_line_on_stderr(self, capsys):
+        # The defaults' lengths times 2^510: 4 pi^2 r1 r2 overflows.  The rings were built first, and their
+        # Gaussians warned of an overflowing square before the mass rule named --r2.
+        code, out, err = run_main(["grid-check", "--r1", "6.703903964971299e+153", "--r2", "1.0055855947456948e+154",
+                                   "--extent", "4.022342378982779e+154", "--spacing", "1.3407807929942597e+152",
+                                   "--epsilon", "3.3519519824856495e+152"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --r2: the mass 4 pi^2 r1 r2") and err.count("\n") == 1
 
     def test_passes_at_a_radius_ratio_of_46(self, capsys):
         # smoothed_profile's node-rounding limit is set against the profile's 5% tolerance, not the mass check's.

@@ -34,8 +34,13 @@ STATISTICAL = {"mc-check": ("FAIL interior histogram agreement:", "FAIL sector u
 SECOND = {"circle-average": ["--b1", "{}", "0"]}
 
 # Cells beyond the crossing of VALUES: an mc-check annulus edge past 1.34e154, whose square overflows.  The
-# default margin of 0.2 would not clear r1 + r2 by the sampler's radius error there.
-EXTRA = [("mc-check", "1.35e154", "5e151", ["--samples", "20000", "--bins", "2000", "--margin", "1e152"])]
+# default margin of 0.2 would not clear r1 + r2 by the sampler's radius error there.  grid-check at 1e-150
+# lengths, where the rings' transforms overflowed, and at a 1.5e154 ring beside a 2.95e152 one, where the
+# Gaussians' squares and the reference's rho * s did.
+EXTRA = [("mc-check", "1.35e154", "5e151", ["--samples", "20000", "--bins", "2000", "--margin", "1e152"]),
+         ("grid-check", "2e-150", "3e-150", ["--extent", "12e-150", "--spacing", "4e-152", "--epsilon", "1e-151"]),
+         ("grid-check", "1.5e154", "2.95e152", ["--extent", "3.11e154", "--spacing", "2.45e151",
+                                                "--epsilon", "4.9e151"])]
 
 
 def _cells():

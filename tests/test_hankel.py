@@ -40,6 +40,11 @@ class TestHankelOfCircle:
         expected = 2.0 * math.pi * 1.5 * bessel_j0(2.0 * math.pi * 1.5 * r)
         assert_allclose(hankel_of_circle(1.5, r), expected, rtol=0, atol=0)
 
+    def test_overflowing_argument_gives_the_limit(self):
+        # 2 pi r R overflows to inf here; the transform was NaN after three RuntimeWarnings.
+        assert np.array_equal(hankel_of_circle(1e9, [1e299, 1e300, 0.0]), [0.0, 0.0, 2e9 * math.pi])
+        assert hankel_of_circle(1.0, -math.inf) == 0.0
+
     def test_rejects_bad_radius(self):
         for radius in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):

@@ -202,9 +202,10 @@ class TestCircleAverageField:
         assert_allclose(out.values, 2.0 * math.pi * 0.73 * level, rtol=1e-12)
 
     def test_peak_memory_stays_near_two_fields(self):
-        # The scaled copy is freed before the stencil's spectrum is made, and that spectrum before the
-        # inverse; each transform of the 2025-wide padded grid is about one field's bytes.  The peak is
-        # 2.15 fields; keeping either array alive, or transforming the stencil first, takes it past 3.
+        # The field is scaled one row block at a time as it is transformed, and the stencil's spectrum is
+        # freed before the inverse; each transform of the 2025-wide padded grid is about one field's bytes.
+        # The peak is 2.15 fields; keeping the stencil's spectrum alive, or a whole scaled copy of the field
+        # until the stencil is transformed, takes it past 3.
         values = np.ones((2001, 2001))
         f = Field2D.from_grid(values, 0.005)
         tracemalloc.start()

@@ -654,6 +654,27 @@ class TestMollifiedRing:
             grid_conv_check(Circle((0, 0), extent / 100), Circle((0, 0), extent / 100), extent, spacing, epsilon)
         assert exc.value.param == "spacing"
 
+    def test_mass_out_of_the_normal_range_is_refused_before_any_thread(self, monkeypatch):
+        # The rule ran in smoothed_profile, after both rings and the FFT.  An empty trimmed range still names
+        # epsilon first, as at 1e-300 and 1e-12, where the mass underflows too.
+        monkeypatch.setattr(core, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(core.threading, "Thread", no_threads)
+        for r1, r2, extent, spacing, epsilon, blamed in [
+                (6.703903964971299e+153, 1.0055855947456948e+154, 4.022342378982779e+154, 1.3407807929942597e+152,
+                 3.3519519824856495e+152, "r2"), (1e-300, 1e-12, 16.0, 0.08, 0.16, "epsilon")]:
+            with pytest.raises(ParameterError) as exc:
+                grid_conv_check(Circle((0, 0), r1), Circle((0, 0), r2), extent, spacing, epsilon)
+            assert exc.value.param == blamed
+
+    def test_an_overflowing_square_gives_the_gaussian_in_units_of_epsilon(self):
+        # (dist - R)^2 passes DBL_MAX towards the corners, where the Gaussian is about exp(-100), not 0.
+        epsilon = 5e153
+        ring = build_mollified_ring(Circle((0, 0), 1.0), 1e155, 2.5e153, epsilon)
+        coords = ring.grid_coords()
+        z = (np.hypot(coords[None, :], coords[:, None]) - 1.0) / epsilon
+        assert np.max(z) > 14.0
+        assert_allclose(ring.values, np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * epsilon), rtol=1e-13, atol=0)
+
     def test_side_is_odd_and_over_the_cap_names_spacing(self):
         # 499 cells round up to 500, so the centred side has 501 points.
         assert build_mollified_ring(C1, extent=4.99, spacing=0.01, epsilon=0.05).values.shape == (501, 501)
@@ -678,13 +699,17 @@ class TestFFTConvolve:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 10, 61, 301])
     def test_spectrum_has_the_bits_of_rfft2(self, monkeypatch, n):
-        # Row transforms, then column transforms, in blocks on any number of cores.
+        # Row transforms of the values scaled to max|values| in [0.5, 1), then column transforms, in blocks on any
+        # number of cores; the exponent taken off is returned.
         values = np.random.default_rng(n).normal(size=(n, n))
         side = oracle._padding(n)[1]
-        expected = np.fft.rfft2(values, (side, side))
+        e = np.frexp(np.abs(values).max())[1]
+        expected = np.fft.rfft2(np.ldexp(values, -e), (side, side))
         for cores in (1, 2, 3):
             monkeypatch.setattr(core, "_usable_cores", lambda: cores)
-            assert np.array_equal(oracle._spectrum(values, side).view(np.int64), expected.view(np.int64)), cores
+            spectrum, exponent = oracle._spectrum(values, side)
+            assert exponent == e and type(exponent) is int, cores
+            assert np.array_equal(spectrum.view(np.int64), expected.view(np.int64)), cores
 
     def test_pads_to_a_5_smooth_length(self):
         # 1201 is prime; 1215 = 3^5 * 5.
@@ -694,6 +719,15 @@ class TestFFTConvolve:
         for a, b in ((np.ones((3, 3)), np.ones((5, 5))), (np.ones((3, 4)), np.ones((3, 4)))):
             with pytest.raises(ValueError):
                 fftconvolve(a, b)
+
+    def test_a_result_in_range_does_not_overflow(self):
+        # Each spectrum's DC term is 101^2 * 1e151; their product overflowed before each operand was scaled by a
+        # power of two.  Entry [i, j] sums (101 - |i - 50|) (101 - |j - 50|) products of 1e302.
+        a = np.full((101, 101), 1e151)
+        out = fftconvolve(a, a)
+        overlap = 101.0 - np.abs(np.arange(101) - 50.0)
+        assert_allclose(out[50, 50], 101**2 * 1e302, rtol=4 * np.finfo(float).eps, atol=0)
+        assert_allclose(out, np.multiply.outer(overlap, overlap) * 1e302, rtol=1e-13, atol=0)
 
     def test_rejects_empty_input_before_padding(self, monkeypatch):
         # Padding a side of 0 once looped for ever in ``_smooth_length``; the shape rule must refuse it first.
@@ -764,6 +798,16 @@ class TestSmoothedProfile:
             monkeypatch.setattr(core, "_usable_cores", lambda: cores)
             assert np.array_equal(smoothed_profile(rho, 2.0, 3.0, 0.05), whole)
             assert smoothed_profile(rho[7], 2.0, 3.0, 0.05) == smoothed_profile(rho[7:8], 2.0, 3.0, 0.05)[0]
+
+    def test_rows_stay_in_range_at_any_scale(self):
+        # At radii 1.5e154 and 2.95e152, rho * s passes DBL_MAX, and the kernel was 0 where it is not; it depends
+        # on rho / epsilon and s / epsilon alone, so the pair scaled by 2^-512 gives the same profile.
+        args = np.array([1.5e154, 2.95e152, 4.9e151])
+        rho = np.linspace(1.48e154, 1.52e154, 9)
+        big = smoothed_profile(rho, *args)
+        small = smoothed_profile(np.ldexp(rho, -512), *np.ldexp(args, -512))
+        assert_allclose(big, small, rtol=1e-13, atol=0)
+        assert np.all(big > 0.5)
 
     def test_mass_preserved_under_smoothing(self):
         # Integrate the smoothed profile over the plane; mollification must

@@ -120,6 +120,18 @@ class TestBesselJ0:
         assert math.isfinite(value)
         assert abs(value) <= math.sqrt(2.0 / (math.pi * x))
 
+    def test_infinity_gives_the_limit_and_every_finite_argument_a_finite_value(self):
+        # cos(inf) was NaN, and pi x overflowed from about 5.7e307, so J0 there read 0 after a warning.
+        top = np.finfo(float).max
+        x = np.array([2.0**p for p in range(5, 1024)] + [5.6e307, 5.8e307, 1e308, np.nextafter(top, 0.0), top])
+        values = bessel_j0(np.concatenate([x, -x]))
+        assert np.all(np.isfinite(values))
+        assert np.all(np.abs(values) <= np.tile(np.sqrt(2.0 / np.pi) / np.sqrt(x), 2))
+        assert np.count_nonzero(values[-6:]) == 6
+        for inf in (math.inf, -math.inf):
+            assert bessel_j0(inf) == 0.0 and math.copysign(1.0, bessel_j0(inf)) == 1.0
+        assert np.array_equal(bessel_j0(np.array([math.inf, 1.0])), [0.0, bessel_j0(1.0)])
+
     def test_peak_memory_is_set_by_the_largest_piece(self):
         # 58% of these arguments take the Hankel branch.  Scratch rows sized by that piece peak at
         # 37.7 MiB; rows sized by the whole input reach 47.7 MiB, and a Horner step that makes two
